@@ -24,7 +24,6 @@ from .coloring import (
     VerificationReport,
     VertexPartition,
     check_partition,
-    color_count,
     parse_matrix,
     render_matrix,
     residue_partition,
@@ -38,10 +37,8 @@ from .constructions import (
     color_perfect_cayley,
     color_unitary_even,
     clique_cover_disjoint,
-    edge_color_bipartite,
     edge_color_vizing,
     fill_diagonals,
-    perfect_matching,
     start_entries,
     starter_search,
 )

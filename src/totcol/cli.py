@@ -1,20 +1,20 @@
 """Command-line surface: generate graphs, run constructions, verify, run
 exact oracles, classify, and reproduce the bundled golden tables.
 
-Exit codes: 0 success, 1 verification conflicts or golden-table mismatch,
-2 preconditions of the chosen method unmet, 3 inconclusive (budget),
-4 I/O or format error.
+Exit codes: 0 success; 1 verification conflicts or golden-table mismatch;
+2 preconditions of the chosen method unmet (with `--method auto`: of every
+method, one reason each); 3 a search budget ran out, and nothing else;
+4 bad input: I/O errors, malformed files (with the line number), invalid
+budgets, or a graph an oracle cannot take.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from importlib import resources
 
 from . import constructions, coloring, graphs, oracles
 from .coloring import (
-    TotalColoring,
     adjacency_matrix_csv,
     matrix_to_csv,
     read_coloring,
@@ -36,8 +36,10 @@ def _read_group_table(path) -> GroupTable:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise graphs.GraphError("group table file too short")
-    n, identity = int(tokens[0]), int(tokens[1])
-    body = [int(x) for x in tokens[2:]]
+    try:
+        n, identity, *body = map(int, tokens)
+    except ValueError as exc:
+        raise graphs.GraphError("group table: %s" % exc) from None
     if len(body) != n * n:
         raise graphs.GraphError("expected %d table entries, got %d" % (n * n, len(body)))
     product = [body[i * n:(i + 1) * n] for i in range(n)]
@@ -58,92 +60,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _detect_unitary(G) -> bool:
-    if G.circulant is None:
-        return False
-    n = G.n
-    units = frozenset(i for i in range(1, n) if math.gcd(i, n) == 1)
-    return G.circulant.connection == units
-
-
-def _pick_method(G) -> str:
-    spec = G.circulant
-    if spec is not None and _detect_unitary(G):
-        n = G.n
-        if n & (n - 1) == 0 and n >= 2:
-            return "thm2.1"
-        if n % 2 == 0:
-            return "thm2.2"
-    if spec is not None and G.n % 2 == 1:
-        q = spec.degree + 1
-        half = spec.half_set()
-        if (
-            G.n % q == 0
-            and all(s % q for s in spec.connection)
-            and len({s % q for s in half}) == len(half)
-        ):
-            return "thm2.3"
-    if spec is not None and G.n % 4 == 2:
-        delta = spec.degree
-        if G.n // 2 not in spec.connection and G.n // 2 <= delta < G.n - 1:
-            return "thm2.5"
-    if G.n <= 20:
-        try:
-            if oracles.is_perfect(G):
-                chi, _ = oracles.exact_chromatic(G)
-                if chi % 2 == 1 and G.n % chi == 0:
-                    return "thm2.7"
-        except oracles.OracleError:
-            pass
-    raise constructions.ConstructionError("no method's preconditions match this graph")
-
-
 def cmd_color(args) -> int:
     G = graphs.read_dimacs(args.graph)
     method = args.method
     if method == "auto":
-        method = _pick_method(G)
+        method, rejected = constructions.pick_method(G)
+        for name, reason in rejected:
+            print("note: %s rejected: %s" % (name, reason))
         print("auto-selected method: %s" % method)
-
-    notes = []
-    if method == "thm2.1":
-        n = G.n
-        if not (_detect_unitary(G) and n >= 2 and n & (n - 1) == 0):
-            raise constructions.ConstructionError(
-                "thm2.1 expects the unitary graph of a power of two"
-            )
-        result_coloring = constructions.color_complete_bipartite(n // 2)
-    elif method == "thm2.2":
-        if not _detect_unitary(G) or G.n % 2:
-            raise constructions.ConstructionError("thm2.2 expects an even unitary graph")
-        res = constructions.color_unitary_even(G.n)
-        result_coloring = res.coloring
-        notes.append("part-1 generators %s, part-2 generators %s"
-                     % (res.part1_generators, res.part2_generators))
-    elif method == "thm2.3":
-        if G.circulant is None:
-            raise constructions.ConstructionError("thm2.3 needs circulant provenance")
-        res = constructions.color_odd_circulant(G.circulant, strategy=args.strategy)
-        result_coloring = res.coloring
-        notes.append("strategy used: %s" % res.strategy)
-        if res.strategy == "starter":
-            notes.append("starter fallback used")
-        notes.extend(res.notes)
-    elif method == "thm2.5":
-        if G.circulant is None:
-            raise constructions.ConstructionError("thm2.5 needs circulant provenance")
-        res = constructions.color_even_dense_circulant(G.circulant)
-        result_coloring = res.coloring
-        notes.append("chosen generators H = %s" % (list(res.chosen_generators),))
-        notes.extend(res.notes)
-    elif method == "thm2.7":
-        res = constructions.color_perfect_cayley(G)
-        result_coloring = res.coloring
-        notes.append("chi = %d, remainder colors = %d, total = %d"
-                     % (res.chi, res.remainder_colors, res.total_colors))
-        notes.append("type I achieved" if res.type_one else "type I not certified")
-    else:
-        raise constructions.ConstructionError("unknown method %r" % method)
+    result_coloring, notes = constructions.METHODS[method].run(G, args.strategy)
 
     report = verify_total(G, result_coloring)
     for note in notes:
@@ -307,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_color = sub.add_parser("color", help="run a constructive coloring")
     p_color.add_argument("graph")
     p_color.add_argument("--method", default="auto",
-                         choices=["auto", "thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7"])
+                         choices=["auto", *constructions.METHODS])
     p_color.add_argument("--strategy", default="auto",
                          choices=["auto", "literal", "starter"])
     p_color.add_argument("--format", default="coloring",
@@ -354,13 +279,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (constructions.ConstructionError,) as exc:
+    except constructions.ConstructionError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    except oracles.OracleError as exc:
+    except oracles.BudgetExhausted as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (graphs.GraphError, coloring.ColoringError, OSError) as exc:
+    except (graphs.GraphError, coloring.ColoringError, oracles.OracleError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_IO
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .graphs import Graph
 
@@ -51,11 +51,6 @@ class TotalColoring:
                 raise ColoringError("edge %r colored twice inconsistently" % (e,))
             out.edge_color[e] = c
         return out
-
-
-def color_count(c: TotalColoring) -> int:
-    """Number of distinct color ids used (usage, not the minimum)."""
-    return c.colors_used()
 
 
 @dataclass
@@ -198,9 +193,6 @@ class TotalColorMatrix:
     n: int
     grid: list
 
-    def cell(self, i: int, j: int):
-        return self.grid[i][j]
-
 
 def render_matrix(G: Graph, c: TotalColoring, partial: bool = False) -> TotalColorMatrix:
     """Render a coloring as the symmetric color matrix.
@@ -256,25 +248,31 @@ def write_coloring(c: TotalColoring, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_FIELDS = {"t": 3, "v": 3, "e": 4}
+
+
 def read_coloring(path) -> TotalColoring:
+    """Inverse of write_coloring; errors name the offending line."""
     c = None
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             tok = raw.split()
             if not tok:
                 continue
-            if tok[0] == "t":
-                c = TotalColoring(int(tok[1]))
-            elif tok[0] == "v":
-                if c is None:
-                    raise ColoringError("vertex line before header")
-                c.vertex_color[int(tok[1])] = int(tok[2])
-            elif tok[0] == "e":
-                if c is None:
-                    raise ColoringError("edge line before header")
-                c.set_edge(int(tok[1]), int(tok[2]), int(tok[3]))
-            else:
-                raise ColoringError("unrecognized line: %r" % raw.strip())
+            tag = tok[0]
+            try:
+                if len(tok) != _FIELDS.get(tag):
+                    raise ColoringError("expected `t n k`, `v x c` or `e u v c`")
+                if tag == "t":
+                    c = TotalColoring(int(tok[1]))
+                elif c is None:
+                    raise ColoringError("%r line before the `t` header" % tag)
+                elif tag == "v":
+                    c.vertex_color[int(tok[1])] = int(tok[2])
+                else:
+                    c.set_edge(int(tok[1]), int(tok[2]), int(tok[3]))
+            except ValueError as exc:
+                raise ColoringError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
     if c is None:
         raise ColoringError("missing header line")
     return c
@@ -303,8 +301,11 @@ def matrix_from_csv(path) -> TotalColorMatrix:
     if len(rows) != n + 1:
         raise ColoringError("CSV not square")
     grid = []
-    for raw in rows[1:]:
-        grid.append([None if cell == "" else int(cell) for cell in raw[1:]])
+    for lineno, raw in enumerate(rows[1:], 2):
+        try:
+            grid.append([None if cell == "" else int(cell) for cell in raw[1:]])
+        except ValueError as exc:
+            raise ColoringError("line %d: %s" % (lineno, exc)) from None
     return TotalColorMatrix(n, grid)
 
 

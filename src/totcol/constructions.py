@@ -10,11 +10,8 @@ differences.  Every pipeline ends in verify_total and fails loudly.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .graphs import (
     CirculantSpec,
@@ -26,8 +23,8 @@ from .graphs import (
     factor_edges,
     least_prime_factor,
     subgraph_of_edges,
-    totient,
     two_factors,
+    units,
 )
 from .coloring import TotalColoring, ekey, verify_total
 
@@ -55,6 +52,11 @@ def _checked(G: Graph, c: TotalColoring, what: str) -> TotalColoring:
     return c
 
 
+def _require(reason: Optional[str]) -> None:
+    if reason is not None:
+        raise ConstructionError(reason)
+
+
 def _rho(x: int, q: int) -> int:
     """Map a mod-q value into 1..q, with 0 standing for q."""
     r = x % q
@@ -75,15 +77,6 @@ class StartEntryTable:
     columns: tuple
     start: dict
     wrap: dict
-
-    def values_with_diagonal(self) -> list:
-        out = [1]
-        for j in self.columns:
-            if j == 1:
-                continue
-            out.append(self.start[j])
-            out.append(self.wrap[j])
-        return out
 
 
 def start_entries(q: int, J, n: int) -> StartEntryTable:
@@ -237,15 +230,10 @@ def color_unitary_even(n: int) -> UnitaryEvenResult:
     start rules.  Part 2 gives each remaining generator pair two fresh
     colors, alternating on the parity of the edge's base endpoint.
     """
-    if n % 2 != 0:
-        raise ConstructionError("n must be even")
+    _require(_why_not_unitary_even(n))
     m = n
     while m % 2 == 0:
         m //= 2
-    if m == 1:
-        raise ConstructionError(
-            "n is a power of two: use color_complete_bipartite(n/2)"
-        )
     r = least_prime_factor(m)
     G = build_unitary(n)
     half = G.circulant.half_set()
@@ -282,20 +270,12 @@ def color_odd_circulant(spec: CirculantSpec, strategy: str = "auto") -> OddCircu
     start values from an exhaustive starter pairing over the generators'
     difference classes; "auto" tries literal first and falls back.
     """
+    _require(_why_not_odd_circulant(spec))
+    if strategy not in ("auto", "literal", "starter"):
+        raise ConstructionError("unknown strategy %r" % strategy)
     n = spec.n
-    if n % 2 == 0:
-        raise ConstructionError("n must be odd")
     q = spec.degree + 1
-    if n % q != 0:
-        raise ConstructionError("Delta+1 = %d does not divide n = %d" % (q, n))
-    for s in spec.connection:
-        if s % q == 0:
-            raise ConstructionError("generator %d divisible by Delta+1" % s)
     half = spec.half_set()
-    if len({s % q for s in half}) != len(half):
-        raise ConstructionError(
-            "half-set generators not pairwise distinct mod Delta+1"
-        )
     G = build_circulant(spec)
     notes: list = []
 
@@ -313,9 +293,6 @@ def color_odd_circulant(spec: CirculantSpec, strategy: str = "auto") -> OddCircu
         c = fill_diagonals(n, q, starts)
         report = verify_total(G, c)
         return pairing, c, report
-
-    if strategy not in ("auto", "literal", "starter"):
-        raise ConstructionError("unknown strategy %r" % strategy)
 
     if strategy in ("auto", "literal"):
         table, c, report = attempt_literal()
@@ -361,16 +338,11 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     connected and take Delta-2k fresh colors (even-cycle 2-coloring per
     factor, else a fan recoloring within budget).
     """
+    _require(_why_not_even_dense(spec))
     n = spec.n
-    if n % 4 != 2:
-        raise ConstructionError("n must be 2 mod 4 (n = 2(2k+1))")
     q = n // 2
     k = (q - 1) // 2
-    if q in spec.connection:
-        raise ConstructionError("generator n/2 unsupported in this construction")
     delta = spec.degree
-    if not (n // 2 <= delta < n - 1):
-        raise ConstructionError("degree must satisfy n/2 <= Delta < n-1")
     G = build_circulant(spec)
     half = spec.half_set()
     budget = delta - 2 * k
@@ -459,49 +431,6 @@ def color_complete_odd(q: int) -> TotalColoring:
 
 # ---------------------------------------------------------------------------
 # Edge coloring subroutines
-
-
-def edge_color_bipartite(G: Graph) -> Dict[tuple, int]:
-    """Proper edge coloring of a bipartite graph with exactly Delta colors
-    (augmenting alternating-path construction)."""
-    from .graphs import bipartition
-
-    if bipartition(G) is None:
-        raise ConstructionError("graph is not bipartite")
-    delta = G.max_degree
-    at = [dict() for _ in range(G.n)]  # at[v][color] = neighbor
-    color: Dict[tuple, int] = {}
-
-    def free(v):
-        for c in range(1, delta + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("no free color at vertex %d" % v)
-
-    for (u, v) in G.edges():
-        a, b = free(u), free(v)
-        if a != b:
-            # flip the a/b alternating path starting at v to free a there
-            node, want = v, a
-            path = []
-            while want in at[node]:
-                nxt = at[node][want]
-                path.append((node, nxt, want))
-                node = nxt
-                want = b if want == a else a
-            # two-phase flip: clearing first avoids aliasing at interior vertices
-            for (x, y, c_old) in path:
-                del at[x][c_old]
-                del at[y][c_old]
-            for (x, y, c_old) in path:
-                c_new = b if c_old == a else a
-                at[x][c_new] = y
-                at[y][c_new] = x
-                color[ekey(x, y)] = c_new
-        color[ekey(u, v)] = a
-        at[u][a] = v
-        at[v][a] = u
-    return color
 
 
 @dataclass
@@ -661,21 +590,7 @@ def _misra_gries(G: Graph, delta: int) -> Dict[tuple, int]:
 
 
 # ---------------------------------------------------------------------------
-# Matchings and clique covers
-
-
-def perfect_matching(G: Graph) -> Optional[list]:
-    """A perfect matching as a sorted edge list, or None (blossom search via
-    networkx maximum-cardinality matching)."""
-    if G.n % 2 == 1:
-        return None
-    H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges())
-    M = nx.max_weight_matching(H, maxcardinality=True)
-    if 2 * len(M) != G.n:
-        return None
-    return sorted(ekey(u, v) for (u, v) in M)
+# Clique covers
 
 
 @dataclass
@@ -745,15 +660,8 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
     colors agree with the assigned ones, and the remainder takes at most
     Delta - chi + 2 fresh colors.
     """
-    from .oracles import exact_chromatic, is_perfect
-
-    if not is_perfect(G):
-        raise ConstructionError("graph is not perfect")
-    chi, vertex_colors = exact_chromatic(G)
-    if chi % 2 == 0:
-        raise ConstructionError("chromatic number %d is even" % chi)
-    if G.n % chi != 0:
-        raise ConstructionError("chromatic number %d does not divide n" % chi)
+    reason, chi, vertex_colors = _perfect_chromatic(G)
+    _require(reason)
     delta = G.max_degree
 
     if delta == G.n - 1:  # complete graph
@@ -789,3 +697,146 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
     total = chi + rem.colors_used
     type_one = rem.colors_used == delta - chi + 1
     return PerfectCayleyResult(c, chi, cover, rem.colors_used, total, type_one)
+
+
+# ---------------------------------------------------------------------------
+# Method registry: each theorem's preconditions, written once
+
+
+def _why_not_unitary(G: Graph) -> Optional[str]:
+    spec = G.circulant
+    if spec is None or spec.connection != units(spec.n):
+        return "not a unitary graph U_n"
+    return None
+
+
+def _why_not_power_of_two_unitary(G: Graph) -> Optional[str]:
+    if G.n < 2 or G.n & (G.n - 1):
+        return "n = %d is not a power of two" % G.n
+    return _why_not_unitary(G)
+
+
+def _why_not_unitary_even(n: int) -> Optional[str]:
+    if n % 2:
+        return "n = %d is odd" % n
+    if n & (n - 1) == 0:
+        return "n = %d is a power of two (thm2.1)" % n
+    return None
+
+
+def _why_not_odd_circulant(spec: Optional[CirculantSpec]) -> Optional[str]:
+    if spec is None:
+        return "no circulant provenance"
+    n, q = spec.n, spec.degree + 1
+    if n % 2 == 0:
+        return "n = %d is even" % n
+    if n % q:
+        return "Delta+1 = %d does not divide n = %d" % (q, n)
+    for s in sorted(spec.connection):
+        if s % q == 0:
+            return "generator %d divisible by Delta+1 = %d" % (s, q)
+    half = spec.half_set()
+    if len({s % q for s in half}) != len(half):
+        return "half-set generators not pairwise distinct mod Delta+1 = %d" % q
+    return None
+
+
+def _why_not_even_dense(spec: Optional[CirculantSpec]) -> Optional[str]:
+    if spec is None:
+        return "no circulant provenance"
+    n = spec.n
+    if n % 4 != 2:
+        return "n = %d is not 2 mod 4" % n
+    if n // 2 in spec.connection:
+        return "generator n/2 = %d is unsupported" % (n // 2)
+    if not n // 2 <= spec.degree < n - 1:
+        return "Delta = %d outside n/2 <= Delta < n-1" % spec.degree
+    return None
+
+
+def _perfect_chromatic(G: Graph):
+    """thm2.7's preconditions: (reason or None, chi, a proper chi-coloring)."""
+    from .oracles import OracleError, exact_chromatic, is_perfect
+
+    try:
+        if not is_perfect(G):
+            return "graph is not perfect", None, None
+    except OracleError as exc:  # the odd-hole search's size limit
+        return str(exc), None, None
+    chi, vertex_colors = exact_chromatic(G)
+    if chi % 2 == 0:
+        return "chromatic number %d is even" % chi, None, None
+    if G.n % chi:
+        return "chromatic number %d does not divide n = %d" % (chi, G.n), None, None
+    return None, chi, vertex_colors
+
+
+# The run callables name the constructions inside their bodies, so they use
+# whatever the module attribute holds at call time.
+
+
+def _run_thm21(G: Graph, strategy: str):
+    _require(_why_not_power_of_two_unitary(G))
+    return color_complete_bipartite(G.n // 2), []
+
+
+def _run_thm22(G: Graph, strategy: str):
+    _require(_why_not_unitary(G))
+    res = color_unitary_even(G.n)
+    return res.coloring, ["part-1 generators %s, part-2 generators %s"
+                          % (res.part1_generators, res.part2_generators)]
+
+
+def _run_thm23(G: Graph, strategy: str):
+    res = color_odd_circulant(G.circulant, strategy=strategy)
+    notes = ["strategy used: %s" % res.strategy]
+    if res.strategy == "starter":
+        notes.append("starter fallback used")
+    return res.coloring, notes + res.notes
+
+
+def _run_thm25(G: Graph, strategy: str):
+    res = color_even_dense_circulant(G.circulant)
+    return res.coloring, ["chosen generators H = %s" % (list(res.chosen_generators),)] + res.notes
+
+
+def _run_thm27(G: Graph, strategy: str):
+    res = color_perfect_cayley(G)
+    return res.coloring, [
+        "chi = %d, remainder colors = %d, total = %d"
+        % (res.chi, res.remainder_colors, res.total_colors),
+        "type I achieved" if res.type_one else "type I not certified",
+    ]
+
+
+class Method(NamedTuple):
+    """why_not(G): the first failed precondition, or None.  run(G, strategy):
+    (coloring, notes), or ConstructionError with why_not's reason."""
+
+    why_not: Callable[[Graph], Optional[str]]
+    run: Callable[[Graph, str], tuple]
+
+
+# In the order "auto" tries them.
+METHODS: Dict[str, Method] = {
+    "thm2.1": Method(_why_not_power_of_two_unitary, _run_thm21),
+    "thm2.2": Method(lambda G: _why_not_unitary(G) or _why_not_unitary_even(G.n),
+                     _run_thm22),
+    "thm2.3": Method(lambda G: _why_not_odd_circulant(G.circulant), _run_thm23),
+    "thm2.5": Method(lambda G: _why_not_even_dense(G.circulant), _run_thm25),
+    "thm2.7": Method(lambda G: _perfect_chromatic(G)[0], _run_thm27),
+}
+
+
+def pick_method(G: Graph):
+    """The first method whose preconditions hold on G, with the (name,
+    reason) of each method rejected before it.  Raises ConstructionError
+    listing every reason when no method applies."""
+    rejected = []
+    for name, method in METHODS.items():
+        reason = method.why_not(G)
+        if reason is None:
+            return name, rejected
+        rejected.append((name, reason))
+    raise ConstructionError("no method applies: %s"
+                            % "; ".join("%s: %s" % r for r in rejected))

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 
 class GraphError(ValueError):
@@ -196,12 +196,16 @@ def build_circulant(spec: CirculantSpec) -> Graph:
     return _graph_from_edges(spec.n, edges, circulant=spec)
 
 
+def units(n: int) -> frozenset:
+    """The units of Z_n: the connection set of the unitary graph U_n."""
+    return frozenset(i for i in range(1, n) if math.gcd(i, n) == 1)
+
+
 def build_unitary(n: int) -> Graph:
     """Unitary Cayley graph U_n: connection set = units mod n."""
     if n < 2:
         raise GraphError("build_unitary requires n >= 2")
-    units = frozenset(i for i in range(1, n) if math.gcd(i, n) == 1)
-    return build_circulant(CirculantSpec(n, units))
+    return build_circulant(CirculantSpec(n, units(n)))
 
 
 def build_cayley(table: GroupTable, S) -> Graph:
@@ -357,36 +361,51 @@ def write_dimacs(G: Graph, path) -> None:
 
 
 def read_dimacs(path) -> Graph:
-    n = None
-    edges = []
+    """Inverse of write_dimacs.  The `e` lines must list each of the m edges
+    of the `p edge n m` line exactly once; errors name the offending line."""
+    n = m = p_line = None
+    rows: list = []
+    count = 0
     circ = None
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
+        for lineno, raw in enumerate(fh, 1):
+            tok = raw.split()
+            if not tok:
                 continue
-            tok = line.split()
-            if tok[0] == "c":
-                if len(tok) >= 3 and tok[1] == "circulant":
-                    circ = CirculantSpec(int(tok[2]), [int(x) for x in tok[3:]])
-                continue
-            if tok[0] == "p":
-                if len(tok) != 4 or tok[1] != "edge":
-                    raise GraphError("malformed problem line: %r" % line)
-                n = int(tok[2])
-                continue
-            if tok[0] == "e":
-                if n is None:
-                    raise GraphError("edge line before problem line")
-                u, v = int(tok[1]) - 1, int(tok[2]) - 1
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError("edge endpoint out of range: %r" % line)
-                edges.append((u, v))
-                continue
-            raise GraphError("unrecognized line: %r" % line)
+            try:
+                if tok[0] == "e":
+                    if n is None:
+                        raise GraphError("edge line before problem line")
+                    if len(tok) != 3:
+                        raise GraphError("edge line needs two endpoints")
+                    u, v = int(tok[1]) - 1, int(tok[2]) - 1
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise GraphError("edge endpoint out of range")
+                    if u == v:
+                        raise GraphError("self-loop")
+                    if (rows[u] >> v) & 1:
+                        raise GraphError("repeated edge")
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    count += 1
+                elif tok[0] == "c":
+                    if len(tok) >= 3 and tok[1] == "circulant":
+                        circ = CirculantSpec(int(tok[2]), [int(x) for x in tok[3:]])
+                elif tok[0] == "p":
+                    if len(tok) != 4 or tok[1] != "edge" or n is not None:
+                        raise GraphError("malformed or repeated problem line")
+                    n, m, p_line = int(tok[2]), int(tok[3]), lineno
+                    rows = [0] * n
+                else:
+                    raise GraphError("unrecognized line")
+            except ValueError as exc:
+                raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
     if n is None:
         raise GraphError("missing problem line")
-    G = _graph_from_edges(n, edges, circulant=circ)
+    if count != m:
+        raise GraphError("line %d: problem line declares %d edges, the file lists %d"
+                         % (p_line, m, count))
+    G = Graph(n, tuple(rows), circ)
     if circ is not None:
         expected = build_circulant(circ)
         if expected.rows != G.rows:

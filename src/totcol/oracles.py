@@ -8,15 +8,19 @@ budget; the solvers never silently overclaim.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .graphs import Graph, complement
 from .coloring import TotalColoring, ekey, verify_total
 
 
 class OracleError(ValueError):
-    pass
+    """An oracle cannot take this input (size limit, irregular graph, bad budget)."""
+
+
+class BudgetExhausted(OracleError):
+    """A search used up its SearchBudget without an answer."""
 
 
 @dataclass
@@ -232,8 +236,8 @@ def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
                     raise AssertionError("chromatic certificate invalid")
             return k, assignment
         if status == "budget":
-            raise OracleError("chromatic search budget exhausted")
-    raise OracleError("no coloring within max_colors")
+            raise BudgetExhausted("chromatic search budget exhausted")
+    raise BudgetExhausted("no coloring within max_colors")
 
 
 # ---------------------------------------------------------------------------

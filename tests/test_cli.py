@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import totcol
 from totcol.cli import main
 from totcol.coloring import matrix_from_csv, matrix_to_csv, read_coloring
 
@@ -54,6 +57,84 @@ def test_color_precondition_exit_2(tmp_path, monkeypatch):
     code = run(["color", "circulant_10.col", "--method", "thm2.3"],
                tmp_path, monkeypatch)
     assert code == 2
+
+
+@pytest.mark.parametrize("gen, method", [
+    (["unitary", 8], "thm2.1"),
+    (["unitary", 24], "thm2.2"),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], "thm2.3"),
+    (["circulant", 10, 1, 2, 3, 7, 8, 9], "thm2.5"),
+    (["unitary", 9], "thm2.7"),
+], ids=["U_8", "U_24", "C_21", "C_10", "U_9"])
+def test_auto_picks_method_and_reports_rejections(tmp_path, monkeypatch, capsys,
+                                                 gen, method):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "auto-selected method: %s" % method in out
+    earlier = ["thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7"]
+    earlier = earlier[:earlier.index(method)]
+    rejected = [line.split()[1] for line in out if " rejected: " in line]
+    assert rejected == earlier
+    assert "verification: clean" in out
+
+
+def test_auto_without_method_exits_2_with_every_reason(tmp_path, monkeypatch, capsys):
+    run(["gen", "circulant", "7", "1", "6"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["color", "circulant_7.col"], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err
+    for name in ("thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7"):
+        assert "%s: " % name in err
+
+
+def test_color_thm27_beyond_perfectness_limit_exits_2(tmp_path, monkeypatch, capsys):
+    run(["gen", "unitary", "24"], tmp_path, monkeypatch)
+    code = run(["color", "unitary_24.col", "--method", "thm2.7"], tmp_path, monkeypatch)
+    assert code == 2
+    assert "n <= 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "unitary_21.col", "--node-limit", "0"],
+    ["oracle", "path.col", "--what", "conformable", "--q", "3"],
+    ["oracle", "unitary_21.col", "--what", "perfect"],
+], ids=["node-limit-0", "conformable-non-regular", "perfect-n-21"])
+def test_oracle_bad_input_exit_4(tmp_path, monkeypatch, capsys, argv):
+    run(["gen", "unitary", "21"], tmp_path, monkeypatch)
+    (tmp_path / "path.col").write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    capsys.readouterr()
+    assert run(argv, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("bad.col", "p edge 3 1\ne 1\n", ["color", "bad.col"], "line 2: "),
+    ("bad.col", "p edge 3 1\ne 1 x\n", ["color", "bad.col"], "line 2: "),
+    ("bad.col", "p edge 3 5\ne 1 2\n", ["color", "bad.col"], "line 1: "),
+    ("bad.col", "c x\np edge 3 2\ne 1 2\ne 2 1\n", ["color", "bad.col"], "line 4: "),
+    ("bad.tc", "t 3 2\nv 0 x\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
+    ("bad.tc", "t 3 2\ne 0 1\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
+    ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
+     "line 3: "),
+    ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
+], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
+        "tc-token", "tc-field-count", "csv-token", "grp-token"])
+def test_malformed_input_exit_4_names_the_line(tmp_path, monkeypatch, capsys,
+                                               name, text, argv, message):
+    run(["gen", "circulant", "3", "1", "2", "-o", "k3.col"], tmp_path, monkeypatch)
+    (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert run(argv, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err.startswith("input error: " + message)
+
+
+def test_import_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    code = "import sys, totcol; sys.exit('networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 def test_oracle_inconclusive_exit_3(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from totcol.coloring import (
     ColoringError,
     TotalColoring,
     check_partition,
-    color_count,
     ekey,
     matrix_from_csv,
     matrix_to_csv,
@@ -125,10 +124,10 @@ def test_verify_matches_brute_force_scan():
 
 
 def test_color_count_examples():
-    assert color_count(color_unitary_even(24).coloring) == 9
-    assert color_count(TotalColoring(1, {0: 1}, {})) == 1
+    assert color_unitary_even(24).coloring.colors_used() == 9
+    assert TotalColoring(1, {0: 1}, {}).colors_used() == 1
     k3 = TotalColoring(3, {0: 1, 1: 2, 2: 3}, {(0, 1): 3, (1, 2): 1, (0, 2): 2})
-    assert color_count(k3) == 3
+    assert k3.colors_used() == 3
 
 
 def test_residue_partition_examples():

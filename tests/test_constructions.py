@@ -4,6 +4,7 @@ import pytest
 
 from totcol.coloring import TotalColoring, ekey, verify_total, write_coloring
 from totcol.constructions import (
+    METHODS,
     ConstructionError,
     clique_cover_disjoint,
     color_complete_bipartite,
@@ -12,10 +13,8 @@ from totcol.constructions import (
     color_odd_circulant,
     color_perfect_cayley,
     color_unitary_even,
-    edge_color_bipartite,
     edge_color_vizing,
     fill_diagonals,
-    perfect_matching,
     start_entries,
     starter_search,
 )
@@ -23,7 +22,6 @@ from totcol.graphs import (
     CirculantSpec,
     build_circulant,
     build_unitary,
-    complement,
     subgraph_of_edges,
     totient,
 )
@@ -64,7 +62,8 @@ def test_start_entries_q7_columns_2_3_4():
     t = start_entries(7, {2, 3, 4}, 21)
     assert (t.start[2], t.start[3], t.start[4]) == (5, 2, 6)
     assert (t.wrap[2], t.wrap[3], t.wrap[4]) == (4, 7, 3)
-    assert sorted(t.values_with_diagonal()) == list(range(1, 8))
+    palette = [1] + [t.start[j] for j in (2, 3, 4)] + [t.wrap[j] for j in (2, 3, 4)]
+    assert sorted(palette) == list(range(1, 8))
 
 
 def test_start_entries_column_one():
@@ -87,7 +86,8 @@ def test_start_entries_cover_all_colors_for_even_column_sets():
     for r in ODD_PRIMES:
         cols = [1] + list(range(2, r, 2))
         t = start_entries(r, cols, 2 * r)
-        assert sorted(t.values_with_diagonal()) == list(range(1, r + 1))
+        palette = [1] + [t.start[j] for j in cols[1:]] + [t.wrap[j] for j in cols[1:]]
+        assert sorted(palette) == list(range(1, r + 1))
 
 
 def test_start_entries_rejects_even_modulus():
@@ -293,34 +293,6 @@ def test_color_complete_odd():
 # edge coloring subroutines
 
 
-def test_edge_color_bipartite_examples():
-    c6 = build_circulant(CirculantSpec(6, {1, 5}))
-    assert_proper_edge_coloring(c6, edge_color_bipartite(c6), 2)
-
-    k33 = subgraph_of_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    assert_proper_edge_coloring(k33, edge_color_bipartite(k33), 3)
-
-    star = subgraph_of_edges(5, [(0, i) for i in range(1, 5)])
-    assert_proper_edge_coloring(star, edge_color_bipartite(star), 4)
-
-
-def test_edge_color_bipartite_rejects_odd_cycle():
-    with pytest.raises(ConstructionError):
-        edge_color_bipartite(build_circulant(CirculantSpec(3, {1, 2})))
-
-
-def test_edge_color_bipartite_random():
-    rng = random.Random(31)
-    for _ in range(30):
-        a = rng.randint(1, 6)
-        b = rng.randint(1, 6)
-        edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < 0.7]
-        if not edges:
-            continue
-        G = subgraph_of_edges(a + b, edges)
-        assert_proper_edge_coloring(G, edge_color_bipartite(G), G.max_degree)
-
-
 def test_edge_color_vizing_examples():
     k4 = subgraph_of_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     res = edge_color_vizing(k4)
@@ -354,23 +326,7 @@ def test_edge_color_vizing_random_within_bound():
 
 
 # ---------------------------------------------------------------------------
-# matchings and clique covers
-
-
-def test_perfect_matching_examples():
-    G = complement(build_circulant(CirculantSpec(10, {1, 2, 5, 8, 9})))
-    M = perfect_matching(G)
-    assert M is not None and len(M) == 5
-    covered = sorted(v for e in M for v in e)
-    assert covered == list(range(10))
-    for (u, v) in M:
-        assert G.has_edge(u, v)
-
-    c6 = build_circulant(CirculantSpec(6, {1, 5}))
-    assert len(perfect_matching(c6)) == 3
-
-    k3 = build_circulant(CirculantSpec(3, {1, 2}))
-    assert perfect_matching(k3) is None
+# clique covers
 
 
 def test_clique_cover_examples():
@@ -426,3 +382,30 @@ def test_constructions_are_deterministic(tmp_path):
         write_coloring(a, pa)
         write_coloring(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# method registry
+
+
+def test_method_rejection_reason_is_the_constructions_error():
+    # Whenever a method's why_not gives a reason, running the method raises
+    # ConstructionError with exactly that reason.
+    rng = random.Random(2006)
+    graphs = [petersen()] + [build_unitary(n) for n in (2, 4, 6, 9, 12, 15, 16)]
+    while len(graphs) < 60:
+        n = rng.randint(3, 16)
+        pool = list(range(1, n // 2 + 1))
+        half = rng.sample(pool, rng.randint(1, len(pool)))
+        graphs.append(build_circulant(CirculantSpec(n, set(half) | {n - s for s in half})))
+    rejections = 0
+    for G in graphs:
+        for name, method in METHODS.items():
+            reason = method.why_not(G)
+            if reason is None:
+                continue
+            rejections += 1
+            with pytest.raises(ConstructionError) as err:
+                method.run(G, "auto")
+            assert str(err.value) == reason, (name, G.circulant)
+    assert rejections > 100
