@@ -11,7 +11,6 @@ from .graphs import (
     build_cayley,
     build_circulant,
     build_unitary,
-    bipartition,
     complement,
     connected,
     cyclic_group,
@@ -22,11 +21,8 @@ from .graphs import (
 from .coloring import (
     TotalColoring,
     VerificationReport,
-    VertexPartition,
-    check_partition,
     parse_matrix,
     render_matrix,
-    residue_partition,
     verify_total,
 )
 from .constructions import (

@@ -1,4 +1,4 @@
-"""Total colorings, strict verification, color matrices, and vertex partitions.
+"""Total colorings, strict verification, and color matrices.
 
 Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from .graphs import Graph
 
@@ -117,68 +117,6 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
                     conflicts.append(("edge-edge", a, b, w))
     conflicts = sorted(set(conflicts), key=repr)
     return VerificationReport(conflicts, coverage, c.colors_used())
-
-
-# ---------------------------------------------------------------------------
-# Vertex partitions
-
-
-@dataclass
-class VertexPartition:
-    """Ordered list of disjoint vertex classes covering 0..n-1 (empty classes
-    permitted and recorded)."""
-
-    n: int
-    classes: list
-
-    def validate(self) -> None:
-        seen = set()
-        for cls in self.classes:
-            for v in cls:
-                if v in seen:
-                    raise ColoringError("vertex %d in two classes" % v)
-                seen.add(v)
-        if seen != set(range(self.n)):
-            raise ColoringError("classes do not cover the vertex set")
-
-
-def residue_partition(n: int, q: int) -> VertexPartition:
-    """q classes of size n/q: class i = {v : v = i mod q}."""
-    if q <= 0 or n % q != 0:
-        raise ColoringError("%d does not divide %d" % (q, n))
-    classes = [tuple(range(i, n, q)) for i in range(q)]
-    return VertexPartition(n, classes)
-
-
-def check_partition(G: Graph, p: VertexPartition, mode: str = "independent",
-                    q: Optional[int] = None) -> bool:
-    """Check a vertex partition.
-
-    mode="independent": every class is an independent set.
-    mode="conformable": additionally requires a regular graph, exactly q
-    classes, and every class size with the same parity as n (empty = 0).
-    """
-    p.validate()
-    if p.n != G.n:
-        raise ColoringError("partition size mismatch")
-    independent = all(
-        not G.has_edge(u, v)
-        for cls in p.classes
-        for i, u in enumerate(cls)
-        for v in cls[i + 1:]
-    )
-    if mode == "independent":
-        return independent
-    if mode == "conformable":
-        if q is None:
-            raise ColoringError("conformable mode needs a class count q")
-        if G.regular_degree is None:
-            raise ColoringError("conformable check requires a regular graph")
-        if len(p.classes) != q:
-            return False
-        parity = G.n % 2
-        return independent and all(len(cls) % 2 == parity for cls in p.classes)
-    raise ColoringError("unknown mode %r" % mode)
 
 
 # ---------------------------------------------------------------------------

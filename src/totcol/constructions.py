@@ -27,6 +27,14 @@ from .graphs import (
     units,
 )
 from .coloring import TotalColoring, ekey, verify_total
+from .oracles import (
+    OracleError,
+    SearchBudget,
+    exact_chromatic,
+    exact_edge_coloring,
+    is_perfect,
+    maximal_cliques,
+)
 
 
 class ConstructionError(ValueError):
@@ -335,8 +343,7 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H with an admissible starter pairing are
     colored diagonally with 2k+1 colors; the remainder G - E(H) must stay
-    connected and take Delta-2k fresh colors (even-cycle 2-coloring per
-    factor, else a fan recoloring within budget).
+    connected and take Delta-2k fresh colors from edge_color_vizing.
     """
     _require(_why_not_even_dense(spec))
     n = spec.n
@@ -368,20 +375,17 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
         if not connected(remainder):
             notes.append("%s: remainder disconnected" % label)
             continue
-        edge_colors = _color_remainder_factors(decomposition, rest, q, budget, notes, label)
-        if edge_colors is None:
-            rem = edge_color_vizing(remainder)
-            if rem.colors_used > budget:
-                notes.append(
-                    "%s: remainder needs %d colors, budget %d"
-                    % (label, rem.colors_used, budget)
-                )
-                continue
-            edge_colors = {e: q + c for e, c in rem.edge_color.items()}
+        rem = edge_color_vizing(remainder)
+        if rem.colors_used > budget:
+            notes.append(
+                "%s: remainder needs %d colors, budget %d"
+                % (label, rem.colors_used, budget)
+            )
+            continue
         starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(H, pairing.entries)}
         c = fill_diagonals(n, q, starts)
-        for e, col in edge_colors.items():
-            c.edge_color[e] = col
+        for e, col in rem.edge_color.items():
+            c.edge_color[e] = q + col
         report = verify_total(G, c)
         if report.ok:
             notes.append("%s: accepted" % label)
@@ -390,29 +394,6 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     raise ConstructionError(
         "no admissible generator subset for %r: %s" % (spec, "; ".join(notes))
     )
-
-
-def _color_remainder_factors(decomposition, rest, q, budget, notes, label):
-    """2-color each remainder factor's cycles when all are even; None if an
-    odd cycle blocks the per-factor scheme."""
-    if 2 * len(rest) != budget:
-        return None
-    colors: dict = {}
-    for t, s in enumerate(sorted(rest)):
-        factor = decomposition[s]
-        c1, c2 = q + 2 * t + 1, q + 2 * t + 2
-        for cyc in factor.cycles:
-            if len(cyc) % 2 == 1 and len(cyc) > 2:
-                notes.append("%s: generator %d has odd cycles" % (label, s))
-                return None
-        for cyc in factor.cycles:
-            if len(cyc) == 2:
-                colors[ekey(cyc[0], cyc[1])] = c1
-                continue
-            for i in range(len(cyc)):
-                u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-                colors[ekey(u, v)] = c1 if i % 2 == 0 else c2
-    return colors
 
 
 def color_complete_odd(q: int) -> TotalColoring:
@@ -441,63 +422,23 @@ class EdgeColoringResult:
     delta_achieved: bool
 
 
-def _exact_edge_coloring(G: Graph, k: int, node_limit: int = 200000):
-    """Backtracking k-edge-coloring; returns a color dict, None (proved
-    impossible), or "budget"."""
-    edges = G.edges()
-    at = [0] * G.n  # bitmask of colors used at each vertex
-    assignment: Dict[tuple, int] = {}
-    nodes = 0
-
-    def rec(i: int, maxused: int):
-        nonlocal nodes
-        if i == len(edges):
-            return True
-        nodes += 1
-        if nodes > node_limit:
-            raise _BudgetExceeded()
-        u, v = edges[i]
-        forbidden = at[u] | at[v]
-        top = min(k, maxused + 1)
-        for c in range(1, top + 1):
-            bit = 1 << c
-            if forbidden & bit:
-                continue
-            at[u] |= bit
-            at[v] |= bit
-            assignment[(u, v)] = c
-            if rec(i + 1, max(maxused, c)):
-                return True
-            del assignment[(u, v)]
-            at[u] &= ~bit
-            at[v] &= ~bit
-        return False
-
-    try:
-        if rec(0, 0):
-            return dict(assignment)
-        return None
-    except _BudgetExceeded:
-        return "budget"
+_EXACT_EDGE_NODES = 200_000
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def edge_color_vizing(G: Graph, exact_node_limit: int = 200000) -> EdgeColoringResult:
+def edge_color_vizing(G: Graph) -> EdgeColoringResult:
     """Proper edge coloring with at most Delta+1 colors.
 
-    First attempts an exact Delta-coloring by bounded backtracking (desk
-    scale); on failure or budget exhaustion falls back to Misra-Gries fan
-    recoloring with the Delta+1 palette.  delta_achieved reports whether the
-    returned coloring uses only Delta colors.
+    First attempts an exact Delta-coloring by list coloring of the line graph
+    within _EXACT_EDGE_NODES search nodes; when none exists or the search
+    runs out, falls back to Misra-Gries fan recoloring with the Delta+1
+    palette.  delta_achieved reports whether the returned coloring uses only
+    Delta colors.
     """
     delta = G.max_degree
     if delta == 0:
         return EdgeColoringResult({}, 0, 0, True)
-    exact = _exact_edge_coloring(G, delta, exact_node_limit)
-    if isinstance(exact, dict):
+    status, exact = exact_edge_coloring(G, delta, SearchBudget(node_limit=_EXACT_EDGE_NODES))
+    if status == "sat":
         used = len(set(exact.values()))
         return EdgeColoringResult(exact, used, delta, True)
     colors = _misra_gries(G, delta)
@@ -604,8 +545,6 @@ class CliqueCover:
 def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
     """Partition of the vertices into n/omega maximum cliques by exact-cover
     backtracking; None if no such partition exists."""
-    from .oracles import maximal_cliques
-
     stats = maximal_cliques(G)
     omega = stats.omega
     if omega == 0 or G.n % omega != 0:
@@ -756,8 +695,6 @@ def _why_not_even_dense(spec: Optional[CirculantSpec]) -> Optional[str]:
 
 def _perfect_chromatic(G: Graph):
     """thm2.7's preconditions: (reason or None, chi, a proper chi-coloring)."""
-    from .oracles import OracleError, exact_chromatic, is_perfect
-
     try:
         if not is_perfect(G):
             return "graph is not perfect", None, None

@@ -261,27 +261,6 @@ def connected(G: Graph) -> bool:
     return seen == (1 << G.n) - 1
 
 
-def bipartition(G: Graph):
-    """A bipartition (A, B) with 0 in A when G is bipartite, else None."""
-    side = [-1] * G.n
-    for start in range(G.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in G.neighbors(u):
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return None
-    part_a = tuple(v for v in range(G.n) if side[v] == 0)
-    part_b = tuple(v for v in range(G.n) if side[v] == 1)
-    return part_a, part_b
-
-
 @dataclass(frozen=True)
 class TwoFactor:
     """One factor of a circulant 2-factor decomposition.

@@ -59,7 +59,9 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
     adj: neighbor index lists.  Returns ("sat", colors), ("unsat", None), or
     ("budget", None).  Deterministic: MRV with index tie-break, ascending
     colors, and the classic cap that a fresh color may only be the smallest
-    unused one.
+    unused one.  Each search node costs one budget tick.  The search keeps
+    its path on an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     n = len(adj)
     full = (1 << (k + 1)) - 2  # bits 1..k
@@ -96,41 +98,44 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
             if not assign(item, c, pre_trail):
                 return "unsat", None
 
-    def rec(maxused: int):
+    # One frame per node on the current path: [item, its domain on entry,
+    # color cap, maxused on entry, color being tried, that color's trail].
+    stack: list = []
+    while True:
+        # enter a new node
         if not budget.tick():
-            raise _OutOfBudget()
+            return "budget", None
         best, best_count = -1, k + 2
         for i in range(n):
             if color[i] == 0:
-                cnt = bin(domain[i]).count("1")
+                cnt = domain[i].bit_count()
                 if cnt < best_count:
                     best, best_count = i, cnt
                     if cnt <= 1:
                         break
         if best == -1:
-            return True
-        cap = min(k, maxused + 1)
-        dom = domain[best]
-        for c in range(1, cap + 1):
-            if not (dom >> c) & 1:
-                continue
-            trail: list = []
-            if assign(best, c, trail):
-                if rec(max(maxused, c)):
-                    return True
-            undo(best, c, trail)
-        return False
-
-    try:
-        if rec(maxused):
             return "sat", list(color)
-        return "unsat", None
-    except _OutOfBudget:
-        return "budget", None
-
-
-class _OutOfBudget(Exception):
-    pass
+        stack.append([best, domain[best], min(k, maxused + 1), maxused, 0, None])
+        # assign the next color at the deepest node that has one left
+        while stack:
+            frame = stack[-1]
+            item, dom, cap, maxused, tried, trail = frame
+            if trail is not None:
+                undo(item, tried, trail)
+            for c in range(tried + 1, cap + 1):
+                if (dom >> c) & 1:
+                    trail = []
+                    if assign(item, c, trail):
+                        break
+                    undo(item, c, trail)
+            else:
+                stack.pop()
+                continue
+            frame[4], frame[5] = c, trail
+            maxused = max(maxused, c)
+            break
+        else:
+            return "unsat", None
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +245,24 @@ def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
     raise BudgetExhausted("no coloring within max_colors")
 
 
+def exact_edge_coloring(G: Graph, k: int, budget: SearchBudget):
+    """A proper k-edge-coloring, as a k-coloring of the line graph.
+
+    Returns ("sat", {edge: color}), ("unsat", None), or ("budget", None).
+    """
+    edges = G.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    adj: List[list] = [[] for _ in edges]
+    for w in range(G.n):
+        star = [index[ekey(w, u)] for u in G.neighbors(w)]
+        for i in star:
+            adj[i].extend(j for j in star if j != i)
+    status, colors = _solve_list_coloring(adj, k, {}, _Budget(budget))
+    if status != "sat":
+        return status, None
+    return status, dict(zip(edges, colors))
+
+
 # ---------------------------------------------------------------------------
 # Cliques
 
@@ -324,45 +347,49 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     """Does V partition into exactly q independent classes whose sizes all
     share n's parity (empty classes count as size 0)?
 
-    Returns (bool, partition-or-None).  Exhaustive backtracking with parity
-    pruning and first-empty-class symmetry breaking.
+    Returns (bool, partition-or-None).  Exhaustive backtracking over the
+    vertices in index order, with parity pruning and first-empty-class
+    symmetry breaking, kept on an explicit stack.
     """
     if G.regular_degree is None:
         raise OracleError("conformable check requires a regular graph")
     n = G.n
     parity = n % 2
-    classes: List[list] = [[] for _ in range(q)]
-    nbr = [set(G.neighbors(v)) for v in range(G.n)]
-
-    def deficits() -> int:
-        return sum(1 for cls in classes if len(cls) % 2 != parity)
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return deficits() == 0
-        remaining = n - v
-        d = deficits()
-        if remaining < d or (remaining - d) % 2 != 0:
-            return False
-        opened_empty = False
-        for ci in range(q):
-            cls = classes[ci]
-            if not cls:
-                if opened_empty:
-                    continue  # empty classes are interchangeable
-                opened_empty = True
-            if any(u in nbr[v] for u in cls):
-                continue
-            cls.append(v)
-            if rec(v + 1):
-                return True
-            cls.pop()
-        return False
-
-    if rec(0):
-        result = [tuple(cls) for cls in classes]
-        return True, result
-    return False, None
+    members = [0] * q  # vertex bitmask of each class
+    sizes = [0] * q
+    deficits = q * parity  # classes whose size parity differs from n's
+    opened = 0  # nonempty classes; they fill in index order, so form a prefix
+    choice: List[int] = []  # choice[v]: the class of vertex v
+    start = 0  # first class to try for the next vertex
+    while True:
+        v = len(choice)
+        if v == n and deficits == 0:
+            return True, [tuple(u for u in range(n) if choice[u] == ci)
+                          for ci in range(q)]
+        found = -1
+        if v < n and n - v >= deficits and (n - v - deficits) % 2 == 0:
+            # of the empty classes only the first is tried: they are
+            # interchangeable
+            for ci in range(start, min(q, opened + 1)):
+                if not G.rows[v] & members[ci]:
+                    found = ci
+                    break
+        if found >= 0:
+            ci, start = found, 0
+            choice.append(ci)
+            members[ci] |= 1 << v
+            opened += sizes[ci] == 0
+            sizes[ci] += 1
+        elif choice:
+            ci = choice.pop()
+            start = ci + 1
+            members[ci] &= ~(1 << (v - 1))
+            sizes[ci] -= 1
+            opened -= sizes[ci] == 0
+        else:
+            return False, None
+        # one vertex more or less flips the parity of class ci's size
+        deficits += -1 if sizes[ci] % 2 == parity else 1
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,22 @@ def test_import_leaves_networkx_unloaded():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "circulant_1500.col", "--what", "conformable", "--q", "3"],
+    ["oracle", "circulant_1500.col", "--what", "chromatic"],
+    ["classify", "circulant_1500.col", "--node-limit", "100000"],
+], ids=["conformable", "chromatic", "classify"])
+def test_searches_run_deeper_than_the_recursion_limit(tmp_path, monkeypatch, argv):
+    # the 1500-cycle puts every search about 1500 to 3000 levels deep
+    run(["gen", "circulant", "1500", "1", "1499"], tmp_path, monkeypatch)
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli"] + argv, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_inconclusive_exit_3(tmp_path, monkeypatch):
     run(["gen", "unitary", "9"], tmp_path, monkeypatch)
     code = run(["oracle", "unitary_9.col", "--node-limit", "3"],

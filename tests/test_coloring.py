@@ -6,14 +6,12 @@ import pytest
 from totcol.coloring import (
     ColoringError,
     TotalColoring,
-    check_partition,
     ekey,
     matrix_from_csv,
     matrix_to_csv,
     parse_matrix,
     read_coloring,
     render_matrix,
-    residue_partition,
     verify_total,
     write_coloring,
 )
@@ -130,40 +128,6 @@ def test_color_count_examples():
     assert k3.colors_used() == 3
 
 
-def test_residue_partition_examples():
-    p = residue_partition(21, 7)
-    assert p.classes[0] == (0, 7, 14)
-    assert p.classes[1] == (1, 8, 15)
-    assert p.classes[6] == (6, 13, 20)
-
-    p24 = residue_partition(24, 3)
-    assert all(len(cls) == 8 for cls in p24.classes)
-
-    p6 = residue_partition(6, 6)
-    assert all(len(cls) == 1 for cls in p6.classes)
-
-    with pytest.raises(ColoringError):
-        residue_partition(10, 3)
-
-
-def test_check_partition_examples():
-    u24 = build_unitary(24)
-    assert check_partition(u24, residue_partition(24, 3), "conformable", q=3)
-
-    k3 = build_circulant(CirculantSpec(3, {1, 2}))
-    from totcol.coloring import VertexPartition
-
-    singletons = VertexPartition(3, [(0,), (1,), (2,)])
-    assert check_partition(k3, singletons, "conformable", q=3)
-
-    c4 = build_circulant(CirculantSpec(4, {1, 3}))
-    padded = VertexPartition(4, [(0, 2), (1, 3), ()])
-    assert check_partition(c4, padded, "conformable", q=3)
-    assert check_partition(c4, padded, "independent")
-    bad = VertexPartition(4, [(0, 1), (2, 3)])
-    assert not check_partition(c4, bad, "independent")
-
-
 def test_residue_classes_independent_iff_no_generator_divisible():
     rng = random.Random(9)
     trials = 0
@@ -176,19 +140,10 @@ def test_residue_classes_independent_iff_no_generator_divisible():
         s = rng.randint(1, n - 1)
         conn = {s, n - s}
         G = build_circulant(CirculantSpec(n, conn))
-        p = residue_partition(n, q)
-        independent = check_partition(G, p, "independent")
+        independent = not any(G.has_edge(u, v) for u in range(n)
+                              for v in range(u + q, n, q))
         assert independent == all(g % q != 0 for g in conn)
         trials += 1
-
-
-def test_conformable_invariant_under_class_permutation():
-    from totcol.coloring import VertexPartition
-
-    c4 = build_circulant(CirculantSpec(4, {1, 3}))
-    base = [(0, 2), (1, 3), ()]
-    for perm in itertools.permutations(base):
-        assert check_partition(c4, VertexPartition(4, list(perm)), "conformable", q=3)
 
 
 def test_matrix_round_trip_u24():

@@ -265,6 +265,14 @@ def test_color_even_dense_negative_control_needs_generator_4():
     assert rejected
 
 
+def test_color_even_dense_accepts_class_one_remainder():
+    # the remainder {8, 9, 10} of H = [1..7] is connected, so class 1 (Stong)
+    spec = CirculantSpec(30, set(range(1, 11)) | set(range(20, 30)))
+    res = color_even_dense_circulant(spec)
+    assert res.chosen_generators == (1, 2, 3, 4, 5, 6, 7)
+    assert verify_total(build_circulant(spec), res.coloring).ok
+
+
 def test_color_even_dense_small():
     spec = CirculantSpec(6, {1, 2, 4, 5})
     res = color_even_dense_circulant(spec)
@@ -309,6 +317,14 @@ def test_edge_color_vizing_examples():
     assert_proper_edge_coloring(pet, resp.edge_color)
     assert resp.colors_used == 4  # class II, never above Delta+1
     assert not resp.delta_achieved
+
+
+def test_edge_color_vizing_deep_search():
+    # 1400 edges: the exact search assigns each of them on one path
+    G = build_circulant(CirculantSpec(700, {1, 2, 698, 699}))
+    res = edge_color_vizing(G)
+    assert_proper_edge_coloring(G, res.edge_color, 4)
+    assert res.delta_achieved
 
 
 def test_edge_color_vizing_random_within_bound():

@@ -7,7 +7,6 @@ from totcol.graphs import (
     CirculantSpec,
     GraphError,
     GroupTable,
-    bipartition,
     build_cayley,
     build_circulant,
     build_unitary,
@@ -136,16 +135,6 @@ def test_connected_examples():
     assert connected(build_circulant(CirculantSpec(1, set())))
 
 
-def test_bipartition_examples():
-    u24 = build_unitary(24)
-    a, b = bipartition(u24)
-    assert a == tuple(range(0, 24, 2))
-    assert b == tuple(range(1, 24, 2))
-    assert bipartition(build_circulant(CirculantSpec(3, {1, 2}))) is None
-    c6 = build_circulant(CirculantSpec(6, {1, 5}))
-    assert bipartition(c6) == ((0, 2, 4), (1, 3, 5))
-
-
 def test_two_factors_examples():
     dec = two_factors(CirculantSpec(24, build_unitary(24).circulant.connection))
     assert [f.generators for f in dec.factors] == [(1, 23), (5, 19), (7, 17), (11, 13)]
@@ -188,8 +177,10 @@ def test_adjacency_symmetric_irreflexive():
 
 
 def test_even_unitary_graphs_are_bipartite():
+    # units mod an even n are odd, so every edge joins an even and an odd label
     for n in range(4, 201, 2):
-        assert bipartition(build_unitary(n)) is not None
+        G = build_unitary(n)
+        assert all((u + v) % 2 for u, v in G.edges())
 
 
 def test_translation_is_automorphism():

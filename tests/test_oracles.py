@@ -125,6 +125,16 @@ def test_classify_c5_type2():
     assert res.value == 4
 
 
+@pytest.mark.parametrize("G, nodes", [
+    (build_unitary(8), 2257),
+    (build_unitary(9), 4166),
+    (build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})), 1771),
+], ids=["U_8", "U_9", "C_21"])
+def test_classify_search_tree_is_pinned(G, nodes):
+    # the branching order fixes the tree: a change to it changes these counts
+    assert classify_type(G).nodes == nodes
+
+
 def test_classify_inconclusive_on_tiny_budget():
     res = classify_type(build_unitary(9), SearchBudget(node_limit=3))
     assert res.kind == "inconclusive"
