@@ -146,7 +146,7 @@ def cmd_oracle(args) -> int:
         if args.q is None:
             print("conformable oracle needs --q", file=sys.stderr)
             return EXIT_IO
-        ok, partition = oracles.conformable_exists(G, args.q)
+        ok, partition = oracles.conformable_exists(G, args.q, _budget_from(args))
         print("conformable(%d): %s" % (args.q, ok))
         if ok:
             print("classes: %s" % (partition,))

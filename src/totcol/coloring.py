@@ -73,8 +73,9 @@ class VerificationReport:
         return not self.conflicts and not self.coverage_errors
 
 
-def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
-    """Strict, complete verification of a total coloring against G."""
+def _coverage_errors(G: Graph, c: TotalColoring, edges: set) -> list:
+    """Missing and extra assignments of c against G, whose edge set is
+    `edges`, sorted by repr."""
     coverage = []
     if c.n != G.n:
         coverage.append(("size-mismatch", c.n, G.n))
@@ -84,7 +85,6 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     for v in c.vertex_color:
         if not (0 <= v < G.n):
             coverage.append(("extra-vertex", v))
-    edges = set(map(tuple, G.edges()))
     for e in edges:
         if e not in c.edge_color:
             coverage.append(("missing-edge", e))
@@ -92,6 +92,14 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
         if tuple(e) not in edges:
             coverage.append(("non-edge", tuple(e)))
     coverage.sort(key=repr)
+    return coverage
+
+
+def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
+    """Strict, complete verification of a total coloring against G, in
+    O(n + m): one pass over the edges, then one over each vertex's star."""
+    edges = set(G.edges())
+    coverage = _coverage_errors(G, c, edges)
 
     conflicts = []
     for (u, v) in sorted(edges):
@@ -104,17 +112,24 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
                 conflicts.append(("vertex-edge", u, (u, v)))
             if ce == cv:
                 conflicts.append(("vertex-edge", v, (u, v)))
-    # adjacent edge pairs, scanned per shared vertex
+    # Adjacent edges share a vertex w, so check each star: a clean one (no
+    # edge color repeats) costs O(deg(w)).  Only at a star that fails are its
+    # edges grouped by color and the pairs within a group reported.
+    # Neighbors ascend, so each group, and each pair in it, is sorted.
     for w in range(G.n):
-        nbrs = G.neighbors(w)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                e1 = ekey(w, nbrs[i])
-                e2 = ekey(w, nbrs[j])
-                c1, c2 = c.edge_color.get(e1), c.edge_color.get(e2)
-                if c1 is not None and c1 == c2:
-                    a, b = sorted((e1, e2))
-                    conflicts.append(("edge-edge", a, b, w))
+        star = [(w, u) if w < u else (u, w) for u in G.neighbors(w)]
+        colors = [c.edge_color.get(e) for e in star]
+        present = [ce for ce in colors if ce is not None]
+        if len(set(present)) == len(present):
+            continue
+        by_color: dict = {}
+        for e, ce in zip(star, colors):
+            if ce is not None:
+                by_color.setdefault(ce, []).append(e)
+        for same in by_color.values():
+            for i in range(len(same)):
+                for j in range(i + 1, len(same)):
+                    conflicts.append(("edge-edge", same[i], same[j], w))
     conflicts = sorted(set(conflicts), key=repr)
     return VerificationReport(conflicts, coverage, c.colors_used())
 
@@ -139,9 +154,9 @@ def render_matrix(G: Graph, c: TotalColoring, partial: bool = False) -> TotalCol
     raise); partial=True renders whatever is present, leaving blanks.
     """
     if not partial:
-        report = verify_total(G, c)
-        if report.coverage_errors:
-            raise ColoringError("coverage errors: %r" % report.coverage_errors[:5])
+        coverage = _coverage_errors(G, c, set(G.edges()))
+        if coverage:
+            raise ColoringError("coverage errors: %r" % coverage[:5])
     grid = [[None] * G.n for _ in range(G.n)]
     for v, col in c.vertex_color.items():
         grid[v][v] = col

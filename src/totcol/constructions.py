@@ -557,25 +557,28 @@ def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
         for v in cl:
             by_vertex[v].append(cl)
 
+    # Exact cover on an explicit stack: cover the least uncovered vertex v
+    # with the first clique of by_vertex[v] that fits; on a dead end take the
+    # last clique back and try the next one after it.
     chosen: list = []
-    covered = set()
-
-    def rec():
-        if len(covered) == G.n:
-            return True
+    tried: list = []  # tried[i]: index of chosen[i] in its vertex's list
+    covered: set = set()
+    start = 0
+    while len(covered) < G.n:
         v = min(u for u in range(G.n) if u not in covered)
-        for cl in by_vertex[v]:
-            if covered.isdisjoint(cl):
-                covered.update(cl)
-                chosen.append(cl)
-                if rec():
-                    return True
-                chosen.pop()
-                covered.difference_update(cl)
-        return False
-
-    if not rec():
-        return None
+        options = by_vertex[v]
+        for i in range(start, len(options)):
+            if covered.isdisjoint(options[i]):
+                chosen.append(options[i])
+                tried.append(i)
+                covered.update(options[i])
+                start = 0
+                break
+        else:
+            if not chosen:
+                return None
+            covered.difference_update(chosen.pop())
+            start = tried.pop() + 1
     return CliqueCover(omega, tuple(sorted(chosen)))
 
 

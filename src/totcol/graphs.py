@@ -142,23 +142,27 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, u: int) -> list:
+        """Ascending neighbors of u, in O(deg(u)) steps over the set bits."""
+        out = []
         row = self.rows[u]
-        return [v for v in range(self.n) if (row >> v) & 1]
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        return out
 
     def degree(self, u: int) -> int:
-        return bin(self.rows[u]).count("1")
+        return self.rows[u].bit_count()
 
     def edges(self) -> list:
         """All edges as sorted (u, v) pairs with u < v."""
         out = []
         for u in range(self.n):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
+            row = (self.rows[u] >> (u + 1)) << (u + 1)
             while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
+                low = row & -row
+                out.append((u, low.bit_length() - 1))
+                row ^= low
         return out
 
     @property

@@ -349,10 +349,13 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
 
     Returns (bool, partition-or-None).  Exhaustive backtracking over the
     vertices in index order, with parity pruning and first-empty-class
-    symmetry breaking, kept on an explicit stack.
+    symmetry breaking, kept on an explicit stack.  Each step (placing or
+    taking back one vertex) costs one budget tick; BudgetExhausted is raised
+    when the budget runs out.
     """
     if G.regular_degree is None:
         raise OracleError("conformable check requires a regular graph")
+    tracker = _Budget(budget or SearchBudget())
     n = G.n
     parity = n % 2
     members = [0] * q  # vertex bitmask of each class
@@ -362,6 +365,8 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     choice: List[int] = []  # choice[v]: the class of vertex v
     start = 0  # first class to try for the next vertex
     while True:
+        if not tracker.tick():
+            raise BudgetExhausted("conformable search budget exhausted")
         v = len(choice)
         if v == n and deficits == 0:
             return True, [tuple(u for u in range(n) if choice[u] == ci)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import totcol
 from totcol.cli import main
@@ -158,6 +162,9 @@ def test_oracle_inconclusive_exit_3(tmp_path, monkeypatch):
     code = run(["oracle", "unitary_9.col", "--node-limit", "3"],
                tmp_path, monkeypatch)
     assert code == 3
+    code = run(["oracle", "unitary_9.col", "--what", "conformable", "--q", "7",
+                "--node-limit", "1"], tmp_path, monkeypatch)
+    assert code == 3
 
 
 def test_io_error_exit_4(tmp_path, monkeypatch):
@@ -213,3 +220,61 @@ def test_outputs_byte_deterministic(tmp_path, monkeypatch):
         run(["tables", "--outdir", "."], d, monkeypatch)
     for name in ("unitary_24.col", "u24.tc", "table4_final.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _pair_texts():
+    """A graph file and a clean coloring of it, as the verify fuzz's seed."""
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        g, c = os.path.join(d, "g.col"), os.path.join(d, "g.tc")
+        assert main(["gen", "circulant", "15", "1", "2", "13", "14", "-o", g]) == 0
+        assert main(["color", g, "-o", c]) == 0
+        with open(g) as fg, open(c) as fc:
+            return fg.read().splitlines(), fc.read().splitlines()
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3", "--", "p", "edge", "e", "v", "t", "c",
+                     "circulant", "99"]))
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "truncate", "junk", "repeat", "insert"]),
+    st.integers(0, 200), st.integers(0, 4), _TOKENS,
+    st.lists(_TOKENS, max_size=5)), max_size=6)
+
+
+def _mangle(lines, edits):
+    lines = list(lines)
+    for op, at, pos, token, tokens in edits:
+        i = at % (len(lines) + 1)
+        if op == "insert":
+            lines.insert(i, " ".join(tokens))
+        elif i == len(lines):
+            continue
+        elif op == "drop":
+            del lines[i]
+        elif op == "truncate":
+            lines[i] = " ".join(lines[i].split()[:pos])
+        elif op == "junk":
+            words = lines[i].split() or [""]
+            words[pos % len(words)] = token
+            lines[i] = " ".join(words)
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(graph_edits=_EDITS, coloring_edits=_EDITS)
+def test_verify_survives_mangled_files(graph_edits, coloring_edits):
+    # truncated lines, junk tokens, out-of-range or repeated vertices and
+    # edges: every outcome is an exit code of the contract, never a traceback
+    graph_lines, coloring_lines = _pair_texts()
+    with tempfile.TemporaryDirectory() as d:
+        g, c = os.path.join(d, "g.col"), os.path.join(d, "g.tc")
+        with open(g, "w") as fh:
+            fh.write(_mangle(graph_lines, graph_edits))
+        with open(c, "w") as fh:
+            fh.write(_mangle(coloring_lines, coloring_edits))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", g, c]) in range(5)

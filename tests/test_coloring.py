@@ -121,6 +121,106 @@ def test_verify_matches_brute_force_scan():
         assert report.ok == (brute_force_conflicts(G, c) == 0)
 
 
+def pairwise_verify_total(G, c):
+    """The pairwise-scan verifier that the star check replaced, kept as the
+    reference: it tries every pair of edges at each vertex, O(sum deg^2)."""
+    coverage = []
+    if c.n != G.n:
+        coverage.append(("size-mismatch", c.n, G.n))
+    for v in range(G.n):
+        if v not in c.vertex_color:
+            coverage.append(("missing-vertex", v))
+    for v in c.vertex_color:
+        if not (0 <= v < G.n):
+            coverage.append(("extra-vertex", v))
+    edges = set(map(tuple, G.edges()))
+    for e in edges:
+        if e not in c.edge_color:
+            coverage.append(("missing-edge", e))
+    for e in c.edge_color:
+        if tuple(e) not in edges:
+            coverage.append(("non-edge", tuple(e)))
+    coverage.sort(key=repr)
+
+    conflicts = []
+    for (u, v) in sorted(edges):
+        cu, cv = c.vertex_color.get(u), c.vertex_color.get(v)
+        if cu is not None and cu == cv:
+            conflicts.append(("vertex-vertex", u, v))
+        ce = c.edge_color.get((u, v))
+        if ce is not None:
+            if ce == cu:
+                conflicts.append(("vertex-edge", u, (u, v)))
+            if ce == cv:
+                conflicts.append(("vertex-edge", v, (u, v)))
+    for w in range(G.n):
+        nbrs = G.neighbors(w)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                e1 = ekey(w, nbrs[i])
+                e2 = ekey(w, nbrs[j])
+                c1, c2 = c.edge_color.get(e1), c.edge_color.get(e2)
+                if c1 is not None and c1 == c2:
+                    a, b = sorted((e1, e2))
+                    conflicts.append(("edge-edge", a, b, w))
+    conflicts = sorted(set(conflicts), key=repr)
+    return conflicts, coverage, c.colors_used()
+
+
+def corrupted_coloring(rng, G):
+    """A proper total coloring of G with random damage: recolored vertices
+    and edges, missing vertices and edges, non-edges, out-of-range vertices
+    and, now and then, the wrong vertex count."""
+    c = greedy_total_coloring(G)
+    top = max([*c.vertex_color.values(), *c.edge_color.values(), 1])
+    damage = rng.randint(0, 6)
+    edges = sorted(c.edge_color)
+    for _ in range(damage):
+        kind = rng.randrange(6)
+        if kind == 0 and edges:
+            c.edge_color[rng.choice(edges)] = rng.randint(1, top)
+        elif kind == 1:
+            c.vertex_color[rng.randrange(G.n)] = rng.randint(1, top)
+        elif kind == 2:
+            c.vertex_color.pop(rng.randrange(G.n), None)
+        elif kind == 3 and edges:
+            c.edge_color.pop(rng.choice(edges), None)
+        elif kind == 4:
+            u, v = rng.randrange(G.n), rng.randrange(G.n)
+            if u != v and not G.has_edge(u, v):
+                c.set_edge(u, v, rng.randint(1, top))
+        else:
+            c.vertex_color[rng.choice([-1, G.n, G.n + 5])] = rng.randint(1, top)
+    if rng.random() < 0.05:
+        c.n += 1
+    return c
+
+
+def test_star_check_matches_pairwise_reference():
+    rng = random.Random(41)
+    flagged = 0
+    for _ in range(300):
+        n = rng.randint(2, 39)
+        half = [s for s in range(1, n // 2 + 1) if rng.random() < 0.35]
+        G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
+        c = corrupted_coloring(rng, G)
+        report = verify_total(G, c)
+        assert (report.conflicts, report.coverage_errors, report.colors_used) == \
+            pairwise_verify_total(G, c)
+        flagged += any(x[0] == "edge-edge" for x in report.conflicts)
+    assert flagged >= 50  # the damage does reach the star check
+
+
+def test_star_check_reports_every_pair_of_a_repeated_color():
+    # all edges of K_4 colored 1: each vertex's star holds three pairs
+    G = subgraph_of_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    c = TotalColoring(4, {v: v + 2 for v in range(4)}, {e: 1 for e in G.edges()})
+    report = verify_total(G, c)
+    assert len(report.conflicts) == 12
+    assert (report.conflicts, report.coverage_errors, report.colors_used) == \
+        pairwise_verify_total(G, c)
+
+
 def test_color_count_examples():
     assert color_unitary_even(24).coloring.colors_used() == 9
     assert TotalColoring(1, {0: 1}, {}).colors_used() == 1
@@ -170,6 +270,18 @@ def test_matrix_k1():
     G = subgraph_of_edges(1, [])
     m = render_matrix(G, TotalColoring(1, {0: 7}, {}))
     assert m.grid == [[7]]
+
+
+def test_render_matrix_rejects_what_verify_reports_as_coverage():
+    G = build_circulant(CirculantSpec(5, {1, 4}))
+    c = greedy_total_coloring(G)
+    del c.edge_color[(0, 1)]
+    c.vertex_color[7] = 1
+    expected = verify_total(G, c).coverage_errors
+    assert expected == [("extra-vertex", 7), ("missing-edge", (0, 1))]
+    with pytest.raises(ColoringError) as exc:
+        render_matrix(G, c)
+    assert str(exc.value) == "coverage errors: %r" % expected[:5]
 
 
 def test_parse_matrix_rejects_asymmetric():

@@ -357,6 +357,20 @@ def test_clique_cover_examples():
         clique_cover_disjoint(c5)  # omega = 2 does not divide 5
 
 
+def test_clique_cover_backtracks_without_recursion():
+    # the cycle C_2000: omega = 2, and the cover picks 1000 cliques
+    cycle = build_circulant(CirculantSpec(2000, {1, 1999}))
+    cover = clique_cover_disjoint(cycle)
+    assert cover.cliques == tuple((v, v + 1) for v in range(0, 2000, 2))
+
+    # paths 2-0-1-3 and 5-4-6-7: (0, 1) leaves 2 uncoverable, so the cover
+    # backtracks, then takes the first clique again at vertex 4
+    paths = subgraph_of_edges(8, [(0, 1), (0, 2), (1, 3), (4, 5), (4, 6), (6, 7)])
+    assert clique_cover_disjoint(paths).cliques == ((0, 2), (1, 3), (4, 5), (6, 7))
+    star = subgraph_of_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert clique_cover_disjoint(star) is None
+
+
 def test_color_perfect_cayley_u9():
     G = build_unitary(9)
     res = color_perfect_cayley(G)

@@ -16,6 +16,7 @@ from totcol.graphs import (
     factor_edges,
     least_prime_factor,
     read_dimacs,
+    subgraph_of_edges,
     totient,
     two_factors,
     write_dimacs,
@@ -166,6 +167,23 @@ def test_two_factors_cover_edges_exactly_once():
             seen.extend(factor_edges(f))
         assert sorted(seen) == G.edges()
         assert len(seen) == len(set(seen))
+
+
+def test_set_bit_walks_match_a_bit_scan():
+    # naive reference: test each of the n bits of a row, one shift at a time
+    rng = random.Random(23)
+    cases = [build_circulant(CirculantSpec(2009, {1, 641, 838, 967, 1042, 1171, 1368, 2008})),
+             build_unitary(210), subgraph_of_edges(1, []), subgraph_of_edges(70, [])]
+    for _ in range(60):
+        n = rng.randint(2, 130)
+        p = rng.choice([0.02, 0.2, 0.5, 0.9])
+        cases.append(subgraph_of_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for G in cases:
+        scan = [[v for v in range(G.n) if (G.rows[u] >> v) & 1] for u in range(G.n)]
+        assert [G.neighbors(u) for u in range(G.n)] == scan
+        assert [G.degree(u) for u in range(G.n)] == [len(nb) for nb in scan]
+        assert G.edges() == [(u, v) for u in range(G.n) for v in scan[u] if v > u]
 
 
 def test_adjacency_symmetric_irreflexive():

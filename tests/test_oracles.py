@@ -3,6 +3,7 @@ import pytest
 from totcol.coloring import read_coloring, verify_total, write_coloring
 from totcol.graphs import CirculantSpec, build_circulant, build_unitary, subgraph_of_edges
 from totcol.oracles import (
+    BudgetExhausted,
     OracleError,
     SearchBudget,
     classify_type,
@@ -99,6 +100,24 @@ def test_conformable_examples():
     ok, classes = conformable_exists(c4, 3)
     assert ok
     assert sorted(len(c) % 2 for c in classes) == [0, 0, 0]
+
+
+def test_conformable_partitions_are_pinned():
+    evens, odds = tuple(range(0, 24, 2)), tuple(range(1, 24, 2))
+    assert conformable_exists(build_unitary(24), 9) == (True, [evens, odds] + [()] * 7)
+    c4 = build_circulant(CirculantSpec(4, {1, 3}))
+    assert conformable_exists(c4, 3) == (True, [(0, 2), (1, 3), ()])
+    assert conformable_exists(complete(3), 3) == (True, [(0,), (1,), (2,)])
+
+
+def test_conformable_honours_its_budget():
+    G = build_circulant(CirculantSpec(21, set(range(1, 9)) | set(range(13, 21))))
+    assert conformable_exists(G, 17) == (False, None)
+    with pytest.raises(BudgetExhausted):
+        conformable_exists(G, 17, SearchBudget(node_limit=1, time_limit_secs=0.001))
+    with pytest.raises(BudgetExhausted):
+        conformable_exists(complete(3), 3, SearchBudget(node_limit=3))
+    assert conformable_exists(complete(3), 3, SearchBudget(node_limit=4))[0]
 
 
 def test_conformable_requires_regular():
