@@ -117,7 +117,7 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     # edges grouped by color and the pairs within a group reported.
     # Neighbors ascend, so each group, and each pair in it, is sorted.
     for w in range(G.n):
-        star = [(w, u) if w < u else (u, w) for u in G.neighbors(w)]
+        star = [ekey(w, u) for u in G.neighbors(w)]
         colors = [c.edge_color.get(e) for e in star]
         present = [ce for ce in colors if ce is not None]
         if len(set(present)) == len(present):
