@@ -1,15 +1,20 @@
 """Command-line surface: generate graphs, run constructions, verify, run
 exact oracles, classify, and reproduce the bundled golden tables.
 
-Exit codes: 0 success; 1 verification conflicts or golden-table mismatch;
+`color` checks each method's preconditions once, runs the method once and
+verifies its coloring once, inside the method.
+
+Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
+construction whose coloring fails verification) or golden-table mismatch;
 2 preconditions of the chosen method unmet (with `--method auto`: of every
-method, one reason each); 3 a search budget ran out, and nothing else;
-4 bad input: I/O errors, malformed files (with the line number), invalid
-budgets, or a graph an oracle cannot take.
+method, one reason each) or no admissible choice past them; 3 a search
+budget ran out, and nothing else; 4 bad input: I/O errors, malformed files
+(with the line number), invalid budgets, or a graph an oracle cannot take.
 """
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from importlib import resources
 
@@ -62,26 +67,26 @@ def cmd_gen(args) -> int:
 
 def cmd_color(args) -> int:
     G = graphs.read_dimacs(args.graph)
-    method = args.method
-    if method == "auto":
-        method, rejected = constructions.pick_method(G)
+    if args.method == "auto":
+        method, result_coloring, notes, rejected = constructions.color_auto(G)
         for name, reason in rejected:
             print("note: %s rejected: %s" % (name, reason))
         print("auto-selected method: %s" % method)
-    result_coloring, notes = constructions.METHODS[method].run(G, args.strategy)
+    else:
+        result_coloring, notes = constructions.METHODS[args.method](G)
 
-    report = verify_total(G, result_coloring)
+    # every method returns a coloring that verify_total has accepted
     for note in notes:
         print("note: %s" % note)
-    print("colors used: %d" % report.colors_used)
-    print("verification: %s" % ("clean" if report.ok else "CONFLICTS"))
+    print("colors used: %d" % result_coloring.colors_used())
+    print("verification: clean")
     out = args.output or "coloring.tc"
     if args.format == "csv-matrix":
         matrix_to_csv(render_matrix(G, result_coloring), out)
     else:
         write_coloring(result_coloring, out)
     print("wrote %s" % out)
-    return EXIT_OK if report.ok else EXIT_CONFLICTS
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -199,7 +204,7 @@ def cmd_tables(args) -> int:
     status = EXIT_OK
     for name, path in zip(GOLDEN_TABLES, paths):
         golden = resources.files("totcol.golden").joinpath(name).read_bytes()
-        mine = open(path, "rb").read()
+        mine = pathlib.Path(path).read_bytes()
         if golden == mine:
             print("%s: ok (zero diff)" % name)
         else:
@@ -233,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("graph")
     p_color.add_argument("--method", default="auto",
                          choices=["auto", *constructions.METHODS])
-    p_color.add_argument("--strategy", default="auto",
-                         choices=["auto", "literal", "starter"])
     p_color.add_argument("--format", default="coloring",
                          choices=["coloring", "csv-matrix"])
     p_color.add_argument("-o", "--output")
@@ -282,6 +285,9 @@ def main(argv=None) -> int:
     except constructions.ConstructionError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
+    except constructions.VerificationFailure as exc:
+        print("verification: FAILED: %s" % exc, file=sys.stderr)
+        return EXIT_CONFLICTS
     except oracles.BudgetExhausted as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, Optional
 
 from .graphs import (
     CirculantSpec,
@@ -41,6 +41,10 @@ class ConstructionError(ValueError):
     """A construction's preconditions failed or no admissible choice exists."""
 
 
+class PreconditionError(ConstructionError):
+    """The graph is outside a construction's theorem: try another method."""
+
+
 class VerificationFailure(RuntimeError):
     """A construction produced a coloring the strict verifier rejects."""
 
@@ -58,11 +62,6 @@ def _checked(G: Graph, c: TotalColoring, what: str) -> TotalColoring:
             report,
         )
     return c
-
-
-def _require(reason: Optional[str]) -> None:
-    if reason is not None:
-        raise ConstructionError(reason)
 
 
 def _rho(x: int, q: int) -> int:
@@ -238,7 +237,7 @@ def color_unitary_even(n: int) -> UnitaryEvenResult:
     start rules.  Part 2 gives each remaining generator pair two fresh
     colors, alternating on the parity of the edge's base endpoint.
     """
-    _require(_why_not_unitary_even(n))
+    _require_unitary_even(n)
     m = n
     while m % 2 == 0:
         m //= 2
@@ -270,62 +269,40 @@ class OddCirculantResult:
     notes: list
 
 
-def color_odd_circulant(spec: CirculantSpec, strategy: str = "auto") -> OddCirculantResult:
+def color_odd_circulant(spec: CirculantSpec) -> OddCirculantResult:
     """Delta+1 total coloring of an odd circulant whose generators avoid and
     distinguish the residues mod Delta+1.
 
-    Strategy "literal" applies the column rules as stated; "starter" derives
-    start values from an exhaustive starter pairing over the generators'
-    difference classes; "auto" tries literal first and falls back.
+    The literal column rules come first; when their coloring has conflicts,
+    start values come from an exhaustive starter pairing over the
+    generators' difference classes.  result.strategy names the one used.
     """
-    _require(_why_not_odd_circulant(spec))
-    if strategy not in ("auto", "literal", "starter"):
-        raise ConstructionError("unknown strategy %r" % strategy)
+    _require_odd_circulant(spec)
     n = spec.n
     q = spec.degree + 1
     half = spec.half_set()
     G = build_circulant(spec)
     notes: list = []
 
-    def attempt_literal():
-        table = start_entries(q, [s + 1 for s in half], n)
-        c = fill_diagonals(n, q, {s: table.start[s + 1] for s in half})
-        report = verify_total(G, c)
-        return table, c, report
+    table = start_entries(q, [s + 1 for s in half], n)
+    c = fill_diagonals(n, q, {s: table.start[s + 1] for s in half})
+    report = verify_total(G, c)
+    if report.ok:
+        return OddCirculantResult(c, "literal", table, None, notes)
+    notes.append("literal rules failed with %d conflicts" % len(report.conflicts))
 
-    def attempt_starter():
-        pairing = starter_search(q, [s % q for s in half])
-        if pairing is None:
-            return None, None, None
-        starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(half, pairing.entries)}
-        c = fill_diagonals(n, q, starts)
-        report = verify_total(G, c)
-        return pairing, c, report
-
-    if strategy in ("auto", "literal"):
-        table, c, report = attempt_literal()
-        if report.ok:
-            return OddCirculantResult(c, "literal", table, None, notes)
-        notes.append(
-            "literal rules failed with %d conflicts" % len(report.conflicts)
-        )
-        if strategy == "literal":
-            raise ConstructionError(
-                "literal rules produce conflicts: %r" % report.conflicts[:5]
-            )
-
-    pairing, c, report = attempt_starter()
+    pairing = starter_search(q, [s % q for s in half])
     if pairing is None:
         notes.append("no starter pairing exists")
-        raise ConstructionError(
-            "both strategies failed for %r: %s" % (spec, "; ".join(notes))
-        )
-    if not report.ok:
+    else:
+        starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(half, pairing.entries)}
+        c = fill_diagonals(n, q, starts)
+        if verify_total(G, c).ok:
+            return OddCirculantResult(c, "starter", None, pairing, notes)
         notes.append("starter coloring failed verification")
-        raise ConstructionError(
-            "both strategies failed for %r: %s" % (spec, "; ".join(notes))
-        )
-    return OddCirculantResult(c, "starter", None, pairing, notes)
+    raise ConstructionError(
+        "both strategies failed for %r: %s" % (spec, "; ".join(notes))
+    )
 
 
 @dataclass
@@ -345,7 +322,7 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     colored diagonally with 2k+1 colors; the remainder G - E(H) must stay
     connected and take Delta-2k fresh colors from edge_color_vizing.
     """
-    _require(_why_not_even_dense(spec))
+    _require_even_dense(spec)
     n = spec.n
     q = n // 2
     k = (q - 1) // 2
@@ -602,8 +579,7 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
     colors agree with the assigned ones, and the remainder takes at most
     Delta - chi + 2 fresh colors.
     """
-    reason, chi, vertex_colors = _perfect_chromatic(G)
-    _require(reason)
+    chi, vertex_colors = _perfect_chromatic(G)
     delta = G.max_degree
 
     if delta == G.n - 1:  # complete graph
@@ -642,105 +618,106 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
 
 
 # ---------------------------------------------------------------------------
-# Method registry: each theorem's preconditions, written once
+# The method registry: each theorem's preconditions, written once
 
 
-def _why_not_unitary(G: Graph) -> Optional[str]:
+def _require_unitary(G: Graph) -> None:
     spec = G.circulant
     if spec is None or spec.connection != units(spec.n):
-        return "not a unitary graph U_n"
-    return None
+        raise PreconditionError("not a unitary graph U_n")
 
 
-def _why_not_power_of_two_unitary(G: Graph) -> Optional[str]:
+def _require_power_of_two_unitary(G: Graph) -> None:
     if G.n < 2 or G.n & (G.n - 1):
-        return "n = %d is not a power of two" % G.n
-    return _why_not_unitary(G)
+        raise PreconditionError("n = %d is not a power of two" % G.n)
+    _require_unitary(G)
 
 
-def _why_not_unitary_even(n: int) -> Optional[str]:
+def _require_unitary_even(n: int) -> None:
     if n % 2:
-        return "n = %d is odd" % n
+        raise PreconditionError("n = %d is odd" % n)
     if n & (n - 1) == 0:
-        return "n = %d is a power of two (thm2.1)" % n
-    return None
+        raise PreconditionError("n = %d is a power of two (thm2.1)" % n)
 
 
-def _why_not_odd_circulant(spec: Optional[CirculantSpec]) -> Optional[str]:
+def _require_odd_circulant(spec: Optional[CirculantSpec]) -> None:
     if spec is None:
-        return "no circulant provenance"
+        raise PreconditionError("no circulant provenance")
     n, q = spec.n, spec.degree + 1
     if n % 2 == 0:
-        return "n = %d is even" % n
+        raise PreconditionError("n = %d is even" % n)
     if n % q:
-        return "Delta+1 = %d does not divide n = %d" % (q, n)
+        raise PreconditionError("Delta+1 = %d does not divide n = %d" % (q, n))
     for s in sorted(spec.connection):
         if s % q == 0:
-            return "generator %d divisible by Delta+1 = %d" % (s, q)
+            raise PreconditionError("generator %d divisible by Delta+1 = %d" % (s, q))
     half = spec.half_set()
     if len({s % q for s in half}) != len(half):
-        return "half-set generators not pairwise distinct mod Delta+1 = %d" % q
-    return None
+        raise PreconditionError(
+            "half-set generators not pairwise distinct mod Delta+1 = %d" % q)
 
 
-def _why_not_even_dense(spec: Optional[CirculantSpec]) -> Optional[str]:
+def _require_even_dense(spec: Optional[CirculantSpec]) -> None:
     if spec is None:
-        return "no circulant provenance"
+        raise PreconditionError("no circulant provenance")
     n = spec.n
     if n % 4 != 2:
-        return "n = %d is not 2 mod 4" % n
+        raise PreconditionError("n = %d is not 2 mod 4" % n)
     if n // 2 in spec.connection:
-        return "generator n/2 = %d is unsupported" % (n // 2)
+        raise PreconditionError("generator n/2 = %d is unsupported" % (n // 2))
     if not n // 2 <= spec.degree < n - 1:
-        return "Delta = %d outside n/2 <= Delta < n-1" % spec.degree
-    return None
+        raise PreconditionError("Delta = %d outside n/2 <= Delta < n-1" % spec.degree)
 
 
 def _perfect_chromatic(G: Graph):
-    """thm2.7's preconditions: (reason or None, chi, a proper chi-coloring)."""
+    """thm2.7's preconditions: (chi, a proper chi-coloring)."""
     try:
-        if not is_perfect(G):
-            return "graph is not perfect", None, None
+        perfect = is_perfect(G)
     except OracleError as exc:  # the odd-hole search's size limit
-        return str(exc), None, None
+        raise PreconditionError(str(exc)) from None
+    if not perfect:
+        raise PreconditionError("graph is not perfect")
     chi, vertex_colors = exact_chromatic(G)
     if chi % 2 == 0:
-        return "chromatic number %d is even" % chi, None, None
+        raise PreconditionError("chromatic number %d is even" % chi)
     if G.n % chi:
-        return "chromatic number %d does not divide n = %d" % (chi, G.n), None, None
-    return None, chi, vertex_colors
+        raise PreconditionError("chromatic number %d does not divide n = %d" % (chi, G.n))
+    return chi, vertex_colors
 
 
-# The run callables name the constructions inside their bodies, so they use
-# whatever the module attribute holds at call time.
+# Each run(G) checks its theorem's preconditions once (PreconditionError) and
+# returns (coloring, notes) with a coloring verify_total has accepted.  The
+# bodies name the constructions, so they use whatever the module attribute
+# holds at call time.
 
 
-def _run_thm21(G: Graph, strategy: str):
-    _require(_why_not_power_of_two_unitary(G))
-    return color_complete_bipartite(G.n // 2), []
+def _run_thm21(G: Graph):
+    _require_power_of_two_unitary(G)
+    m = G.n // 2
+    return _checked(G, color_complete_bipartite(m), "color_complete_bipartite(%d)" % m), []
 
 
-def _run_thm22(G: Graph, strategy: str):
-    _require(_why_not_unitary(G))
+def _run_thm22(G: Graph):
+    _require_unitary(G)
     res = color_unitary_even(G.n)
     return res.coloring, ["part-1 generators %s, part-2 generators %s"
                           % (res.part1_generators, res.part2_generators)]
 
 
-def _run_thm23(G: Graph, strategy: str):
-    res = color_odd_circulant(G.circulant, strategy=strategy)
+def _run_thm23(G: Graph):
+    res = color_odd_circulant(G.circulant)
     notes = ["strategy used: %s" % res.strategy]
     if res.strategy == "starter":
         notes.append("starter fallback used")
     return res.coloring, notes + res.notes
 
 
-def _run_thm25(G: Graph, strategy: str):
+def _run_thm25(G: Graph):
     res = color_even_dense_circulant(G.circulant)
     return res.coloring, ["chosen generators H = %s" % (list(res.chosen_generators),)] + res.notes
 
 
-def _run_thm27(G: Graph, strategy: str):
+def _run_thm27(G: Graph):
     res = color_perfect_cayley(G)
     return res.coloring, [
         "chi = %d, remainder colors = %d, total = %d"
@@ -749,34 +726,28 @@ def _run_thm27(G: Graph, strategy: str):
     ]
 
 
-class Method(NamedTuple):
-    """why_not(G): the first failed precondition, or None.  run(G, strategy):
-    (coloring, notes), or ConstructionError with why_not's reason."""
-
-    why_not: Callable[[Graph], Optional[str]]
-    run: Callable[[Graph, str], tuple]
-
-
-# In the order "auto" tries them.
-METHODS: Dict[str, Method] = {
-    "thm2.1": Method(_why_not_power_of_two_unitary, _run_thm21),
-    "thm2.2": Method(lambda G: _why_not_unitary(G) or _why_not_unitary_even(G.n),
-                     _run_thm22),
-    "thm2.3": Method(lambda G: _why_not_odd_circulant(G.circulant), _run_thm23),
-    "thm2.5": Method(lambda G: _why_not_even_dense(G.circulant), _run_thm25),
-    "thm2.7": Method(lambda G: _perfect_chromatic(G)[0], _run_thm27),
+# In the order color_auto tries them.
+METHODS: Dict[str, Callable[[Graph], tuple]] = {
+    "thm2.1": _run_thm21,
+    "thm2.2": _run_thm22,
+    "thm2.3": _run_thm23,
+    "thm2.5": _run_thm25,
+    "thm2.7": _run_thm27,
 }
 
 
-def pick_method(G: Graph):
-    """The first method whose preconditions hold on G, with the (name,
-    reason) of each method rejected before it.  Raises ConstructionError
-    listing every reason when no method applies."""
+def color_auto(G: Graph):
+    """Run the first method whose preconditions hold on G: (name, coloring,
+    notes, rejected), where rejected lists the (name, reason) of each method
+    tried before it.  A failure past a method's preconditions propagates;
+    when no method applies, ConstructionError lists every reason."""
     rejected = []
-    for name, method in METHODS.items():
-        reason = method.why_not(G)
-        if reason is None:
-            return name, rejected
-        rejected.append((name, reason))
+    for name, run in METHODS.items():
+        try:
+            coloring, notes = run(G)
+        except PreconditionError as exc:
+            rejected.append((name, str(exc)))
+            continue
+        return name, coloring, notes, rejected
     raise ConstructionError("no method applies: %s"
                             % "; ".join("%s: %s" % r for r in rejected))

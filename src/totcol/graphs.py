@@ -255,13 +255,11 @@ def connected(G: Graph) -> bool:
     while frontier:
         u = frontier.pop()
         row = G.rows[u] & ~seen
-        v = 0
+        seen |= row
         while row:
-            if row & 1:
-                seen |= 1 << v
-                frontier.append(v)
-            row >>= 1
-            v += 1
+            low = row & -row
+            frontier.append(low.bit_length() - 1)
+            row ^= low
     return seen == (1 << G.n) - 1
 
 

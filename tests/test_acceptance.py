@@ -104,7 +104,7 @@ def test_criterion_05_starter_fallback_21():
 
 def test_criterion_06_literal_rules_21():
     spec = CirculantSpec(21, {1, 2, 3, 18, 19, 20})
-    res, elapsed = timed(1.0, color_odd_circulant, spec, "literal")
+    res, elapsed = timed(1.0, color_odd_circulant, spec)
     rep = verify_total(build_circulant(spec), res.coloring)
     ok = rep.ok and rep.colors_used == 7 and res.strategy == "literal"
     report(6, ok, "(21,{1,2,3,18,19,20}) colored with 7 colors by the "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totcol
+from totcol import cli, coloring, constructions, oracles
 from totcol.cli import main
 from totcol.coloring import matrix_from_csv, matrix_to_csv, read_coloring
 
@@ -35,12 +36,72 @@ def test_color_verify_cycle(tmp_path, monkeypatch):
 def test_color_thm23_reports_starter_fallback(tmp_path, monkeypatch, capsys):
     run(["gen", "circulant", "21", "1", "3", "4", "17", "18", "20"],
         tmp_path, monkeypatch)
-    code = run(["color", "circulant_21.col", "--method", "thm2.3",
-                "--strategy", "auto", "-o", "c21.tc"], tmp_path, monkeypatch)
+    code = run(["color", "circulant_21.col", "--method", "thm2.3", "-o", "c21.tc"],
+               tmp_path, monkeypatch)
     out = capsys.readouterr().out
     assert code == 0
     assert "starter fallback used" in out
     assert read_coloring(tmp_path / "c21.tc").colors_used() == 7
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("gen, verifications", [
+    (["unitary", 24], 1),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], 2),  # literal rules, then the starter
+], ids=["U_24", "C_21-starter-fallback"])
+def test_color_verifies_once(tmp_path, monkeypatch, gen, verifications):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    counts = {}
+    for module in (cli, coloring, constructions, oracles):
+        _count_calls(monkeypatch, module, "verify_total", counts)
+    assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    assert counts == {"verify_total": verifications}
+
+
+def test_auto_checks_thm27_preconditions_once(tmp_path, monkeypatch, capsys):
+    run(["gen", "unitary", "9"], tmp_path, monkeypatch)
+    counts = {}
+    for name in ("is_perfect", "exact_chromatic"):
+        _count_calls(monkeypatch, constructions, name, counts)
+    assert run(["color", "unitary_9.col"], tmp_path, monkeypatch) == 0
+    assert "auto-selected method: thm2.7" in capsys.readouterr().out
+    assert counts == {"is_perfect": 1, "exact_chromatic": 1}
+
+
+def test_color_exits_1_when_a_construction_emits_conflicts(tmp_path, monkeypatch, capsys):
+    run(["gen", "unitary", "24"], tmp_path, monkeypatch)
+    fill = constructions.fill_diagonals
+
+    def broken_fill(n, q, starts):
+        c = fill(n, q, starts)
+        c.vertex_color[1] = c.vertex_color[0]  # 0 ~ 1 in U_24
+        return c
+
+    monkeypatch.setattr(constructions, "fill_diagonals", broken_fill)
+    capsys.readouterr()
+    assert run(["color", "unitary_24.col", "--method", "thm2.2"], tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification: FAILED")
+    assert "Traceback" not in err
+    assert not (tmp_path / "coloring.tc").exists()
+
+
+def test_color_help_has_no_strategy_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--method" in out
+    assert "--strategy" not in out
 
 
 def test_verify_corrupted_csv_exits_1(tmp_path, monkeypatch, capsys):
@@ -222,12 +283,12 @@ def test_outputs_byte_deterministic(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def _pair_texts():
-    """A graph file and a clean coloring of it, as the verify fuzz's seed."""
+def _pair_texts(fmt="coloring"):
+    """A graph file and a clean coloring of it, as the fuzz tests' seed."""
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
-        g, c = os.path.join(d, "g.col"), os.path.join(d, "g.tc")
+        g, c = os.path.join(d, "g.col"), os.path.join(d, "g.out")
         assert main(["gen", "circulant", "15", "1", "2", "13", "14", "-o", g]) == 0
-        assert main(["color", g, "-o", c]) == 0
+        assert main(["color", g, "--format", fmt, "-o", c]) == 0
         with open(g) as fg, open(c) as fc:
             return fg.read().splitlines(), fc.read().splitlines()
 
@@ -242,22 +303,25 @@ _EDITS = st.lists(st.tuples(
     st.lists(_TOKENS, max_size=5)), max_size=6)
 
 
-def _mangle(lines, edits):
+def _mangle(lines, edits, sep=None):
+    """Apply the edits to the lines; fields are split at sep (None: runs of
+    whitespace) and joined with sep or a space."""
+    join = (sep or " ").join
     lines = list(lines)
     for op, at, pos, token, tokens in edits:
         i = at % (len(lines) + 1)
         if op == "insert":
-            lines.insert(i, " ".join(tokens))
+            lines.insert(i, join(tokens))
         elif i == len(lines):
             continue
         elif op == "drop":
             del lines[i]
         elif op == "truncate":
-            lines[i] = " ".join(lines[i].split()[:pos])
+            lines[i] = join(lines[i].split(sep)[:pos])
         elif op == "junk":
-            words = lines[i].split() or [""]
+            words = lines[i].split(sep) or [""]
             words[pos % len(words)] = token
-            lines[i] = " ".join(words)
+            lines[i] = join(words)
         else:
             lines.insert(i, lines[i])
     return "\n".join(lines) + "\n"
@@ -278,3 +342,24 @@ def test_verify_survives_mangled_files(graph_edits, coloring_edits):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(["verify", g, c]) in range(5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(graph_edits=_EDITS, matrix_edits=_EDITS)
+def test_color_and_csv_verify_survive_mangled_files(graph_edits, matrix_edits):
+    # `color` on a mangled graph file and `verify` of a mangled CSV matrix
+    # against the intact graph: an exit code of the contract, never a traceback
+    graph_lines, matrix_lines = _pair_texts("csv-matrix")
+    with tempfile.TemporaryDirectory() as d:
+        g, bad_g = os.path.join(d, "g.col"), os.path.join(d, "bad.col")
+        m = os.path.join(d, "m.csv")
+        with open(g, "w") as fh:
+            fh.write("\n".join(graph_lines) + "\n")
+        with open(bad_g, "w") as fh:
+            fh.write(_mangle(graph_lines, graph_edits))
+        with open(m, "w") as fh:
+            fh.write(_mangle(matrix_lines, matrix_edits, sep=","))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["color", bad_g, "-o", os.path.join(d, "c.tc")]) in range(5)
+            assert main(["verify", g, m]) in range(5)

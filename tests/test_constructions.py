@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,9 +7,11 @@ from totcol.coloring import TotalColoring, ekey, verify_total, write_coloring
 from totcol.constructions import (
     METHODS,
     ConstructionError,
+    PreconditionError,
     clique_cover_disjoint,
     color_complete_bipartite,
     color_complete_odd,
+    color_auto,
     color_even_dense_circulant,
     color_odd_circulant,
     color_perfect_cayley,
@@ -228,9 +231,10 @@ def test_color_odd_circulant_starter_fallback():
 
 
 def test_color_odd_circulant_literal_strategy_fails_on_example():
-    spec = CirculantSpec(21, {1, 3, 4, 17, 18, 20})
-    with pytest.raises(ConstructionError):
-        color_odd_circulant(spec, strategy="literal")
+    res = color_odd_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20}))
+    assert res.strategy == "starter"
+    m = re.fullmatch(r"literal rules failed with (\d+) conflicts", res.notes[0])
+    assert m and int(m.group(1)) > 0
 
 
 def test_color_odd_circulant_k3():
@@ -419,8 +423,9 @@ def test_constructions_are_deterministic(tmp_path):
 
 
 def test_method_rejection_reason_is_the_constructions_error():
-    # Whenever a method's why_not gives a reason, running the method raises
-    # ConstructionError with exactly that reason.
+    # Every method either returns a coloring verify_total accepts or raises
+    # ConstructionError; color_auto takes the first method that does not
+    # raise PreconditionError and reports each earlier one's reason.
     rng = random.Random(2006)
     graphs = [petersen()] + [build_unitary(n) for n in (2, 4, 6, 9, 12, 15, 16)]
     while len(graphs) < 60:
@@ -430,12 +435,30 @@ def test_method_rejection_reason_is_the_constructions_error():
         graphs.append(build_circulant(CirculantSpec(n, set(half) | {n - s for s in half})))
     rejections = 0
     for G in graphs:
-        for name, method in METHODS.items():
-            reason = method.why_not(G)
-            if reason is None:
+        outcome = {}  # name -> the ConstructionError raised, or None
+        for name, run in METHODS.items():
+            try:
+                coloring, notes = run(G)
+            except ConstructionError as exc:
+                outcome[name] = exc
                 continue
-            rejections += 1
+            assert verify_total(G, coloring).ok, (name, G.circulant)
+            outcome[name] = None
+        rejected = [(name, str(exc)) for name, exc in outcome.items()
+                    if isinstance(exc, PreconditionError)]
+        rejections += len(rejected)
+        picked = next((name for name, exc in outcome.items()
+                       if not isinstance(exc, PreconditionError)), None)
+        if picked is None:
             with pytest.raises(ConstructionError) as err:
-                method.run(G, "auto")
-            assert str(err.value) == reason, (name, G.circulant)
+                color_auto(G)
+            assert str(err.value) == "no method applies: %s" % "; ".join(
+                "%s: %s" % r for r in rejected)
+        elif outcome[picked] is None:
+            before = rejected[:list(METHODS).index(picked)]
+            assert color_auto(G)[0::3] == (picked, before), G.circulant
+        else:
+            with pytest.raises(ConstructionError) as err:
+                color_auto(G)
+            assert str(err.value) == str(outcome[picked])
     assert rejections > 100

@@ -136,6 +136,32 @@ def test_connected_examples():
     assert connected(build_circulant(CirculantSpec(1, set())))
 
 
+def test_connected_matches_a_bfs_over_neighbors():
+    def bfs_connected(G):
+        seen, frontier = {0}, [0]
+        while frontier:
+            for v in G.neighbors(frontier.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return len(seen) == G.n
+
+    rng = random.Random(31)
+    cases = [subgraph_of_edges(1, []), subgraph_of_edges(2, []),
+             build_circulant(CirculantSpec(2625, {1, 2624})),
+             build_circulant(CirculantSpec(2625, {5, 2620}))]
+    for _ in range(80):
+        n = rng.randint(2, 90)
+        p = rng.choice([0.005, 0.02, 0.05, 0.2])
+        cases.append(subgraph_of_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    answers = [connected(G) for G in cases]
+    assert answers == [bfs_connected(G) for G in cases]
+    assert answers[:4] == [True, False, True, False]
+    assert 10 < sum(answers) < len(answers) - 10
+    assert connected(subgraph_of_edges(0, []))
+
+
 def test_two_factors_examples():
     dec = two_factors(CirculantSpec(24, build_unitary(24).circulant.connection))
     assert [f.generators for f in dec.factors] == [(1, 23), (5, 19), (7, 17), (11, 13)]
