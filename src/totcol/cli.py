@@ -128,6 +128,9 @@ def cmd_oracle(args) -> int:
             return EXIT_INCONCLUSIVE
         print("total chromatic number: %d (lower bound %d, %d nodes)"
               % (res.value, res.lower_bound, res.nodes))
+        print("evidence: lower bound by %s: %s (%d conformability steps)"
+              % (res.lower_evidence, oracles.LOWER_EVIDENCE[res.lower_evidence],
+                 res.conformability_steps))
         if args.output:
             write_coloring(res.coloring, args.output)
             print("certificate written to %s" % args.output)
@@ -165,7 +168,8 @@ def cmd_classify(args) -> int:
     label = {"type1": "TypeI", "type2": "TypeII", "inconclusive": "inconclusive"}
     print("classification: %s" % label[res.kind])
     print("max degree: %d" % res.delta)
-    print("evidence: %s (%d nodes)" % (res.detail, res.nodes))
+    print("evidence: %s (%d nodes, %d conformability steps)"
+          % (res.detail, res.nodes, res.conformability_steps))
     if res.value is not None:
         print("total chromatic number: %d" % res.value)
     if res.certificate is not None and args.output:

@@ -408,16 +408,20 @@ def edge_color_vizing(G: Graph) -> EdgeColoringResult:
     First attempts an exact Delta-coloring by list coloring of the line graph
     within _EXACT_EDGE_NODES search nodes; when none exists or the search
     runs out, falls back to Misra-Gries fan recoloring with the Delta+1
-    palette.  delta_achieved reports whether the returned coloring uses only
-    Delta colors.
+    palette.  An overfull graph (more than Delta * floor(n/2) edges) skips
+    the search: each color class is a matching of at most floor(n/2) edges,
+    so no Delta-edge-coloring exists.  delta_achieved reports whether the
+    returned coloring uses only Delta colors.
     """
     delta = G.max_degree
     if delta == 0:
         return EdgeColoringResult({}, 0, 0, True)
-    status, exact = exact_edge_coloring(G, delta, SearchBudget(node_limit=_EXACT_EDGE_NODES))
-    if status == "sat":
-        used = len(set(exact.values()))
-        return EdgeColoringResult(exact, used, delta, True)
+    if G.edge_count <= delta * (G.n // 2):
+        status, exact = exact_edge_coloring(G, delta,
+                                            SearchBudget(node_limit=_EXACT_EDGE_NODES))
+        if status == "sat":
+            used = len(set(exact.values()))
+            return EdgeColoringResult(exact, used, delta, True)
     colors = _misra_gries(G, delta)
     used = len(set(colors.values()))
     return EdgeColoringResult(colors, used, delta, used <= delta)

@@ -7,6 +7,7 @@ budget; the solvers never silently overclaim.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -180,28 +181,77 @@ def _star_clique(G: Graph, index) -> Dict[int, int]:
     return pre
 
 
+# Steps the Delta+1 conformability check may take in exact_total_chromatic
+# before it leaves the bound to the search; it also takes at most a tenth of
+# the node limit, so that the search keeps the rest.  Over 383 random
+# circulants with n <= 40, every refutation took at most 17 343 steps, but 44
+# checks were still open after 2 M steps; on C_23{6,8,11,12,15,17} the check
+# is, while the search finds a 7-coloring in 954 nodes.  A step costs about
+# 1.5 us, a search node about 6 us.
+_CONFORMABLE_STEPS = 100_000
+
+# What proves chi'' >= the value found (or, when inconclusive, >= lower_bound).
+LOWER_EVIDENCE = {
+    "clique": "the star of a maximum-degree vertex is a clique of Delta+1 items",
+    "conformability": "a regular graph with no conformable Delta+1 partition has "
+                      "no Delta+1 total coloring [Chetwynd-Hilton 1988]",
+    "search": "exhaustive search refuted every smaller color count",
+}
+
+
 @dataclass
 class TotalChromaticResult:
     status: str  # "exact" or "inconclusive"
     value: Optional[int]
     coloring: Optional[TotalColoring]
-    lower_bound: int
-    nodes: int
+    lower_bound: int  # the certified bound the color loop starts at
+    nodes: int  # search nodes only
+    conformability_steps: int
+    lower_evidence: str  # a key of LOWER_EVIDENCE
 
 
 def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> TotalChromaticResult:
     """Least c admitting a proper total coloring, by exhaustive backtracking
-    per candidate c starting at the clique lower bound Delta+1."""
+    per candidate c from a certified lower bound.
+
+    The star of a maximum-degree vertex is a clique of Delta+1 items, so
+    chi'' >= Delta+1.  A regular graph may do better (Chetwynd-Hilton,
+    1988): in a Delta+1 total coloring of a Delta-regular graph every vertex
+    sees all Delta+1 colors, so the vertices outside a color's vertex class
+    are perfectly matched by that color's edges, and every vertex class has
+    the parity of n.  The vertex classes then form a conformable partition;
+    when `conformable_exists(G, Delta+1)` finds none, chi'' >= Delta+2 and
+    the Delta+1 search never runs.  The argument needs every vertex to have
+    degree Delta, so an irregular graph starts at Delta+1, and so does a
+    regular graph whose check is still open after its step allowance (see
+    _CONFORMABLE_STEPS).
+
+    The conformability check and the searches share one budget tracker:
+    `nodes` counts search nodes, `conformability_steps` the check's steps,
+    and their sum is bounded by the node limit.  A budget that runs out in
+    the check (its time limit) gives an inconclusive result.
+    `lower_evidence` names what proves chi'' >= value: "clique",
+    "conformability", or "search" when the value lies above the certified
+    lower bound.
+    """
     budget = budget or SearchBudget()
-    items, adj, index = total_items(G)
     delta = G.max_degree
-    lower = delta + 1
     tracker = _Budget(budget)
-    total_nodes = 0
+    lower, evidence = delta + 1, "clique"
+    if G.regular_degree is not None:
+        try:
+            conformable, _ = _conformable(G, delta + 1, tracker,
+                                          min(_CONFORMABLE_STEPS, budget.node_limit // 10))
+        except BudgetExhausted:
+            return TotalChromaticResult("inconclusive", None, None, lower, 0,
+                                        tracker.nodes, evidence)
+        if conformable is False:  # None: still open, the search decides
+            lower, evidence = delta + 2, "conformability"
+    steps = tracker.nodes
+    items, adj, index = total_items(G)
+    pre = _star_clique(G, index)
     for c in range(lower, budget.max_colors + 1):
-        pre = _star_clique(G, index)
         status, colors = _solve_list_coloring(adj, c, pre, tracker)
-        total_nodes = tracker.nodes
         if status == "sat":
             tc = TotalColoring(G.n)
             for i, it in enumerate(items):
@@ -212,10 +262,12 @@ def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> To
             report = verify_total(G, tc)
             if not report.ok:
                 raise AssertionError("oracle certificate failed verification")
-            return TotalChromaticResult("exact", c, tc, lower, total_nodes)
+            return TotalChromaticResult("exact", c, tc, lower, tracker.nodes - steps, steps,
+                                        evidence if c == lower else "search")
         if status == "budget":
-            return TotalChromaticResult("inconclusive", None, None, lower, total_nodes)
-    return TotalChromaticResult("inconclusive", None, None, lower, total_nodes)
+            break
+    return TotalChromaticResult("inconclusive", None, None, lower, tracker.nodes - steps,
+                                steps, evidence)
 
 
 def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
@@ -355,7 +407,13 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     """
     if G.regular_degree is None:
         raise OracleError("conformable check requires a regular graph")
-    tracker = _Budget(budget or SearchBudget())
+    return _conformable(G, q, _Budget(budget or SearchBudget()), math.inf)
+
+
+def _conformable(G: Graph, q: int, tracker: _Budget, max_steps):
+    """conformable_exists on a regular graph, ticking the given tracker;
+    (None, None) once max_steps steps leave the answer open."""
+    stop = tracker.nodes + max_steps
     n = G.n
     parity = n % 2
     members = [0] * q  # vertex bitmask of each class
@@ -365,6 +423,8 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     choice: List[int] = []  # choice[v]: the class of vertex v
     start = 0  # first class to try for the next vertex
     while True:
+        if tracker.nodes == stop:
+            return None, None
         if not tracker.tick():
             raise BudgetExhausted("conformable search budget exhausted")
         v = len(choice)
@@ -407,13 +467,23 @@ class Classification:
     delta: int
     certificate: Optional[TotalColoring]
     value: Optional[int]
-    nodes: int
+    nodes: int  # search nodes only
+    conformability_steps: int
+    lower_evidence: str  # a key of LOWER_EVIDENCE
     detail: str
 
 
 def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classification:
-    """Type I (Delta+1 certificate), type II (exhausted search at Delta+1
-    plus a Delta+2 certificate), or inconclusive with the spent budget."""
+    """Type I (a Delta+1 certificate), type II (chi'' >= Delta+2 plus a
+    Delta+2 certificate), or inconclusive with the spent budget.
+
+    This is exact_total_chromatic capped at Delta+2 colors, so the lower
+    bound Delta+2 of a type II graph comes from conformability when the
+    graph is regular and not conformable with Delta+1 classes (Chetwynd-
+    Hilton: a type I regular graph is conformable), and from an exhausted
+    Delta+1 search otherwise.  Irregular graphs always take the search.
+    `lower_evidence` and `detail` say which evidence closed the bound.
+    """
     budget = budget or SearchBudget()
     delta = G.max_degree
     capped = SearchBudget(
@@ -422,11 +492,13 @@ def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classifica
         time_limit_secs=budget.time_limit_secs,
     )
     res = exact_total_chromatic(G, capped)
-    if res.status == "exact" and res.value == delta + 1:
-        return Classification("type1", delta, res.coloring, res.value, res.nodes,
-                              "exact search found a Delta+1 total coloring")
-    if res.status == "exact" and res.value == delta + 2:
-        return Classification("type2", delta, res.coloring, res.value, res.nodes,
-                              "Delta+1 exhausted without a coloring; Delta+2 certificate found")
-    return Classification("inconclusive", delta, None, None, res.nodes,
-                          "search budget exhausted")
+    why = "%s: %s" % (res.lower_evidence, LOWER_EVIDENCE[res.lower_evidence])
+    if res.status == "exact":
+        kind = "type1" if res.value == delta + 1 else "type2"
+        detail = "lower bound by %s; Delta+%d certificate found by search" % (
+            why, res.value - delta)
+    else:
+        kind = "inconclusive"
+        detail = "budget exhausted; lower bound Delta+%d by %s" % (res.lower_bound - delta, why)
+    return Classification(kind, delta, res.coloring, res.value, res.nodes,
+                          res.conformability_steps, res.lower_evidence, detail)

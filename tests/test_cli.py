@@ -228,6 +228,34 @@ def test_oracle_inconclusive_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_classify_out_of_budget_exits_3_without_traceback(tmp_path, monkeypatch):
+    run(["gen", "unitary", "9"], tmp_path, monkeypatch)
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli", "classify", "unitary_9.col",
+                           "--node-limit", "1"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "classification: inconclusive" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_z9_lower_bound_comes_from_conformability(tmp_path, monkeypatch, capsys):
+    run(["gen", "circulant", "9", "1", "2", "3", "6", "7", "8", "-o", "z9.col"],
+        tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["oracle", "z9.col", "--what", "total-chromatic"], tmp_path, monkeypatch) == 0
+    out = capsys.readouterr().out
+    assert "total chromatic number: 8 (lower bound 8, " in out
+    assert "evidence: lower bound by conformability: " in out
+    assert run(["classify", "z9.col"], tmp_path, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "classification: TypeII"
+    assert lines[-1] == "total chromatic number: 8"
+    evidence = [line for line in lines if line.startswith("evidence: ")]
+    assert len(evidence) == 1 and "lower bound by conformability" in evidence[0]
+
+
 def test_io_error_exit_4(tmp_path, monkeypatch):
     code = run(["color", "nope.col"], tmp_path, monkeypatch)
     assert code == 4
@@ -363,3 +391,24 @@ def test_color_and_csv_verify_survive_mangled_files(graph_edits, matrix_edits):
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(["color", bad_g, "-o", os.path.join(d, "c.tc")]) in range(5)
             assert main(["verify", g, m]) in range(5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(graph_edits=_EDITS,
+       argv=st.one_of(
+           st.just(["classify"]),
+           st.sampled_from(["total-chromatic", "chromatic", "cliques", "perfect"]).map(
+               lambda what: ["oracle", "--what", what]),
+           st.integers(1, 8).map(lambda q: ["oracle", "--what", "conformable",
+                                            "--q", str(q)])))
+def test_oracle_and_classify_survive_mangled_files(graph_edits, argv):
+    # the exact oracles on a mangled graph file, under a small budget: a
+    # result, an exhausted budget or bad input, never a traceback
+    graph_lines, _ = _pair_texts()
+    with tempfile.TemporaryDirectory() as d:
+        g = os.path.join(d, "g.col")
+        with open(g, "w") as fh:
+            fh.write(_mangle(graph_lines, graph_edits))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv[:1] + [g] + argv[1:] + ["--node-limit", "100"]) in (0, 3, 4)

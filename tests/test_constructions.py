@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from totcol import constructions
 from totcol.coloring import TotalColoring, ekey, verify_total, write_coloring
 from totcol.constructions import (
     METHODS,
@@ -321,6 +322,33 @@ def test_edge_color_vizing_examples():
     assert_proper_edge_coloring(pet, resp.edge_color)
     assert resp.colors_used == 4  # class II, never above Delta+1
     assert not resp.delta_achieved
+
+
+def test_edge_color_vizing_skips_the_search_on_overfull_graphs(monkeypatch):
+    # more than Delta * floor(n/2) edges: no Delta-edge-coloring exists, so
+    # Misra-Gries runs at once and gives what it gave after a failed search
+    calls = []
+    search = constructions.exact_edge_coloring
+
+    def spy(G, k, budget):
+        calls.append(G.n)
+        return search(G, k, budget)
+
+    monkeypatch.setattr(constructions, "exact_edge_coloring", spy)
+    overfull = [build_circulant(CirculantSpec(5, {1, 4})),
+                build_circulant(CirculantSpec(9, {1, 2, 3, 6, 7, 8})),
+                build_unitary(15),
+                subgraph_of_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+                subgraph_of_edges(3, [(0, 1), (1, 2), (0, 2)])]
+    for G in overfull:
+        assert G.edge_count > G.max_degree * (G.n // 2)
+        res = edge_color_vizing(G)
+        assert res.edge_color == constructions._misra_gries(G, G.max_degree)
+        assert_proper_edge_coloring(G, res.edge_color, G.max_degree + 1)
+        assert not res.delta_achieved
+    assert calls == []
+    edge_color_vizing(petersen())  # 15 = 3 * 5 edges: not overfull, searched
+    assert calls == [10]
 
 
 def test_edge_color_vizing_deep_search():

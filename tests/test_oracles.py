@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from totcol import oracles
 from totcol.coloring import read_coloring, verify_total, write_coloring
 from totcol.graphs import CirculantSpec, build_circulant, build_unitary, subgraph_of_edges
 from totcol.oracles import (
@@ -12,6 +15,7 @@ from totcol.oracles import (
     exact_total_chromatic,
     is_perfect,
     maximal_cliques,
+    total_items,
 )
 
 
@@ -157,6 +161,105 @@ def test_classify_search_tree_is_pinned(G, nodes):
 def test_classify_inconclusive_on_tiny_budget():
     res = classify_type(build_unitary(9), SearchBudget(node_limit=3))
     assert res.kind == "inconclusive"
+
+
+@pytest.mark.parametrize("G", [
+    build_circulant(CirculantSpec(9, {1, 2, 3, 6, 7, 8})),
+    complete(6),
+    build_circulant(CirculantSpec(5, {1, 4})),
+], ids=["Z_9", "K_6", "C_5"])
+def test_classify_type2_by_conformability_searches_only_delta_plus_2(G, monkeypatch):
+    searched = []
+    solve = oracles._solve_list_coloring
+
+    def spy(adj, k, precolor, budget):
+        searched.append(k)
+        return solve(adj, k, precolor, budget)
+
+    monkeypatch.setattr(oracles, "_solve_list_coloring", spy)
+    delta = G.max_degree
+    res = classify_type(G)
+    assert res.kind == "type2" and res.value == delta + 2
+    assert res.lower_evidence == "conformability"
+    assert "conformability" in res.detail
+    assert res.conformability_steps > 0
+    assert searched == [delta + 2]  # no node spent at Delta+1
+    assert verify_total(G, res.certificate).ok
+
+
+@pytest.mark.parametrize("G, evidence", [
+    (build_unitary(8), "search"),  # conformable, yet type II
+    (build_unitary(9), "clique"),
+    (subgraph_of_edges(3, [(0, 1), (1, 2)]), "clique"),  # irregular: no conformability check
+], ids=["U_8", "U_9", "P_3"])
+def test_classify_names_the_evidence_of_its_lower_bound(G, evidence):
+    res = classify_type(G)
+    assert res.kind in ("type1", "type2")
+    assert res.lower_evidence == evidence
+    assert res.detail.startswith("lower bound by %s:" % evidence)
+
+
+def test_classify_bounds_check_and_search_with_one_budget():
+    G = build_unitary(9)
+    full = classify_type(G)
+    ticks = full.conformability_steps + full.nodes
+    assert classify_type(G, SearchBudget(node_limit=ticks)).kind == "type1"
+    res = classify_type(G, SearchBudget(node_limit=ticks - 1))
+    assert res.kind == "inconclusive" and res.nodes == full.nodes
+
+
+def test_classify_out_of_time_in_the_conformability_check_is_inconclusive():
+    # the clock is read every 4096 ticks; this check is still open then
+    G = build_circulant(CirculantSpec(23, {6, 8, 11, 12, 15, 17}))
+    res = classify_type(G, SearchBudget(time_limit_secs=1e-9))
+    assert res.kind == "inconclusive" and res.value is None
+    assert res.nodes == 0 and res.conformability_steps == 4096
+
+
+def test_open_conformability_check_leaves_the_bound_to_the_search():
+    # the check is open after millions of steps here; the search needs 954
+    # nodes, and the graph is type I
+    G = build_circulant(CirculantSpec(23, {6, 8, 11, 12, 15, 17}))
+    res = classify_type(G, SearchBudget(node_limit=10_000))
+    assert res.kind == "type1" and res.value == 7
+    assert res.lower_evidence == "clique"
+    assert res.conformability_steps == 1_000  # a tenth of the node limit
+    assert classify_type(G).conformability_steps == oracles._CONFORMABLE_STEPS
+    assert verify_total(G, res.certificate).ok
+
+
+def _circulants(max_n):
+    """Every circulant graph C_n(S) with n <= max_n, by its half-set."""
+    for n in range(1, max_n + 1):
+        halves = range(1, n // 2 + 1)
+        for r in range(len(halves) + 1):
+            for half in itertools.combinations(halves, r):
+                yield n, half, build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
+
+
+# Refuting Delta+1 by plain search takes millions of nodes here (K_8 6.3 M,
+# the three isomorphic Z_9 4.3 M each, C_10{1,3,5} 2.4 M, C_10{1,2,3,5} not
+# done after 89 M), so within the test's budget the search runs out; it must
+# not find a coloring.
+_DEEP = {(8, (1, 2, 3, 4)), (9, (1, 2, 3)), (9, (1, 3, 4)), (9, (2, 3, 4)),
+         (10, (1, 3, 5)), (10, (1, 2, 3, 5)), (10, (1, 3, 4, 5)), (10, (1, 2, 3, 4, 5))}
+
+
+def test_nonconformable_circulants_have_no_delta_plus_1_total_coloring():
+    # Chetwynd-Hilton against the plain Delta+1 search from the star
+    # precolor, with no conformability check
+    nonconformable = []
+    for n, half, G in _circulants(10):
+        delta = G.regular_degree
+        if conformable_exists(G, delta + 1)[0]:
+            continue
+        items, adj, index = total_items(G)
+        tracker = oracles._Budget(SearchBudget(node_limit=20_000))
+        status, _ = oracles._solve_list_coloring(adj, delta + 1,
+                                                 oracles._star_clique(G, index), tracker)
+        assert status == ("budget" if (n, half) in _DEEP else "unsat"), (n, half)
+        nonconformable.append((n, half))
+    assert len(nonconformable) == 19 and _DEEP <= set(nonconformable)
 
 
 def test_oracle_not_above_construction():
