@@ -13,6 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+# two_factors and factor_edges have no caller here since thm2.5 builds its
+# remainder as a circulant; they stay imported because perfbench/spans.py
+# patches them on this module by name.
 from .graphs import (
     CirculantSpec,
     Graph,
@@ -320,7 +323,10 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H with an admissible starter pairing are
     colored diagonally with 2k+1 colors; the remainder G - E(H) must stay
-    connected and take Delta-2k fresh colors from edge_color_vizing.
+    connected and take Delta-2k fresh colors from edge_color_vizing.  The
+    remainder is built as the circulant on the other generators; a connected
+    one has an odd generator (n is 2 mod 4), so edge_color_vizing colors it
+    by the parity-layer construction, never by search.
     """
     _require_even_dense(spec)
     n = spec.n
@@ -336,7 +342,6 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     notes.append(
         "complement connected: %s" % connected(complement(G))
     )
-    decomposition = {f.generators[0]: f for f in two_factors(spec).factors}
 
     for H in itertools.combinations(half, k):
         label = "H=%s" % (list(H),)
@@ -345,18 +350,15 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
             notes.append("%s: no starter pairing" % label)
             continue
         rest = [s for s in half if s not in H]
-        rest_edges = []
-        for s in rest:
-            rest_edges.extend(factor_edges(decomposition[s]))
-        remainder = subgraph_of_edges(n, rest_edges)
+        remainder = build_circulant(CirculantSpec(n, rest + [n - s for s in rest]))
         if not connected(remainder):
             notes.append("%s: remainder disconnected" % label)
             continue
         rem = edge_color_vizing(remainder)
         if rem.colors_used > budget:
             notes.append(
-                "%s: remainder needs %d colors, budget %d"
-                % (label, rem.colors_used, budget)
+                "%s: remainder needs %d colors by %s, budget %d"
+                % (label, rem.colors_used, rem.route, budget)
             )
             continue
         starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(H, pairing.entries)}
@@ -365,7 +367,7 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
             c.edge_color[e] = q + col
         report = verify_total(G, c)
         if report.ok:
-            notes.append("%s: accepted" % label)
+            notes.append("%s: accepted, remainder edge-colored by %s" % (label, rem.route))
             return EvenDenseResult(c, H, pairing, budget, notes)
         notes.append("%s: verification failed (%d conflicts)" % (label, len(report.conflicts)))
     raise ConstructionError(
@@ -397,6 +399,7 @@ class EdgeColoringResult:
     colors_used: int
     delta: int
     delta_achieved: bool
+    route: str  # "construction", "search" or "misra-gries"
 
 
 _EXACT_EDGE_NODES = 200_000
@@ -405,26 +408,100 @@ _EXACT_EDGE_NODES = 200_000
 def edge_color_vizing(G: Graph) -> EdgeColoringResult:
     """Proper edge coloring with at most Delta+1 colors.
 
-    First attempts an exact Delta-coloring by list coloring of the line graph
-    within _EXACT_EDGE_NODES search nodes; when none exists or the search
-    runs out, falls back to Misra-Gries fan recoloring with the Delta+1
-    palette.  An overfull graph (more than Delta * floor(n/2) edges) skips
-    the search: each color class is a matching of at most floor(n/2) edges,
-    so no Delta-edge-coloring exists.  delta_achieved reports whether the
-    returned coloring uses only Delta colors.
+    A circulant of even order with an odd generator is Delta-edge-colored by
+    construction (edge_color_even_circulant).  Any other graph first gets an
+    exact Delta-coloring by list coloring of the line graph within
+    _EXACT_EDGE_NODES search nodes; when none exists or the search runs out,
+    Misra-Gries fan recoloring with the Delta+1 palette finishes.  An
+    overfull graph (more than Delta * floor(n/2) edges) skips the search:
+    each color class is a matching of at most floor(n/2) edges, so no
+    Delta-edge-coloring exists.  route names the step that produced the
+    coloring; delta_achieved reports whether it uses only Delta colors.
     """
     delta = G.max_degree
     if delta == 0:
-        return EdgeColoringResult({}, 0, 0, True)
+        return _edge_result({}, 0, "construction")
+    if G.circulant is not None:
+        colors = edge_color_even_circulant(G.circulant)
+        if colors is not None:
+            return _edge_result(colors, delta, "construction")
     if G.edge_count <= delta * (G.n // 2):
         status, exact = exact_edge_coloring(G, delta,
                                             SearchBudget(node_limit=_EXACT_EDGE_NODES))
         if status == "sat":
-            used = len(set(exact.values()))
-            return EdgeColoringResult(exact, used, delta, True)
-    colors = _misra_gries(G, delta)
+            return _edge_result(exact, delta, "search")
+    return _edge_result(_misra_gries(G, delta), delta, "misra-gries")
+
+
+def _edge_result(colors: Dict[tuple, int], delta: int, route: str) -> EdgeColoringResult:
     used = len(set(colors.values()))
-    return EdgeColoringResult(colors, used, delta, used <= delta)
+    return EdgeColoringResult(colors, used, delta, used <= delta, route)
+
+
+def edge_color_even_circulant(spec: CirculantSpec) -> Optional[Dict[tuple, int]]:
+    """Delta-edge-coloring of a circulant of even order n with an odd
+    generator, built from its parity layers; None for any other circulant.
+
+    Parity-layer lemma.  Such a circulant is class 1 (the case of R. A.
+    Stong, "On 1-factorizability of Cayley graphs", J. Combin. Theory Ser. B
+    39 (1985), that thm2.5 needs).  Proof, which is also the construction:
+    let a be the least odd generator, E the even generators and Delta = |S|.
+
+    1. An even generator keeps the parity of a vertex, so its edges lie in
+       the even layer V0 or in the odd layer V1.  Let L be the |E|-regular
+       graph they form on V0.  Translation t(v) = v + a is an automorphism
+       that swaps V0 and V1 (a is odd), and it maps L onto the V1 layer.
+       Color L properly from the palette 1..|E|+1 (Misra-Gries, Vizing's
+       bound), and each V1-layer edge t(e) like e.  A vertex v of V0 meets
+       |E| distinct colors, so exactly one palette color mu(v) is missing
+       there, and the same color is missing at t(v).
+    2. The edges {v, v+a}, v in V0, form a perfect matching: v in V0 lies
+       on {v, v+a} and w in V1 on {w-a, w}.  Color {v, v+a} with mu(v),
+       which is missing at v in L and at t(v) = v+a in the V1 layer.
+    3. If 2a != n, the other edges {w, w+a}, w in V1, form a second perfect
+       matching and take one fresh color.  If 2a = n, they are the same
+       matching.  Either way the generators a and n-a cost |{a, n-a}|
+       colors beyond the |E| colors of step 1.
+    4. Every other odd generator b <= n/2 splits the same way.  If 2b = n
+       its edges are one perfect matching and take one fresh color.
+       Otherwise the edge {i, i+b} takes one of two fresh colors by the
+       parity of i: the other b-edge at i is {i-b, i}, and (i - b) mod n
+       has the other parity because b is odd and n even.
+    The count is |E| + |O| = Delta colors (O the odd generators), which a
+    Delta-regular graph cannot beat.  Apart from Misra-Gries on L, this is
+    O(n + m) with no search.
+    """
+    n = spec.n
+    odd = [s for s in spec.half_set() if s % 2]
+    if n % 2 or not odd:
+        return None
+    a, m = odd[0], n // 2
+    layer = build_circulant(CirculantSpec(m, {s // 2 for s in spec.connection if s % 2 == 0}))
+    palette = layer.max_degree + 1
+    missing = [palette * (palette + 1) // 2] * m  # palette sum minus colors met
+    color: Dict[tuple, int] = {}
+    for (i, j), c in _misra_gries(layer, palette - 1).items():
+        missing[i] -= c
+        missing[j] -= c
+        color[(2 * i, 2 * j)] = c
+        color[ekey((2 * i + a) % n, (2 * j + a) % n)] = c
+    for i in range(m):
+        color[ekey(2 * i, (2 * i + a) % n)] = missing[i]
+    fresh = palette + 1
+    if 2 * a != n:
+        for w in range(1, n, 2):
+            color[ekey(w, (w + a) % n)] = fresh
+        fresh += 1
+    for b in odd[1:]:
+        if 2 * b == n:
+            for i in range(m):
+                color[(i, i + b)] = fresh
+            fresh += 1
+        else:
+            for i in range(n):
+                color[ekey(i, (i + b) % n)] = fresh + i % 2
+            fresh += 2
+    return color
 
 
 def _misra_gries(G: Graph, delta: int) -> Dict[tuple, int]:

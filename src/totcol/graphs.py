@@ -341,13 +341,21 @@ def write_dimacs(G: Graph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# The most vertices a `p edge n m` line may declare, so that a short header
+# cannot make the reader allocate unbounded rows.
+MAX_VERTICES = 1 << 20
+
+
 def read_dimacs(path) -> Graph:
     """Inverse of write_dimacs.  The `e` lines must list each of the m edges
-    of the `p edge n m` line exactly once; errors name the offending line."""
+    of the `p edge n m` line exactly once, with n <= MAX_VERTICES and m at
+    most n(n-1)/2; errors name the offending line.  A `c circulant` comment
+    must describe the same graph."""
     n = m = p_line = None
     rows: list = []
     count = 0
     circ = None
+    diffs = set()  # (v - u) mod n over the edges
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             tok = raw.split()
@@ -368,6 +376,7 @@ def read_dimacs(path) -> Graph:
                         raise GraphError("repeated edge")
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
+                    diffs.add((v - u) % n)
                     count += 1
                 elif tok[0] == "c":
                     if len(tok) >= 3 and tok[1] == "circulant":
@@ -376,6 +385,11 @@ def read_dimacs(path) -> Graph:
                     if len(tok) != 4 or tok[1] != "edge" or n is not None:
                         raise GraphError("malformed or repeated problem line")
                     n, m, p_line = int(tok[2]), int(tok[3]), lineno
+                    if not 0 <= n <= MAX_VERTICES:
+                        raise GraphError("vertex count %d outside 0..%d" % (n, MAX_VERTICES))
+                    if not 0 <= m <= n * (n - 1) // 2:
+                        raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
+                                         % (m, n * (n - 1) // 2))
                     rows = [0] * n
                 else:
                     raise GraphError("unrecognized line")
@@ -386,9 +400,9 @@ def read_dimacs(path) -> Graph:
     if count != m:
         raise GraphError("line %d: problem line declares %d edges, the file lists %d"
                          % (p_line, m, count))
-    G = Graph(n, tuple(rows), circ)
-    if circ is not None:
-        expected = build_circulant(circ)
-        if expected.rows != G.rows:
-            raise GraphError("circulant comment inconsistent with edge list")
-    return G
+    # The edges are distinct, so if each difference lies in the connection
+    # set and there are as many as the circulant has, the edge sets are equal.
+    if circ is not None and (circ.n != n or not diffs <= circ.connection
+                             or 2 * count != n * circ.degree):
+        raise GraphError("circulant comment inconsistent with edge list")
+    return Graph(n, tuple(rows), circ)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +194,24 @@ def test_malformed_input_exit_4_names_the_line(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert run(argv, tmp_path, monkeypatch) == 4
     assert capsys.readouterr().err.startswith("input error: " + message)
+
+
+@pytest.mark.parametrize("header", ["p edge 5000000 0", "p edge 4 7", "p edge -1 0"],
+                         ids=["too-many-vertices", "too-many-edges", "negative"])
+def test_verify_rejects_an_oversized_problem_line_quickly(tmp_path, header):
+    # a 17-byte header once made `verify` allocate 5 M rows and print 5 M lines
+    (tmp_path / "big.col").write_text(header + "\n")
+    (tmp_path / "one.tc").write_text("t 1 1\nv 0 1\n")
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli", "verify", "big.col", "one.tc"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("input error: line 1: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_import_leaves_networkx_unloaded():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -50,6 +51,22 @@ def assert_proper_edge_coloring(G, colors, expected_count=None):
         assert len(incident) == len(set(incident))
     if expected_count is not None:
         assert len(set(colors.values())) == expected_count
+
+
+def spy_on_search(monkeypatch):
+    calls = []
+    search = constructions.exact_edge_coloring
+
+    def spy(G, k, budget):
+        calls.append(G.n)
+        return search(G, k, budget)
+
+    monkeypatch.setattr(constructions, "exact_edge_coloring", spy)
+    return calls
+
+
+def symmetric(n, half):
+    return CirculantSpec(n, set(half) | {n - s for s in half})
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +344,7 @@ def test_edge_color_vizing_examples():
 def test_edge_color_vizing_skips_the_search_on_overfull_graphs(monkeypatch):
     # more than Delta * floor(n/2) edges: no Delta-edge-coloring exists, so
     # Misra-Gries runs at once and gives what it gave after a failed search
-    calls = []
-    search = constructions.exact_edge_coloring
-
-    def spy(G, k, budget):
-        calls.append(G.n)
-        return search(G, k, budget)
-
-    monkeypatch.setattr(constructions, "exact_edge_coloring", spy)
+    calls = spy_on_search(monkeypatch)
     overfull = [build_circulant(CirculantSpec(5, {1, 4})),
                 build_circulant(CirculantSpec(9, {1, 2, 3, 6, 7, 8})),
                 build_unitary(15),
@@ -352,11 +362,71 @@ def test_edge_color_vizing_skips_the_search_on_overfull_graphs(monkeypatch):
 
 
 def test_edge_color_vizing_deep_search():
-    # 1400 edges: the exact search assigns each of them on one path
-    G = build_circulant(CirculantSpec(700, {1, 2, 698, 699}))
+    # 1400 edges: the exact search assigns each of them on one path.  The
+    # edges of C_700{1, 2} without the circulant spec, so no construction
+    # applies and the search runs.
+    G = subgraph_of_edges(700, build_circulant(CirculantSpec(700, {1, 2, 698, 699})).edges())
     res = edge_color_vizing(G)
     assert_proper_edge_coloring(G, res.edge_color, 4)
     assert res.delta_achieved
+    assert res.route == "search"
+
+
+def test_edge_color_vizing_constructs_even_circulants(monkeypatch):
+    calls = spy_on_search(monkeypatch)
+    G = build_circulant(CirculantSpec(700, {1, 2, 698, 699}))
+    res = edge_color_vizing(G)
+    assert_proper_edge_coloring(G, res.edge_color, 4)
+    assert res.delta_achieved and res.route == "construction"
+    assert calls == []
+
+
+def assert_constructed(spec):
+    colors = constructions.edge_color_even_circulant(spec)
+    G = build_circulant(spec)
+    assert_proper_edge_coloring(G, colors, spec.degree)
+
+
+def test_edge_color_even_circulant_every_small_connection_set():
+    count = 0
+    for n in range(2, 17, 2):
+        for r in range(1, n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), r):
+                if any(s % 2 for s in half):
+                    assert_constructed(symmetric(n, half))
+                    count += 1
+    assert count == 465
+
+
+def test_edge_color_even_circulant_random():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(2, 81, 2)
+        half = {s for s in range(1, n // 2 + 1) if rng.random() < 0.3}
+        half.add(rng.randrange(1, n // 2 + 1, 2))
+        assert_constructed(symmetric(n, half))
+
+
+def test_edge_color_even_circulant_needs_even_order_and_an_odd_generator():
+    assert constructions.edge_color_even_circulant(symmetric(9, [1, 2])) is None
+    assert constructions.edge_color_even_circulant(symmetric(12, [2, 4, 6])) is None
+
+
+@pytest.mark.parametrize("n, top", [(10, 3), (30, 10), (42, 12), (46, 14)])
+def test_color_even_dense_never_searches(monkeypatch, n, top):
+    calls = spy_on_search(monkeypatch)
+    res = color_even_dense_circulant(symmetric(n, range(1, top + 1)))
+    assert calls == []
+    assert any(note.endswith("accepted, remainder edge-colored by construction")
+               for note in res.notes)
+
+
+def test_color_even_dense_c46_takes_the_first_subset():
+    spec = symmetric(46, range(1, 15))
+    res = color_even_dense_circulant(spec)
+    assert res.chosen_generators == tuple(range(1, 12))
+    assert res.coloring.colors_used() == 29
+    assert verify_total(build_circulant(spec), res.coloring).ok
 
 
 def test_edge_color_vizing_random_within_bound():

@@ -265,6 +265,28 @@ def test_dimacs_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("text", [
+    # C_5{2, 3}'s five edges under C_5{1, 4}'s comment: same count
+    "c circulant 5 1 4\np edge 5 5\ne 1 3\ne 2 4\ne 3 5\ne 1 4\ne 2 5\n",
+    # differences all in the connection set, but two of C_6{1, 5}'s six edges
+    "c circulant 6 1 5\np edge 6 2\ne 1 2\ne 2 3\n",
+    # a comment of another order
+    "c circulant 4 1 3\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+], ids=["other-differences", "missing-edges", "other-order"])
+def test_dimacs_rejects_a_circulant_comment_that_disagrees(tmp_path, text):
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    with pytest.raises(GraphError, match="circulant comment inconsistent with edge list"):
+        read_dimacs(path)
+
+
+def test_dimacs_circulant_comment_after_the_edges(tmp_path):
+    path = tmp_path / "c6.col"
+    path.write_text("p edge 6 6\n" + "".join("e %d %d\n" % (i + 1, (i + 1) % 6 + 1)
+                                             for i in range(6)) + "c circulant 6 1 5\n")
+    assert read_dimacs(path).rows == build_circulant(CirculantSpec(6, {1, 5})).rows
+
+
 def test_dimacs_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 3 1\ne 1 9\n")
