@@ -73,7 +73,8 @@ def cmd_color(args) -> int:
             print("note: %s rejected: %s" % (name, reason))
         print("auto-selected method: %s" % method)
     else:
-        result_coloring, notes = constructions.METHODS[args.method](G)
+        res = constructions.METHODS[args.method](G)
+        result_coloring, notes = res.coloring, res.notes
 
     # every method returns a coloring that verify_total has accepted
     for note in notes:
@@ -97,6 +98,10 @@ def cmd_verify(args) -> int:
         c = parse_matrix(matrix_from_csv(args.coloring).grid)
     else:
         c = read_coloring(args.coloring)
+    if c.n != G.n:
+        # checked up front: the verifier would report every vertex as missing
+        raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
+                                     % (c.n, G.n))
     report = verify_total(G, c)
     for err in report.coverage_errors:
         print("coverage: %r" % (err,))
@@ -191,7 +196,7 @@ def regenerate_tables(outdir) -> list:
     import os
 
     G = build_unitary(24)
-    res = constructions.color_unitary_even(24)
+    res = constructions.color_unitary_even(G)
     paths = [os.path.join(outdir, name) for name in GOLDEN_TABLES]
     adjacency_matrix_csv(G, paths[0])
     matrix_to_csv(render_matrix(G, res.part1, partial=True), paths[1])
@@ -207,7 +212,10 @@ def cmd_tables(args) -> int:
     paths = regenerate_tables(args.outdir)
     status = EXIT_OK
     for name, path in zip(GOLDEN_TABLES, paths):
-        golden = resources.files("totcol.golden").joinpath(name).read_bytes()
+        try:
+            golden = resources.files("totcol.golden").joinpath(name).read_bytes()
+        except (ModuleNotFoundError, OSError):
+            raise FileNotFoundError("golden table %s is not installed" % name) from None
         mine = pathlib.Path(path).read_bytes()
         if golden == mine:
             print("%s: ok (zero diff)" % name)

@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-# two_factors and factor_edges have no caller here since thm2.5 builds its
-# remainder as a circulant; they stay imported because perfbench/spans.py
-# patches them on this module by name.
+# build_unitary, two_factors and factor_edges have no caller here: every
+# construction takes the graph it is given, and thm2.5 builds its remainder
+# as a circulant.  They stay imported because perfbench/spans.py patches
+# them on this module by name.
 from .graphs import (
     CirculantSpec,
     Graph,
@@ -157,28 +158,30 @@ def starter_search(q: int, diffs) -> Optional[StarterPairing]:
         raise ConstructionError("difference 0 mod q is not pairable")
     if len(diffs) > (q - 1) // 2:
         raise ConstructionError("too many difference requests for modulus %d" % q)
+    # Backtracking on an explicit stack: request len(xs) takes the least x
+    # from x on whose pair is free; on a dead end the last pair goes back
+    # and its request goes on after its x.  used[x - d] is the residue
+    # x - d mod q by negative indexing, and used[0] stays set, so a pair
+    # member is never zero.
     used = [False] * q
-    chosen: list = []
-
-    def rec(i: int) -> bool:
-        if i == len(diffs):
-            return True
-        d = diffs[i]
-        for x in range(1, q):
-            y = (x - d) % q
-            if y == 0 or used[x] or used[y] or x == y:
-                continue
-            used[x] = used[y] = True
-            chosen.append((x, y))
-            if rec(i + 1):
-                return True
-            chosen.pop()
-            used[x] = used[y] = False
-        return False
-
-    if not rec(0):
-        return None
-    entries = tuple((d, pair) for d, pair in zip(diffs, chosen))
+    used[0] = True
+    xs: list = []
+    x = 1
+    while len(xs) < len(diffs):
+        d = diffs[len(xs)]
+        for x in range(x, q):
+            if not used[x] and not used[x - d]:
+                used[x] = used[x - d] = True
+                xs.append(x)
+                x = 1
+                break
+        else:
+            if not xs:
+                return None
+            x = xs.pop()
+            used[x] = used[x - diffs[len(xs)]] = False
+            x += 1
+    entries = tuple((d, (x, (x - d) % q)) for d, x in zip(diffs, xs))
     pairing = StarterPairing(q, entries)
     pairing.validate()
     return pairing
@@ -207,118 +210,115 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
 # Theorem pipelines
 
 
-def color_complete_bipartite(m: int) -> TotalColoring:
-    """Total coloring of the complete bipartite graph on evens vs odds of
-    0..2m-1 (the shape of U_{2^k}) with m+2 colors."""
-    if m < 1:
-        raise ConstructionError("m must be >= 1")
-    c = TotalColoring(2 * m)
+@dataclass
+class ConstructionResult:
+    """A coloring that verify_total has accepted, with the notes that
+    `totcol color` prints for it."""
+
+    coloring: TotalColoring
+    notes: list
+
+
+def color_complete_bipartite(G: Graph) -> ConstructionResult:
+    """thm2.1: total coloring of U_n for n = 2m a power of two, the complete
+    bipartite graph on evens vs odds, with m+2 colors."""
+    _require_power_of_two_unitary(G)
+    m = G.n // 2
+    c = TotalColoring(G.n)
     for i in range(m):
         c.vertex_color[2 * i] = m + 1
         c.vertex_color[2 * i + 1] = m + 2
     for i in range(m):
         for j in range(m):
             c.set_edge(2 * i, 2 * j + 1, ((i + j) % m) + 1)
-    return c
+    return ConstructionResult(_checked(G, c, "color_complete_bipartite(%d)" % m), [])
 
 
 @dataclass
-class UnitaryEvenResult:
-    coloring: TotalColoring
+class UnitaryEvenResult(ConstructionResult):
     part1: TotalColoring
     part2: TotalColoring
-    r: int
-    part1_generators: list
-    part2_generators: list
 
 
-def color_unitary_even(n: int) -> UnitaryEvenResult:
-    """Total coloring of U_n for n = 2^k * m (m odd > 1) with phi(n)+1 colors.
+def color_unitary_even(G: Graph) -> UnitaryEvenResult:
+    """thm2.2: total coloring of U_n for n = 2^k * m (m odd > 1) with
+    phi(n)+1 colors.
 
     Part 1 colors the vertices and the 2-factors of the odd generators below
     r = least prime factor of m, using r colors via the literal even-column
     start rules.  Part 2 gives each remaining generator pair two fresh
     colors, alternating on the parity of the edge's base endpoint.
     """
-    _require_unitary_even(n)
+    _require_unitary_even(G)
+    n = G.n
     m = n
     while m % 2 == 0:
         m //= 2
     r = least_prime_factor(m)
-    G = build_unitary(n)
-    half = G.circulant.half_set()
     part1_gens = [s for s in range(1, r, 2)]
     table = start_entries(r, [s + 1 for s in part1_gens], n)
     part1 = fill_diagonals(n, r, {s: table.start[s + 1] for s in part1_gens})
 
     part2 = TotalColoring(n)
-    part2_gens = [s for s in half if s not in part1_gens]
+    part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
     for p, s in enumerate(part2_gens, start=1):
         c_even, c_odd = r + 2 * p - 1, r + 2 * p
         for i in range(n):
             part2.set_edge(i, (i + s) % n, c_even if i % 2 == 0 else c_odd)
 
-    combined = part1.merged_with(part2)
-    _checked(G, combined, "color_unitary_even(%d)" % n)
-    return UnitaryEvenResult(combined, part1, part2, r, part1_gens, part2_gens)
+    combined = _checked(G, part1.merged_with(part2), "color_unitary_even(%d)" % n)
+    notes = ["part-1 generators %s, part-2 generators %s" % (part1_gens, part2_gens)]
+    return UnitaryEvenResult(combined, notes, part1, part2)
 
 
 @dataclass
-class OddCirculantResult:
-    coloring: TotalColoring
+class OddCirculantResult(ConstructionResult):
     strategy: str  # "literal" or "starter"
-    start_table: Optional[StartEntryTable]
-    pairing: Optional[StarterPairing]
-    notes: list
 
 
-def color_odd_circulant(spec: CirculantSpec) -> OddCirculantResult:
-    """Delta+1 total coloring of an odd circulant whose generators avoid and
-    distinguish the residues mod Delta+1.
+def color_odd_circulant(G: Graph) -> OddCirculantResult:
+    """thm2.3: Delta+1 total coloring of an odd circulant whose generators
+    avoid and distinguish the residues mod Delta+1.
 
     The literal column rules come first; when their coloring has conflicts,
     start values come from an exhaustive starter pairing over the
     generators' difference classes.  result.strategy names the one used.
+    A starter pairing always gives a proper coloring: at vertex i the
+    generator s colors its two edges x_s + i and y_s + i and the vertex
+    takes i (all mod q, plus one); the pairs are disjoint and avoid 0, so
+    these all differ, and adjacent vertices differ since no generator is
+    0 mod q.
     """
+    spec = G.circulant
     _require_odd_circulant(spec)
     n = spec.n
     q = spec.degree + 1
     half = spec.half_set()
-    G = build_circulant(spec)
-    notes: list = []
 
     table = start_entries(q, [s + 1 for s in half], n)
     c = fill_diagonals(n, q, {s: table.start[s + 1] for s in half})
     report = verify_total(G, c)
     if report.ok:
-        return OddCirculantResult(c, "literal", table, None, notes)
-    notes.append("literal rules failed with %d conflicts" % len(report.conflicts))
+        return OddCirculantResult(c, ["strategy used: literal"], "literal")
+    failed = "literal rules failed with %d conflicts" % len(report.conflicts)
 
     pairing = starter_search(q, [s % q for s in half])
     if pairing is None:
-        notes.append("no starter pairing exists")
-    else:
-        starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(half, pairing.entries)}
-        c = fill_diagonals(n, q, starts)
-        if verify_total(G, c).ok:
-            return OddCirculantResult(c, "starter", None, pairing, notes)
-        notes.append("starter coloring failed verification")
-    raise ConstructionError(
-        "both strategies failed for %r: %s" % (spec, "; ".join(notes))
-    )
+        raise ConstructionError("both strategies failed for %r: %s; no starter "
+                                "pairing exists" % (spec, failed))
+    starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(half, pairing.entries)}
+    c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
+    return OddCirculantResult(
+        c, ["strategy used: starter", "starter fallback used", failed], "starter")
 
 
 @dataclass
-class EvenDenseResult:
-    coloring: TotalColoring
+class EvenDenseResult(ConstructionResult):
     chosen_generators: tuple
-    pairing: StarterPairing
-    remainder_colors: int
-    notes: list
 
 
-def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
-    """Delta+1 total coloring for dense circulants with n = 2(2k+1).
+def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
+    """thm2.5: Delta+1 total coloring for dense circulants with n = 2(2k+1).
 
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H with an admissible starter pairing are
@@ -326,22 +326,19 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
     connected and take Delta-2k fresh colors from edge_color_vizing.  The
     remainder is built as the circulant on the other generators; a connected
     one has an odd generator (n is 2 mod 4), so edge_color_vizing colors it
-    by the parity-layer construction, never by search.
+    by the parity-layer construction, never by search.  The first H whose
+    remainder fits the budget gives a proper coloring, as in thm2.3.
     """
+    spec = G.circulant
     _require_even_dense(spec)
     n = spec.n
     q = n // 2
     k = (q - 1) // 2
-    delta = spec.degree
-    G = build_circulant(spec)
     half = spec.half_set()
-    budget = delta - 2 * k
-    notes: list = []
+    budget = spec.degree - 2 * k
     # the antipodal pairing {v, v+n/2} is itself a perfect matching of the
     # complement, so complement connectivity is not needed for this route
-    notes.append(
-        "complement connected: %s" % connected(complement(G))
-    )
+    notes = ["complement connected: %s" % connected(complement(G))]
 
     for H in itertools.combinations(half, k):
         label = "H=%s" % (list(H),)
@@ -365,11 +362,9 @@ def color_even_dense_circulant(spec: CirculantSpec) -> EvenDenseResult:
         c = fill_diagonals(n, q, starts)
         for e, col in rem.edge_color.items():
             c.edge_color[e] = q + col
-        report = verify_total(G, c)
-        if report.ok:
-            notes.append("%s: accepted, remainder edge-colored by %s" % (label, rem.route))
-            return EvenDenseResult(c, H, pairing, budget, notes)
-        notes.append("%s: verification failed (%d conflicts)" % (label, len(report.conflicts)))
+        _checked(G, c, "color_even_dense_circulant")
+        notes.append("%s: accepted, remainder edge-colored by %s" % (label, rem.route))
+        return EvenDenseResult(c, ["chosen generators H = %s" % (list(H),)] + notes, H)
     raise ConstructionError(
         "no admissible generator subset for %r: %s" % (spec, "; ".join(notes))
     )
@@ -641,8 +636,7 @@ def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
 
 
 @dataclass
-class PerfectCayleyResult:
-    coloring: TotalColoring
+class PerfectCayleyResult(ConstructionResult):
     chi: int
     cover: Optional[CliqueCover]
     remainder_colors: int
@@ -651,8 +645,8 @@ class PerfectCayleyResult:
 
 
 def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
-    """TCC-witnessing total coloring of a perfect Cayley graph with odd
-    chromatic number dividing n.
+    """thm2.7: TCC-witnessing total coloring of a perfect Cayley graph with
+    odd chromatic number dividing n.
 
     Complete graphs short-circuit to the odd-clique scheme.  Otherwise the
     vertices get a proper chi-coloring, a disjoint cover by maximum cliques
@@ -664,38 +658,38 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
     delta = G.max_degree
 
     if delta == G.n - 1:  # complete graph
-        c = color_complete_odd(G.n)
-        _checked(G, c, "color_perfect_cayley(complete)")
-        return PerfectCayleyResult(c, chi, None, 0, G.n, True)
+        c, cover, remainder_colors, total = color_complete_odd(G.n), None, 0, G.n
+    else:
+        cover = clique_cover_disjoint(G)
+        if cover is None:
+            raise ConstructionError("no disjoint cover by maximum cliques")
+        if cover.omega != chi:
+            raise ConstructionError(
+                "clique number %d differs from chromatic number %d" % (cover.omega, chi)
+            )
 
-    cover = clique_cover_disjoint(G)
-    if cover is None:
-        raise ConstructionError("no disjoint cover by maximum cliques")
-    if cover.omega != chi:
-        raise ConstructionError(
-            "clique number %d differs from chromatic number %d" % (cover.omega, chi)
-        )
+        half = (chi + 1) // 2  # inverse of 2 mod chi
+        c = TotalColoring(G.n)
+        for v in range(G.n):
+            c.vertex_color[v] = vertex_colors[v]
+        for cl in cover.cliques:
+            pos = {v: ((vertex_colors[v] - 1) * half) % chi for v in cl}
+            for i, u in enumerate(cl):
+                for v in cl[i + 1:]:
+                    c.set_edge(u, v, ((pos[u] + pos[v]) % chi) + 1)
 
-    half = (chi + 1) // 2  # inverse of 2 mod chi
-    c = TotalColoring(G.n)
-    for v in range(G.n):
-        c.vertex_color[v] = vertex_colors[v]
-    for cl in cover.cliques:
-        pos = {v: ((vertex_colors[v] - 1) * half) % chi for v in cl}
-        for i, u in enumerate(cl):
-            for v in cl[i + 1:]:
-                c.set_edge(u, v, ((pos[u] + pos[v]) % chi) + 1)
-
-    clique_edges = set(c.edge_color)
-    rest_edges = [e for e in G.edges() if e not in clique_edges]
-    remainder = subgraph_of_edges(G.n, rest_edges)
-    rem = edge_color_vizing(remainder)
-    for e, col in rem.edge_color.items():
-        c.edge_color[e] = chi + col
+        clique_edges = set(c.edge_color)
+        rest_edges = [e for e in G.edges() if e not in clique_edges]
+        rem = edge_color_vizing(subgraph_of_edges(G.n, rest_edges))
+        for e, col in rem.edge_color.items():
+            c.edge_color[e] = chi + col
+        remainder_colors = rem.colors_used
+        total = chi + remainder_colors
     _checked(G, c, "color_perfect_cayley")
-    total = chi + rem.colors_used
-    type_one = rem.colors_used == delta - chi + 1
-    return PerfectCayleyResult(c, chi, cover, rem.colors_used, total, type_one)
+    type_one = total == delta + 1
+    notes = ["chi = %d, remainder colors = %d, total = %d" % (chi, remainder_colors, total),
+             "type I achieved" if type_one else "type I not certified"]
+    return PerfectCayleyResult(c, notes, chi, cover, remainder_colors, total, type_one)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +708,9 @@ def _require_power_of_two_unitary(G: Graph) -> None:
     _require_unitary(G)
 
 
-def _require_unitary_even(n: int) -> None:
+def _require_unitary_even(G: Graph) -> None:
+    _require_unitary(G)
+    n = G.n
     if n % 2:
         raise PreconditionError("n = %d is odd" % n)
     if n & (n - 1) == 0:
@@ -766,54 +762,16 @@ def _perfect_chromatic(G: Graph):
     return chi, vertex_colors
 
 
-# Each run(G) checks its theorem's preconditions once (PreconditionError) and
-# returns (coloring, notes) with a coloring verify_total has accepted.  The
-# bodies name the constructions, so they use whatever the module attribute
-# holds at call time.
-
-
-def _run_thm21(G: Graph):
-    _require_power_of_two_unitary(G)
-    m = G.n // 2
-    return _checked(G, color_complete_bipartite(m), "color_complete_bipartite(%d)" % m), []
-
-
-def _run_thm22(G: Graph):
-    _require_unitary(G)
-    res = color_unitary_even(G.n)
-    return res.coloring, ["part-1 generators %s, part-2 generators %s"
-                          % (res.part1_generators, res.part2_generators)]
-
-
-def _run_thm23(G: Graph):
-    res = color_odd_circulant(G.circulant)
-    notes = ["strategy used: %s" % res.strategy]
-    if res.strategy == "starter":
-        notes.append("starter fallback used")
-    return res.coloring, notes + res.notes
-
-
-def _run_thm25(G: Graph):
-    res = color_even_dense_circulant(G.circulant)
-    return res.coloring, ["chosen generators H = %s" % (list(res.chosen_generators),)] + res.notes
-
-
-def _run_thm27(G: Graph):
-    res = color_perfect_cayley(G)
-    return res.coloring, [
-        "chi = %d, remainder colors = %d, total = %d"
-        % (res.chi, res.remainder_colors, res.total_colors),
-        "type I achieved" if res.type_one else "type I not certified",
-    ]
-
-
-# In the order color_auto tries them.
-METHODS: Dict[str, Callable[[Graph], tuple]] = {
-    "thm2.1": _run_thm21,
-    "thm2.2": _run_thm22,
-    "thm2.3": _run_thm23,
-    "thm2.5": _run_thm25,
-    "thm2.7": _run_thm27,
+# In the order color_auto tries them.  Each entry checks its theorem's
+# preconditions once (PreconditionError) and returns a ConstructionResult
+# whose coloring verify_total has accepted.  The lambdas name the
+# constructions, so a call uses whatever the module attribute holds then.
+METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
+    "thm2.1": lambda G: color_complete_bipartite(G),
+    "thm2.2": lambda G: color_unitary_even(G),
+    "thm2.3": lambda G: color_odd_circulant(G),
+    "thm2.5": lambda G: color_even_dense_circulant(G),
+    "thm2.7": lambda G: color_perfect_cayley(G),
 }
 
 
@@ -825,10 +783,10 @@ def color_auto(G: Graph):
     rejected = []
     for name, run in METHODS.items():
         try:
-            coloring, notes = run(G)
+            res = run(G)
         except PreconditionError as exc:
             rejected.append((name, str(exc)))
             continue
-        return name, coloring, notes, rejected
+        return name, res.coloring, res.notes, rejected
     raise ConstructionError("no method applies: %s"
                             % "; ".join("%s: %s" % r for r in rejected))

@@ -60,7 +60,7 @@ def test_criterion_01_table_reproduction(tmp_path, monkeypatch):
 
 def test_criterion_02_even_unitary_color_counts():
     for n in (6, 12, 18, 24, 36, 48):
-        res, elapsed = timed(1.0, color_unitary_even, n)
+        res, elapsed = timed(1.0, color_unitary_even, build_unitary(n))
         rep = verify_total(build_unitary(n), res.coloring)
         ok = rep.ok and rep.colors_used == totient(n) + 1
         assert ok, "n=%d: %d colors, clean=%s" % (n, rep.colors_used, rep.ok)
@@ -70,7 +70,7 @@ def test_criterion_02_even_unitary_color_counts():
 
 def test_criterion_03_u8_exact():
     G = build_unitary(8)
-    c = color_complete_bipartite(4)
+    c = color_complete_bipartite(G).coloring
     assert verify_total(G, c).ok and c.colors_used() == 6
     res, elapsed = timed(300.0, exact_total_chromatic, G, SearchBudget(max_colors=8))
     ok = res.status == "exact" and res.value == 6 == 2 ** (3 - 1) + 2
@@ -89,7 +89,7 @@ def test_criterion_04_u9_type1():
 
 def test_criterion_05_starter_fallback_21():
     spec = CirculantSpec(21, {1, 3, 4, 17, 18, 20})
-    res, elapsed = timed(10.0, color_odd_circulant, spec)
+    res, elapsed = timed(10.0, color_odd_circulant, build_circulant(spec))
     G = build_circulant(spec)
     rep = verify_total(G, res.coloring)
     classes_ok = all(
@@ -104,7 +104,7 @@ def test_criterion_05_starter_fallback_21():
 
 def test_criterion_06_literal_rules_21():
     spec = CirculantSpec(21, {1, 2, 3, 18, 19, 20})
-    res, elapsed = timed(1.0, color_odd_circulant, spec)
+    res, elapsed = timed(1.0, color_odd_circulant, build_circulant(spec))
     rep = verify_total(build_circulant(spec), res.coloring)
     ok = rep.ok and rep.colors_used == 7 and res.strategy == "literal"
     report(6, ok, "(21,{1,2,3,18,19,20}) colored with 7 colors by the "
@@ -113,12 +113,12 @@ def test_criterion_06_literal_rules_21():
 
 def test_criterion_07_even_dense_with_negative_control():
     spec = CirculantSpec(10, {1, 2, 3, 7, 8, 9})
-    res, elapsed = timed(10.0, color_even_dense_circulant, spec)
+    res, elapsed = timed(10.0, color_even_dense_circulant, build_circulant(spec))
     rep = verify_total(build_circulant(spec), res.coloring)
     ok = rep.ok and rep.colors_used == spec.degree + 1 == 7
     ok = ok and len(res.chosen_generators) == 2 and res.notes
 
-    control = color_even_dense_circulant(CirculantSpec(10, {1, 3, 4, 6, 7, 9}))
+    control = color_even_dense_circulant(build_circulant(CirculantSpec(10, {1, 3, 4, 6, 7, 9})))
     rep2 = verify_total(build_circulant(CirculantSpec(10, {1, 3, 4, 6, 7, 9})),
                         control.coloring)
     ok = ok and rep2.ok and 4 in control.chosen_generators
@@ -188,7 +188,7 @@ def _random_even_dense_instances(rng, count):
         half = rng.sample(pool, size)
         spec = CirculantSpec(n, set(half) | {n - s for s in half})
         try:
-            color_even_dense_circulant(spec)
+            color_even_dense_circulant(build_circulant(spec))
         except ConstructionError:
             continue  # budget-infeasible sample; resample
         out.append(spec)
@@ -200,23 +200,23 @@ def test_criterion_10a_randomized_instances_verify():
     count = 0
 
     for n in (2, 4, 8, 16, 32, 64):
-        c = color_complete_bipartite(n // 2)
+        c = color_complete_bipartite(build_unitary(n)).coloring
         assert verify_total(build_unitary(n), c).ok
         count += 1
     for n in range(6, 62, 2):
         if n & (n - 1) == 0:
             continue
-        res = color_unitary_even(n)
+        res = color_unitary_even(build_unitary(n))
         rep = verify_total(build_unitary(n), res.coloring)
         assert rep.ok and rep.colors_used == totient(n) + 1, n
         count += 1
     for spec in _random_odd_instances(rng, 140):
-        res = color_odd_circulant(spec)
+        res = color_odd_circulant(build_circulant(spec))
         rep = verify_total(build_circulant(spec), res.coloring)
         assert rep.ok and rep.colors_used == spec.degree + 1, spec
         count += 1
     for spec in _random_even_dense_instances(rng, 200 - count):
-        res = color_even_dense_circulant(spec)
+        res = color_even_dense_circulant(build_circulant(spec))
         rep = verify_total(build_circulant(spec), res.coloring)
         assert rep.ok and rep.colors_used == spec.degree + 1, spec
         count += 1
@@ -235,13 +235,16 @@ def test_criterion_10b_start_entry_identity():
 
 def test_criterion_10c_oracle_vs_construction():
     cases = [
-        (build_unitary(6), color_unitary_even(6).coloring.colors_used(), True),
-        (build_unitary(8), color_complete_bipartite(4).colors_used(), True),
+        (build_unitary(6), color_unitary_even(build_unitary(6)).coloring.colors_used(), True),
+        (build_unitary(8), color_complete_bipartite(build_unitary(8)).coloring.colors_used(),
+         True),
         (build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20})),
-         color_odd_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20})).coloring.colors_used(),
+         color_odd_circulant(build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20})))
+         .coloring.colors_used(),
          True),
         (build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})),
-         color_odd_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})).coloring.colors_used(),
+         color_odd_circulant(build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})))
+         .coloring.colors_used(),
          True),
     ]
     for G, constructed, expect_equal in cases:
@@ -261,8 +264,8 @@ def test_criterion_10d_byte_determinism(tmp_path):
         d.mkdir()
         G = build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20}))
         write_dimacs(G, d / "g.col")
-        write_coloring(color_odd_circulant(G.circulant).coloring, d / "c.tc")
-        write_coloring(color_unitary_even(24).coloring, d / "u24.tc")
+        write_coloring(color_odd_circulant(G).coloring, d / "c.tc")
+        write_coloring(color_unitary_even(build_unitary(24)).coloring, d / "u24.tc")
         from totcol.cli import regenerate_tables
 
         regenerate_tables(d)

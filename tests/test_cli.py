@@ -13,6 +13,7 @@ import totcol
 from totcol import cli, coloring, constructions, oracles
 from totcol.cli import main
 from totcol.coloring import matrix_from_csv, matrix_to_csv, read_coloring
+from totcol.graphs import CirculantSpec
 
 
 def run(argv, cwd, monkeypatch):
@@ -24,6 +25,17 @@ def test_gen_and_tables_zero_diff(tmp_path, monkeypatch):
     assert run(["gen", "unitary", "24"], tmp_path, monkeypatch) == 0
     assert (tmp_path / "unitary_24.col").exists()
     assert run(["tables", "--outdir", tmp_path], tmp_path, monkeypatch) == 0
+
+
+def test_tables_without_the_golden_data_exits_4(tmp_path, monkeypatch, capsys):
+    # an install that lacks the golden/*.csv package data
+    def missing(package):
+        raise ModuleNotFoundError("No module named %r" % package)
+
+    monkeypatch.setattr(cli.resources, "files", missing)
+    assert run(["tables", "--outdir", tmp_path], tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err == (
+        "input error: golden table table1_adjacency.csv is not installed\n")
 
 
 def test_color_verify_cycle(tmp_path, monkeypatch):
@@ -94,6 +106,34 @@ def test_color_exits_1_when_a_construction_emits_conflicts(tmp_path, monkeypatch
     assert err.startswith("verification: FAILED")
     assert "Traceback" not in err
     assert not (tmp_path / "coloring.tc").exists()
+
+
+def _spy_on_builds(monkeypatch):
+    built = []
+    for name in ("build_circulant", "build_unitary"):
+        def spy(arg, name=name, original=getattr(constructions, name)):
+            built.append((name, arg))
+            return original(arg)
+
+        monkeypatch.setattr(constructions, name, spy)
+    return built
+
+
+@pytest.mark.parametrize("gen, method, builds", [
+    (["unitary", 30], "thm2.2", []),
+    (["circulant", 21, 1, 2, 3, 18, 19, 20], "thm2.3", []),
+    # the remainder of the accepted H = (1..7), then its even layer
+    (["circulant", 30, *range(1, 11), *range(20, 30)], "thm2.5",
+     [("build_circulant", CirculantSpec(30, {8, 9, 10, 20, 21, 22})),
+      ("build_circulant", CirculantSpec(15, {4, 5, 10, 11}))]),
+], ids=["U_30", "C_21", "C_30"])
+def test_color_builds_nothing_for_the_input_graph(tmp_path, monkeypatch, capsys,
+                                                  gen, method, builds):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    built = _spy_on_builds(monkeypatch)
+    assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    assert "auto-selected method: %s" % method in capsys.readouterr().out
+    assert built == builds
 
 
 def test_color_help_has_no_strategy_option(capsys):
@@ -211,6 +251,23 @@ def test_verify_rejects_an_oversized_problem_line_quickly(tmp_path, header):
     assert proc.returncode == 4
     assert proc.stderr.startswith("input error: line 1: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name, text", [("one.tc", "t 1 1\nv 0 1\n"), ("one.csv", ",0\n0,1\n")],
+                         ids=["tc", "csv"])
+def test_verify_rejects_a_coloring_of_another_size_quickly(tmp_path, name, text):
+    # a one-vertex coloring against 2^20 vertices once printed 1 048 578 lines
+    (tmp_path / "big.col").write_text("p edge 1048576 0\n")
+    (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli", "verify", "big.col", name],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 4
+    assert proc.stderr == "input error: the coloring has 1 vertices, the graph 1048576\n"
     assert proc.stdout == ""
 
 

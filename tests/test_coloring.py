@@ -70,7 +70,7 @@ def greedy_total_coloring(G):
 
 def test_verify_table4_coloring_clean():
     G = build_unitary(24)
-    res = color_unitary_even(24)
+    res = color_unitary_even(G)
     report = verify_total(G, res.coloring)
     assert report.ok
     assert report.colors_used == 9
@@ -85,7 +85,7 @@ def test_verify_k1():
 
 def test_verify_detects_recolored_edge():
     G = build_unitary(24)
-    res = color_unitary_even(24)
+    res = color_unitary_even(G)
     assert res.coloring.vertex_color[0] == 1
     corrupted = TotalColoring(24, dict(res.coloring.vertex_color),
                               dict(res.coloring.edge_color))
@@ -222,7 +222,7 @@ def test_star_check_reports_every_pair_of_a_repeated_color():
 
 
 def test_color_count_examples():
-    assert color_unitary_even(24).coloring.colors_used() == 9
+    assert color_unitary_even(build_unitary(24)).coloring.colors_used() == 9
     assert TotalColoring(1, {0: 1}, {}).colors_used() == 1
     k3 = TotalColoring(3, {0: 1, 1: 2, 2: 3}, {(0, 1): 3, (1, 2): 1, (0, 2): 2})
     assert k3.colors_used() == 3
@@ -248,7 +248,7 @@ def test_residue_classes_independent_iff_no_generator_divisible():
 
 def test_matrix_round_trip_u24():
     G = build_unitary(24)
-    c = color_unitary_even(24).coloring
+    c = color_unitary_even(G).coloring
     m = render_matrix(G, c)
     back = parse_matrix(m.grid)
     assert back.vertex_color == c.vertex_color
@@ -290,7 +290,7 @@ def test_parse_matrix_rejects_asymmetric():
 
 
 def test_coloring_file_round_trip(tmp_path):
-    c = color_unitary_even(24).coloring
+    c = color_unitary_even(build_unitary(24)).coloring
     path = tmp_path / "u24.tc"
     write_coloring(c, path)
     back = read_coloring(path)
@@ -304,7 +304,7 @@ def test_coloring_file_round_trip(tmp_path):
 
 def test_matrix_csv_round_trip(tmp_path):
     G = build_unitary(24)
-    m = render_matrix(G, color_unitary_even(24).coloring)
+    m = render_matrix(G, color_unitary_even(G).coloring)
     path = tmp_path / "m.csv"
     matrix_to_csv(m, path)
     back = matrix_from_csv(path)

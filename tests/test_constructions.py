@@ -146,6 +146,12 @@ def test_starter_search_deterministic():
     assert a == b
 
 
+def test_starter_search_runs_deeper_than_the_recursion_limit():
+    # 1001 requests: one level each, well past the default limit of 1000
+    p = starter_search(2003, [1] * 1001)
+    assert p.entries == tuple((1, (2 * k + 2, 2 * k + 1)) for k in range(1001))
+
+
 def test_starter_pairing_validity_random():
     rng = random.Random(23)
     for _ in range(30):
@@ -180,7 +186,7 @@ def test_fill_diagonals_c6_total_coloring():
 
 def test_fill_diagonals_starter_starts_distinct_at_vertex_zero():
     spec = CirculantSpec(21, {1, 3, 4, 17, 18, 20})
-    res = color_odd_circulant(spec)
+    res = color_odd_circulant(build_circulant(spec))
     incident = [res.coloring.edge_color[ekey(0, u)]
                 for u in build_circulant(spec).neighbors(0)]
     assert len(incident) == len(set(incident))
@@ -191,14 +197,14 @@ def test_fill_diagonals_starter_starts_distinct_at_vertex_zero():
 
 
 def test_color_complete_bipartite_u8():
-    c = color_complete_bipartite(4)
+    c = color_complete_bipartite(build_unitary(8)).coloring
     G = build_unitary(8)
     report = verify_total(G, c)
     assert report.ok and report.colors_used == 6  # 2^(3-1) + 2
 
 
 def test_color_complete_bipartite_single_edge():
-    c = color_complete_bipartite(1)
+    c = color_complete_bipartite(build_unitary(2)).coloring
     G = subgraph_of_edges(2, [(0, 1)])
     report = verify_total(G, c)
     assert report.ok and report.colors_used == 3
@@ -207,7 +213,7 @@ def test_color_complete_bipartite_single_edge():
 def test_color_complete_bipartite_c4_is_optimal():
     from totcol.oracles import exact_total_chromatic
 
-    c = color_complete_bipartite(2)
+    c = color_complete_bipartite(build_unitary(4)).coloring
     G = build_unitary(4)
     report = verify_total(G, c)
     assert report.ok and report.colors_used == 4
@@ -216,7 +222,7 @@ def test_color_complete_bipartite_c4_is_optimal():
 
 def test_color_unitary_even_counts():
     for n in (6, 12, 18, 24, 36, 48, 10, 20):
-        res = color_unitary_even(n)
+        res = color_unitary_even(build_unitary(n))
         report = verify_total(build_unitary(n), res.coloring)
         assert report.ok
         assert report.colors_used == totient(n) + 1
@@ -224,13 +230,13 @@ def test_color_unitary_even_counts():
 
 def test_color_unitary_even_rejects_bad_inputs():
     with pytest.raises(ConstructionError):
-        color_unitary_even(9)
+        color_unitary_even(build_unitary(9))
     with pytest.raises(ConstructionError):
-        color_unitary_even(16)  # power of two belongs to the bipartite case
+        color_unitary_even(build_unitary(16))  # power of two belongs to the bipartite case
 
 
 def test_color_odd_circulant_literal_instance():
-    res = color_odd_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20}))
+    res = color_odd_circulant(build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20})))
     assert res.strategy == "literal"
     assert res.coloring.colors_used() == 7
     assert verify_total(build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20})),
@@ -239,7 +245,7 @@ def test_color_odd_circulant_literal_instance():
 
 def test_color_odd_circulant_starter_fallback():
     spec = CirculantSpec(21, {1, 3, 4, 17, 18, 20})
-    res = color_odd_circulant(spec)
+    res = color_odd_circulant(build_circulant(spec))
     assert res.strategy == "starter"
     assert res.coloring.colors_used() == 7
     assert verify_total(build_circulant(spec), res.coloring).ok
@@ -249,27 +255,29 @@ def test_color_odd_circulant_starter_fallback():
 
 
 def test_color_odd_circulant_literal_strategy_fails_on_example():
-    res = color_odd_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20}))
+    res = color_odd_circulant(build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})))
     assert res.strategy == "starter"
-    m = re.fullmatch(r"literal rules failed with (\d+) conflicts", res.notes[0])
+    note = next(n for n in res.notes if n.startswith("literal rules failed"))
+    m = re.fullmatch(r"literal rules failed with (\d+) conflicts", note)
     assert m and int(m.group(1)) > 0
 
 
 def test_color_odd_circulant_k3():
-    res = color_odd_circulant(CirculantSpec(3, {1, 2}))
+    res = color_odd_circulant(build_circulant(CirculantSpec(3, {1, 2})))
     assert res.coloring.colors_used() == 3
 
 
 def test_color_odd_circulant_preconditions():
     with pytest.raises(ConstructionError):
-        color_odd_circulant(CirculantSpec(10, {1, 9}))  # even n
+        color_odd_circulant(build_circulant(CirculantSpec(10, {1, 9})))  # even n
     with pytest.raises(ConstructionError):
-        color_odd_circulant(CirculantSpec(21, {3, 18}))  # generator divisible by q=3
+        # generator divisible by q=3
+        color_odd_circulant(build_circulant(CirculantSpec(21, {3, 18})))
 
 
 def test_color_even_dense_primary_instance():
     spec = CirculantSpec(10, {1, 2, 3, 7, 8, 9})
-    res = color_even_dense_circulant(spec)
+    res = color_even_dense_circulant(build_circulant(spec))
     assert res.coloring.colors_used() == 7
     assert res.chosen_generators == (1, 2)
     assert verify_total(build_circulant(spec), res.coloring).ok
@@ -278,7 +286,7 @@ def test_color_even_dense_primary_instance():
 
 def test_color_even_dense_negative_control_needs_generator_4():
     spec = CirculantSpec(10, {1, 3, 4, 6, 7, 9})
-    res = color_even_dense_circulant(spec)
+    res = color_even_dense_circulant(build_circulant(spec))
     assert 4 in res.chosen_generators
     assert res.coloring.colors_used() == 7
     assert verify_total(build_circulant(spec), res.coloring).ok
@@ -290,23 +298,23 @@ def test_color_even_dense_negative_control_needs_generator_4():
 def test_color_even_dense_accepts_class_one_remainder():
     # the remainder {8, 9, 10} of H = [1..7] is connected, so class 1 (Stong)
     spec = CirculantSpec(30, set(range(1, 11)) | set(range(20, 30)))
-    res = color_even_dense_circulant(spec)
+    res = color_even_dense_circulant(build_circulant(spec))
     assert res.chosen_generators == (1, 2, 3, 4, 5, 6, 7)
     assert verify_total(build_circulant(spec), res.coloring).ok
 
 
 def test_color_even_dense_small():
     spec = CirculantSpec(6, {1, 2, 4, 5})
-    res = color_even_dense_circulant(spec)
+    res = color_even_dense_circulant(build_circulant(spec))
     assert res.coloring.colors_used() == 5
     assert verify_total(build_circulant(spec), res.coloring).ok
 
 
 def test_color_even_dense_preconditions():
     with pytest.raises(ConstructionError):
-        color_even_dense_circulant(CirculantSpec(8, {1, 2, 6, 7}))  # n = 0 mod 4
+        color_even_dense_circulant(build_circulant(CirculantSpec(8, {1, 2, 6, 7})))  # n = 0 mod 4
     with pytest.raises(ConstructionError):
-        color_even_dense_circulant(CirculantSpec(10, {1, 2, 5, 8, 9}))  # n/2 in S
+        color_even_dense_circulant(build_circulant(CirculantSpec(10, {1, 2, 5, 8, 9})))  # n/2 in S
 
 
 def test_color_complete_odd():
@@ -415,7 +423,7 @@ def test_edge_color_even_circulant_needs_even_order_and_an_odd_generator():
 @pytest.mark.parametrize("n, top", [(10, 3), (30, 10), (42, 12), (46, 14)])
 def test_color_even_dense_never_searches(monkeypatch, n, top):
     calls = spy_on_search(monkeypatch)
-    res = color_even_dense_circulant(symmetric(n, range(1, top + 1)))
+    res = color_even_dense_circulant(build_circulant(symmetric(n, range(1, top + 1))))
     assert calls == []
     assert any(note.endswith("accepted, remainder edge-colored by construction")
                for note in res.notes)
@@ -423,7 +431,7 @@ def test_color_even_dense_never_searches(monkeypatch, n, top):
 
 def test_color_even_dense_c46_takes_the_first_subset():
     spec = symmetric(46, range(1, 15))
-    res = color_even_dense_circulant(spec)
+    res = color_even_dense_circulant(build_circulant(spec))
     assert res.chosen_generators == tuple(range(1, 12))
     assert res.coloring.colors_used() == 29
     assert verify_total(build_circulant(spec), res.coloring).ok
@@ -502,12 +510,15 @@ def test_color_perfect_cayley_rejects_c9():
 
 
 def test_constructions_are_deterministic(tmp_path):
+    c21 = CirculantSpec(21, {1, 3, 4, 17, 18, 20})
+    c10 = CirculantSpec(10, {1, 2, 3, 7, 8, 9})
     pairs = [
-        (color_unitary_even(24).coloring, color_unitary_even(24).coloring),
-        (color_odd_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})).coloring,
-         color_odd_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})).coloring),
-        (color_even_dense_circulant(CirculantSpec(10, {1, 2, 3, 7, 8, 9})).coloring,
-         color_even_dense_circulant(CirculantSpec(10, {1, 2, 3, 7, 8, 9})).coloring),
+        (color_unitary_even(build_unitary(24)).coloring,
+         color_unitary_even(build_unitary(24)).coloring),
+        (color_odd_circulant(build_circulant(c21)).coloring,
+         color_odd_circulant(build_circulant(c21)).coloring),
+        (color_even_dense_circulant(build_circulant(c10)).coloring,
+         color_even_dense_circulant(build_circulant(c10)).coloring),
     ]
     for i, (a, b) in enumerate(pairs):
         pa, pb = tmp_path / ("a%d" % i), tmp_path / ("b%d" % i)
@@ -518,6 +529,20 @@ def test_constructions_are_deterministic(tmp_path):
 
 # ---------------------------------------------------------------------------
 # method registry
+
+
+def test_color_auto_looks_up_each_construction_when_called(monkeypatch):
+    calls = []
+    original = constructions.color_odd_circulant
+
+    def spy(G):
+        calls.append(G)
+        return original(G)
+
+    monkeypatch.setattr(constructions, "color_odd_circulant", spy)
+    G = build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20}))
+    assert color_auto(G)[0] == "thm2.3"
+    assert calls == [G]
 
 
 def test_method_rejection_reason_is_the_constructions_error():
@@ -536,7 +561,7 @@ def test_method_rejection_reason_is_the_constructions_error():
         outcome = {}  # name -> the ConstructionError raised, or None
         for name, run in METHODS.items():
             try:
-                coloring, notes = run(G)
+                coloring = run(G).coloring
             except ConstructionError as exc:
                 outcome[name] = exc
                 continue

@@ -266,7 +266,7 @@ def test_oracle_not_above_construction():
     from totcol.constructions import color_odd_circulant, color_unitary_even
 
     cases = [
-        (build_unitary(6), color_unitary_even(6).coloring),
+        (build_unitary(6), color_unitary_even(build_unitary(6)).coloring),
         (build_circulant(CirculantSpec(9, {1, 2, 4, 5, 7, 8})),
          None),  # U_9 handled above
     ]
