@@ -774,6 +774,16 @@ METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
     "thm2.7": lambda G: color_perfect_cayley(G),
 }
 
+# The methods whose theorem gives Delta+1 colors, so that their verified
+# coloring proves the graph type I; oracles.classify_type tries them, in this
+# order, before any search.  thm2.2: U_n with n even and not a power of two
+# takes phi(n)+1 colors (Theorem 2.2).  thm2.3: an odd circulant whose
+# generators avoid and distinguish the residues mod Delta+1, with Delta+1
+# dividing n (Theorem 2.3).  thm2.5: a circulant with n = 2 mod 4,
+# n/2 <= Delta < n-1 and no generator n/2 (Theorem 2.5).  thm2.1 and thm2.7
+# give Delta+2 colors.
+TYPE_ONE = ("thm2.2", "thm2.3", "thm2.5")
+
 
 def color_auto(G: Graph):
     """Run the first method whose preconditions hold on G: (name, coloring,

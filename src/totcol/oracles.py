@@ -470,22 +470,54 @@ class Classification:
     nodes: int  # search nodes only
     conformability_steps: int
     lower_evidence: str  # a key of LOWER_EVIDENCE
+    upper_evidence: Optional[str]  # the construction's method name, "search", or None
     detail: str
+
+
+def _type_one_certificate(G: Graph):
+    """(method, coloring) from the first constructions.TYPE_ONE method that
+    gives G a Delta+1 total coloring, or None when none does.  The method has
+    verified the coloring; a VerificationFailure propagates."""
+    # constructions imports this module at module level, so a module-level
+    # import of it here would be circular
+    from . import constructions
+
+    for name in constructions.TYPE_ONE:
+        try:
+            coloring = constructions.METHODS[name](G).coloring
+        except constructions.ConstructionError:
+            continue
+        if coloring.colors_used() == G.max_degree + 1:
+            return name, coloring
+    return None
 
 
 def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classification:
     """Type I (a Delta+1 certificate), type II (chi'' >= Delta+2 plus a
     Delta+2 certificate), or inconclusive with the spent budget.
 
-    This is exact_total_chromatic capped at Delta+2 colors, so the lower
+    The upper bound comes first from the paper's Delta+1 theorems
+    (constructions.TYPE_ONE): when Delta+1 is within max_colors, a verified
+    Delta+1 coloring proves type I against the star clique, with no search.
+    The constructions run outside the budget: they spend no node and do not
+    watch the time limit.  Otherwise
+    this is exact_total_chromatic capped at Delta+2 colors, so the lower
     bound Delta+2 of a type II graph comes from conformability when the
     graph is regular and not conformable with Delta+1 classes (Chetwynd-
     Hilton: a type I regular graph is conformable), and from an exhausted
     Delta+1 search otherwise.  Irregular graphs always take the search.
-    `lower_evidence` and `detail` say which evidence closed the bound.
+    `lower_evidence`, `upper_evidence` and `detail` say which evidence
+    closed each bound.
     """
     budget = budget or SearchBudget()
     delta = G.max_degree
+    found = _type_one_certificate(G) if delta + 1 <= budget.max_colors else None
+    if found is not None:
+        method, coloring = found
+        detail = "lower bound by clique: %s; Delta+1 certificate by construction %s" % (
+            LOWER_EVIDENCE["clique"], method)
+        return Classification("type1", delta, coloring, delta + 1, 0, 0, "clique",
+                              method, detail)
     capped = SearchBudget(
         max_colors=min(budget.max_colors, delta + 2),
         node_limit=budget.node_limit,
@@ -495,10 +527,11 @@ def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classifica
     why = "%s: %s" % (res.lower_evidence, LOWER_EVIDENCE[res.lower_evidence])
     if res.status == "exact":
         kind = "type1" if res.value == delta + 1 else "type2"
+        upper = "search"
         detail = "lower bound by %s; Delta+%d certificate found by search" % (
             why, res.value - delta)
     else:
-        kind = "inconclusive"
+        kind, upper = "inconclusive", None
         detail = "budget exhausted; lower bound Delta+%d by %s" % (res.lower_bound - delta, why)
     return Classification(kind, delta, res.coloring, res.value, res.nodes,
-                          res.conformability_steps, res.lower_evidence, detail)
+                          res.conformability_steps, res.lower_evidence, upper, detail)

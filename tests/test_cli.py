@@ -316,6 +316,25 @@ def test_classify_out_of_budget_exits_3_without_traceback(tmp_path, monkeypatch)
     assert "Traceback" not in proc.stderr
 
 
+def test_classify_by_construction_spends_no_budget(tmp_path, monkeypatch, capsys):
+    # thm2.3 closes C_21's upper bound; the oracle stays the pure search
+    run(["gen", "circulant", "21", "1", "3", "4", "17", "18", "20", "-o", "c21.col"],
+        tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["classify", "c21.col", "--node-limit", "1", "-o", "cert.tc"],
+               tmp_path, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "classification: TypeI"
+    evidence = [line for line in lines if line.startswith("evidence: ")]
+    assert evidence == ["evidence: lower bound by clique: the star of a maximum-degree "
+                        "vertex is a clique of Delta+1 items; Delta+1 certificate by "
+                        "construction thm2.3 (0 nodes, 0 conformability steps)"]
+    assert run(["verify", "c21.col", "cert.tc"], tmp_path, monkeypatch) == 0
+    capsys.readouterr()
+    assert run(["oracle", "c21.col", "--what", "total-chromatic"], tmp_path, monkeypatch) == 0
+    assert "total chromatic number: 7 (lower bound 7, 1771 nodes)" in capsys.readouterr().out
+
+
 def test_z9_lower_bound_comes_from_conformability(tmp_path, monkeypatch, capsys):
     run(["gen", "circulant", "9", "1", "2", "3", "6", "7", "8", "-o", "z9.col"],
         tmp_path, monkeypatch)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from totcol import oracles
+from totcol import constructions, oracles
 from totcol.coloring import read_coloring, verify_total, write_coloring
 from totcol.graphs import CirculantSpec, build_circulant, build_unitary, subgraph_of_edges
 from totcol.oracles import (
@@ -148,14 +148,63 @@ def test_classify_c5_type2():
     assert res.value == 4
 
 
-@pytest.mark.parametrize("G, nodes", [
-    (build_unitary(8), 2257),
-    (build_unitary(9), 4166),
-    (build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20})), 1771),
+C_21 = build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20}))
+C_10 = build_circulant(CirculantSpec(10, {1, 2, 3, 7, 8, 9}))
+
+
+@pytest.mark.parametrize("solve, G, nodes", [
+    (classify_type, build_unitary(8), 2257),
+    (classify_type, build_unitary(9), 4166),
+    # thm2.3 classifies C_21 with no search; the oracle still searches it
+    (exact_total_chromatic, C_21, 1771),
 ], ids=["U_8", "U_9", "C_21"])
-def test_classify_search_tree_is_pinned(G, nodes):
+def test_classify_search_tree_is_pinned(solve, G, nodes):
     # the branching order fixes the tree: a change to it changes these counts
-    assert classify_type(G).nodes == nodes
+    assert solve(G).nodes == nodes
+
+
+def test_classify_takes_the_upper_bound_from_a_construction():
+    res = classify_type(C_21, SearchBudget(node_limit=1))
+    assert res.kind == "type1" and res.value == 7
+    assert res.nodes == 0 and res.conformability_steps == 0
+    assert res.lower_evidence == "clique" and res.upper_evidence == "thm2.3"
+    assert res.detail.endswith("; Delta+1 certificate by construction thm2.3")
+    report = verify_total(C_21, res.certificate)
+    assert report.ok and report.colors_used == 7
+
+
+@pytest.mark.parametrize("G, method", [(C_21, "thm2.3"), (C_10, "thm2.5")],
+                         ids=["C_21", "C_10"])
+def test_classify_by_construction_does_not_search(G, method, monkeypatch):
+    def spy(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracles, "_solve_list_coloring", spy)
+    assert classify_type(G).upper_evidence == method
+
+
+def test_classify_falls_back_to_search_when_the_construction_fails(monkeypatch):
+    def fails(G):
+        raise constructions.ConstructionError("no pairing")
+
+    monkeypatch.setattr(constructions, "color_odd_circulant", fails)
+    res = classify_type(C_21)
+    assert res.kind == "type1" and res.upper_evidence == "search"
+    assert res.nodes == 1771
+
+
+def test_classify_lets_a_construction_verification_failure_through(monkeypatch):
+    def invalid(G):
+        raise constructions.VerificationFailure("invalid", None)
+
+    monkeypatch.setattr(constructions, "color_odd_circulant", invalid)
+    with pytest.raises(constructions.VerificationFailure):
+        classify_type(C_21)
+
+
+def test_classify_keeps_the_color_cap_on_the_construction_path():
+    res = classify_type(C_21, SearchBudget(max_colors=6))
+    assert res.kind == "inconclusive" and res.upper_evidence is None
 
 
 def test_classify_inconclusive_on_tiny_budget():
@@ -260,6 +309,24 @@ def test_nonconformable_circulants_have_no_delta_plus_1_total_coloring():
         assert status == ("budget" if (n, half) in _DEEP else "unsat"), (n, half)
         nonconformable.append((n, half))
     assert len(nonconformable) == 19 and _DEEP <= set(nonconformable)
+
+
+def test_type_one_theorems_agree_with_the_search():
+    # every circulant with n <= 12 that thm2.2, thm2.3 or thm2.5 covers
+    covered = 0
+    for n, half, G in _circulants(12):
+        for name in constructions.TYPE_ONE:
+            try:
+                constructions.METHODS[name](G)
+            except constructions.ConstructionError:
+                continue
+            delta = G.regular_degree
+            assert exact_total_chromatic(G).value == delta + 1, (n, half)
+            res = classify_type(G)
+            assert (res.kind, res.nodes, res.upper_evidence) == ("type1", 0, name), (n, half)
+            covered += 1
+            break
+    assert covered == 17
 
 
 def test_oracle_not_above_construction():
