@@ -67,16 +67,19 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("gen, verifications", [
-    (["unitary", 24], 1),
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], 2),  # literal rules, then the starter
-], ids=["U_24", "C_21-starter-fallback"])
-def test_color_verifies_once(tmp_path, monkeypatch, gen, verifications):
+@pytest.mark.parametrize("gen, output, verifications", [
+    (["unitary", 24], ["-o", "g.tc"], 1),
+    # literal rules, then the starter
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], ["-o", "g.tc"], 2),
+    # render_matrix checks coverage through verify_total unless partial=True
+    (["unitary", 24], ["--format", "csv-matrix", "-o", "g.csv"], 1),
+], ids=["U_24", "C_21-starter-fallback", "U_24-csv-matrix"])
+def test_color_verifies_once(tmp_path, monkeypatch, gen, output, verifications):
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
     counts = {}
     for module in (cli, coloring, constructions, oracles):
         _count_calls(monkeypatch, module, "verify_total", counts)
-    assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    assert run(["color", "g.col"] + output, tmp_path, monkeypatch) == 0
     assert counts == {"verify_total": verifications}
 
 
@@ -222,11 +225,19 @@ def test_oracle_bad_input_exit_4(tmp_path, monkeypatch, capsys, argv):
     ("bad.col", "c x\np edge 3 2\ne 1 2\ne 2 1\n", ["color", "bad.col"], "line 4: "),
     ("bad.tc", "t 3 2\nv 0 x\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
     ("bad.tc", "t 3 2\ne 0 1\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
+    ("bad.tc", "t 3 3\nv 0 1\nv 1 2\nv 0 3\n", ["verify", "k3.col", "bad.tc"],
+     "line 4: repeated vertex 0"),
+    # edge {0, 1} takes vertex 0's color, then a later line recolors it
+    ("bad.tc", "t 3 3\nv 0 1\nv 1 2\nv 2 3\ne 0 1 1\ne 1 2 1\ne 0 2 2\ne 1 0 3\n",
+     ["verify", "k3.col", "bad.tc"], "line 8: repeated edge (0, 1)"),
+    ("bad.tc", "t 3 3\nv 0 1\nt 3 3\n", ["verify", "k3.col", "bad.tc"],
+     "line 3: repeated `t` header"),
     ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
      "line 3: "),
     ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
-        "tc-token", "tc-field-count", "csv-token", "grp-token"])
+        "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
+        "tc-repeated-header", "csv-token", "grp-token"])
 def test_malformed_input_exit_4_names_the_line(tmp_path, monkeypatch, capsys,
                                                name, text, argv, message):
     run(["gen", "circulant", "3", "1", "2", "-o", "k3.col"], tmp_path, monkeypatch)

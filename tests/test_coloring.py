@@ -169,14 +169,15 @@ def pairwise_verify_total(G, c):
 
 def corrupted_coloring(rng, G):
     """A proper total coloring of G with random damage: recolored vertices
-    and edges, missing vertices and edges, non-edges, out-of-range vertices
-    and, now and then, the wrong vertex count."""
+    and edges, missing vertices and edges, non-edges, out-of-range vertices,
+    keys that are no edge (reversed, out of range, self-loops, length 3),
+    edges whose color is None and, now and then, the wrong vertex count."""
     c = greedy_total_coloring(G)
     top = max([*c.vertex_color.values(), *c.edge_color.values(), 1])
     damage = rng.randint(0, 6)
     edges = sorted(c.edge_color)
     for _ in range(damage):
-        kind = rng.randrange(6)
+        kind = rng.randrange(11)
         if kind == 0 and edges:
             c.edge_color[rng.choice(edges)] = rng.randint(1, top)
         elif kind == 1:
@@ -189,8 +190,22 @@ def corrupted_coloring(rng, G):
             u, v = rng.randrange(G.n), rng.randrange(G.n)
             if u != v and not G.has_edge(u, v):
                 c.set_edge(u, v, rng.randint(1, top))
-        else:
+        elif kind == 5:
             c.vertex_color[rng.choice([-1, G.n, G.n + 5])] = rng.randint(1, top)
+        elif kind == 6 and edges:
+            u, v = rng.choice(edges)
+            c.edge_color[(v, u)] = rng.randint(1, top)
+        elif kind == 7:
+            u = rng.randrange(G.n)
+            key = rng.choice([(u, G.n), (-1, u), (u, G.n + 3), (G.n, G.n + 2)])
+            c.edge_color[key] = rng.randint(1, top)
+        elif kind == 8:
+            u = rng.randrange(G.n)
+            c.edge_color[(u, u)] = rng.randint(1, top)
+        elif kind == 9 and edges:
+            c.edge_color[rng.choice(edges) + (0,)] = rng.randint(1, top)
+        elif kind == 10 and edges:
+            c.edge_color[rng.choice(edges)] = None
     if rng.random() < 0.05:
         c.n += 1
     return c
@@ -198,17 +213,24 @@ def corrupted_coloring(rng, G):
 
 def test_star_check_matches_pairwise_reference():
     rng = random.Random(41)
-    flagged = 0
-    for _ in range(300):
+    flagged = odd_keys = 0
+    for trial in range(600):
         n = rng.randint(2, 39)
-        half = [s for s in range(1, n // 2 + 1) if rng.random() < 0.35]
-        G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
+        if trial % 2:
+            G = random_graph(rng, min(n, 16), rng.random())
+        else:
+            half = [s for s in range(1, n // 2 + 1) if rng.random() < 0.35]
+            G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
         c = corrupted_coloring(rng, G)
         report = verify_total(G, c)
         assert (report.conflicts, report.coverage_errors, report.colors_used) == \
             pairwise_verify_total(G, c)
         flagged += any(x[0] == "edge-edge" for x in report.conflicts)
+        odd_keys += any(x[0] == "non-edge" and (len(x[1]) != 2
+                                                or not 0 <= x[1][0] < x[1][1] < G.n)
+                        for x in report.coverage_errors)
     assert flagged >= 50  # the damage does reach the star check
+    assert odd_keys >= 50  # and keys that are not (u, v) with u < v < n
 
 
 def test_star_check_reports_every_pair_of_a_repeated_color():
