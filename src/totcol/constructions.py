@@ -10,6 +10,7 @@ differences.  Every pipeline ends in verify_total and fails loudly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -192,7 +193,10 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
     {i, i+s} of generator s gets ((start_s - 1 + i) mod q) + 1.
 
     starts maps each half-set generator s (1 <= s < n/2) to its start value
-    in 1..q.  Validity is the verifier's business, not this function's.
+    in 1..q.  This function does not check that the coloring is proper:
+    when q divides n, _star_conflicts decides that on the star of vertex 0
+    in O(Delta), and every coloring a construction returns goes through
+    verify_total.
     """
     c = TotalColoring(n)
     for v in range(n):
@@ -204,6 +208,32 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
         for i in range(n):
             c.set_edge(i, (i + s) % n, ((a - 1 + i) % q) + 1)
     return c
+
+
+def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
+    """Conflicts at vertex 0 of fill_diagonals(n, q, starts), for odd n
+    with q dividing n and no generator 0 mod q.
+
+    Vertex 0 has color 1, the edge {0, s} color a_s and the edge {n-s, 0}
+    color ((a_s - 1 - s) mod q) + 1 (this uses q | n).  The count is the
+    edges of color 1 plus C(k, 2) for each color that k edges share.
+
+    Translation invariance.  Vertex v has color (v mod q) + 1 and the edge
+    {i, i+s} color ((a_s - 1 + i) mod q) + 1.  Since q | n these depend on
+    v and i mod q only, so the translation i -> i+1 maps the coloring onto
+    itself with every color c replaced by (c mod q) + 1.  Every conflict
+    has one witness vertex: the shared endpoint of two edges (distinct
+    edges of a simple graph share at most one), or the vertex of a
+    vertex-edge pair.  A vertex-vertex conflict cannot occur: adjacent
+    vertices differ by a generator, which is not 0 mod q.  So the conflicts
+    witnessed at each vertex are those at 0, shifted; the coloring is
+    proper exactly when this count is 0, and verify_total reports n times
+    it.
+    """
+    colors = []
+    for s, a in starts.items():
+        colors += [a, (a - 1 - s) % q + 1]
+    return colors.count(1) + sum(k * (k - 1) // 2 for k in Counter(colors).values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +310,12 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     """thm2.3: Delta+1 total coloring of an odd circulant whose generators
     avoid and distinguish the residues mod Delta+1.
 
-    The literal column rules come first; when their coloring has conflicts,
-    start values come from an exhaustive starter pairing over the
-    generators' difference classes.  result.strategy names the one used.
+    The literal column rules come first.  Whether their coloring is proper
+    is decided on the star of vertex 0 in O(Delta) (_star_conflicts); when
+    it has conflicts, start values come from an exhaustive starter pairing
+    over the generators' difference classes.  Only the coloring returned is
+    built, and verify_total checks it in full.  result.strategy names the
+    strategy used.
     A starter pairing always gives a proper coloring: at vertex i the
     generator s colors its two edges x_s + i and y_s + i and the vertex
     takes i (all mod q, plus one); the pairs are disjoint and avoid 0, so
@@ -296,11 +329,12 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     half = spec.half_set()
 
     table = start_entries(q, [s + 1 for s in half], n)
-    c = fill_diagonals(n, q, {s: table.start[s + 1] for s in half})
-    report = verify_total(G, c)
-    if report.ok:
+    literal = {s: table.start[s + 1] for s in half}
+    conflicts = _star_conflicts(q, literal)
+    if not conflicts:
+        c = _checked(G, fill_diagonals(n, q, literal), "color_odd_circulant")
         return OddCirculantResult(c, ["strategy used: literal"], "literal")
-    failed = "literal rules failed with %d conflicts" % len(report.conflicts)
+    failed = "literal rules failed with %d conflicts" % (n * conflicts)
 
     pairing = starter_search(q, [s % q for s in half])
     if pairing is None:
@@ -723,6 +757,8 @@ def _require_odd_circulant(spec: Optional[CirculantSpec]) -> None:
     n, q = spec.n, spec.degree + 1
     if n % 2 == 0:
         raise PreconditionError("n = %d is even" % n)
+    if q == 1:
+        raise PreconditionError("Delta = 0: no generators")
     if n % q:
         raise PreconditionError("Delta+1 = %d does not divide n = %d" % (q, n))
     for s in sorted(spec.connection):

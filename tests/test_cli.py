@@ -69,11 +69,13 @@ def _count_calls(monkeypatch, module, name, counts):
 
 @pytest.mark.parametrize("gen, output, verifications", [
     (["unitary", 24], ["-o", "g.tc"], 1),
-    # literal rules, then the starter
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], ["-o", "g.tc"], 2),
+    # the literal rules are decided on vertex 0's star; only the starter
+    # coloring is verified
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], ["-o", "g.tc"], 1),
+    (["circulant", 21, 1, 2, 3, 18, 19, 20], ["-o", "g.tc"], 1),
     # render_matrix checks coverage through verify_total unless partial=True
     (["unitary", 24], ["--format", "csv-matrix", "-o", "g.csv"], 1),
-], ids=["U_24", "C_21-starter-fallback", "U_24-csv-matrix"])
+], ids=["U_24", "C_21-starter-fallback", "C_21-literal", "U_24-csv-matrix"])
 def test_color_verifies_once(tmp_path, monkeypatch, gen, output, verifications):
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
     counts = {}
@@ -81,6 +83,21 @@ def test_color_verifies_once(tmp_path, monkeypatch, gen, output, verifications):
         _count_calls(monkeypatch, module, "verify_total", counts)
     assert run(["color", "g.col"] + output, tmp_path, monkeypatch) == 0
     assert counts == {"verify_total": verifications}
+
+
+@pytest.mark.parametrize("generators, strategy", [
+    ([1, 3, 4, 17, 18, 20], "starter"),
+    ([1, 2, 3, 18, 19, 20], "literal"),
+], ids=["starter", "literal"])
+def test_thm23_fills_only_the_coloring_it_returns(tmp_path, monkeypatch, capsys,
+                                                 generators, strategy):
+    run(["gen", "circulant", 21] + generators + ["-o", "g.col"], tmp_path, monkeypatch)
+    counts = {}
+    _count_calls(monkeypatch, constructions, "fill_diagonals", counts)
+    capsys.readouterr()
+    assert run(["color", "g.col", "--method", "thm2.3"], tmp_path, monkeypatch) == 0
+    assert "note: strategy used: %s" % strategy in capsys.readouterr().out.splitlines()
+    assert counts == {"fill_diagonals": 1}
 
 
 def test_auto_checks_thm27_preconditions_once(tmp_path, monkeypatch, capsys):
@@ -187,6 +204,20 @@ def test_auto_picks_method_and_reports_rejections(tmp_path, monkeypatch, capsys,
     rejected = [line.split()[1] for line in out if " rejected: " in line]
     assert rejected == earlier
     assert "verification: clean" in out
+
+
+@pytest.mark.parametrize("text", ["c circulant 5\np edge 5 0\n", "p edge 5 0\n"],
+                         ids=["circulant-comment", "plain"])
+def test_edgeless_graph_is_colored_with_one_color(tmp_path, monkeypatch, capsys, text):
+    # an edgeless circulant passes thm2.3's divisibility checks with q = 1,
+    # and must be rejected as a precondition so that auto moves on to thm2.7
+    (tmp_path / "e.col").write_text(text)
+    assert run(["color", "e.col", "-o", "e.tc"], tmp_path, monkeypatch) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "auto-selected method: thm2.7" in out
+    assert read_coloring(tmp_path / "e.tc").colors_used() == 1
+    assert run(["verify", "e.col", "e.tc"], tmp_path, monkeypatch) == 0
+    assert "verification: clean" in capsys.readouterr().out.splitlines()
 
 
 def test_auto_without_method_exits_2_with_every_reason(tmp_path, monkeypatch, capsys):

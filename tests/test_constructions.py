@@ -259,7 +259,48 @@ def test_color_odd_circulant_literal_strategy_fails_on_example():
     assert res.strategy == "starter"
     note = next(n for n in res.notes if n.startswith("literal rules failed"))
     m = re.fullmatch(r"literal rules failed with (\d+) conflicts", note)
-    assert m and int(m.group(1)) > 0
+    # what verify_total reports on the literal fill: 21 stars of 2 conflicts
+    assert m and int(m.group(1)) == 42
+
+
+def admissible_odd_circulants():
+    """Seeded half-sets of odd circulants (n <= 99, |half| <= 5) that pass
+    thm2.3's preconditions, at most 10 per (n, Delta)."""
+    rng = random.Random(11)
+    out = []
+    for n in range(3, 100, 2):
+        for k in range(1, min(5, n // 2) + 1):
+            q = 2 * k + 1
+            if n % q:
+                continue
+            found = set()
+            for _ in range(30):
+                half = tuple(sorted(rng.sample(range(1, n // 2 + 1), k)))
+                if len({s % q for s in half} - {0}) == k:
+                    found.add(half)
+                if len(found) == 10:
+                    break
+            out += [(n, half) for half in sorted(found)]
+    return out
+
+
+def test_star_conflicts_match_verify_total():
+    # The literal starts are 1 + s/2 mod q, so their edges at vertex 0
+    # never take vertex 0's color; random starts check that count too.
+    rng = random.Random(12)
+    proper = {"literal": 0, "random": 0}
+    for n, half in admissible_odd_circulants():
+        q = 2 * len(half) + 1
+        table = start_entries(q, [s + 1 for s in half], n)
+        G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
+        for kind, starts in [("literal", {s: table.start[s + 1] for s in half}),
+                             ("random", {s: rng.randint(1, q) for s in half})]:
+            report = verify_total(G, fill_diagonals(n, q, starts))
+            star = constructions._star_conflicts(q, starts)
+            assert report.ok == (star == 0), (n, half, starts)
+            assert len(report.conflicts) == n * star, (n, half, starts)
+            proper[kind] += report.ok
+    assert proper["literal"] >= 100 and proper["random"] >= 20
 
 
 def test_color_odd_circulant_k3():
