@@ -35,7 +35,7 @@ from .constructions import (
     clique_cover_disjoint,
     edge_color_vizing,
     fill_diagonals,
-    start_entries,
+    patterned_starts,
     starter_search,
 )
 from .oracles import (

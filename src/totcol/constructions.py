@@ -2,22 +2,23 @@
 
 The common engine is the diagonal-filling scheme: vertices take the repeating
 pattern 1..q along the labels, and each generator's 2-factor takes a cyclic
-edge pattern offset by a per-generator start value.  Start values come either
-from the literal column rules (start_entries) or from an exhaustive starter
-search that partitions the nonzero residues mod q into pairs with prescribed
-differences.  Every pipeline ends in verify_total and fails loudly.
+edge pattern offset by a per-generator start value.  Start values come from
+one rule, the patterned starter (patterned_starts), which is the paper's
+column rules in closed form.  Two generators clash only when they are
+negatives mod q; then an exhaustive starter search partitions the nonzero
+residues mod q into pairs with prescribed differences.  Every pipeline ends
+in verify_total and fails loudly.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-# build_unitary, two_factors and factor_edges have no caller here: every
-# construction takes the graph it is given, and thm2.5 builds its remainder
-# as a circulant.  They stay imported because perfbench/spans.py patches
-# them on this module by name.
+# build_unitary, complement, two_factors and factor_edges have no caller
+# here: every construction takes the graph it is given.  They stay imported
+# because perfbench/spans.py patches them on this module by name.
 from .graphs import (
     CirculantSpec,
     Graph,
@@ -69,54 +70,31 @@ def _checked(G: Graph, c: TotalColoring, what: str) -> TotalColoring:
     return c
 
 
-def _rho(x: int, q: int) -> int:
-    """Map a mod-q value into 1..q, with 0 standing for q."""
-    r = x % q
-    return r if r else q
-
-
 # ---------------------------------------------------------------------------
-# Start entries and starter pairings
+# Start values and starter pairings
 
 
-@dataclass(frozen=True)
-class StartEntryTable:
-    """First-row start values a_j per used column j, plus the forced wrap
-    values at column n+2-j.  Modulus q is odd; start(j) - wrap(j) = j-1 (mod q).
-    """
+def patterned_starts(q: int, gens) -> Dict[int, int]:
+    """Start values of the patterned starter: generator s starts at
+    1 + s/2 mod q, in 1..q, where s/2 = s(q+1)/2 mod q (q odd).
 
-    q: int
-    columns: tuple
-    start: dict
-    wrap: dict
+    These are the paper's column rules.  Generator s fills column j = s + 1
+    of the first row: odd j starts at 2 + (j-3)/2 = 1 + s/2, even j at
+    (q+1)/2 + (j-2)/2 + 1 = 1 + (q+s)/2, mod q with 0 read as q, and
+    (q+s)/2 - s(q+1)/2 = -q(s-1)/2 is 0 mod q.
 
-
-def start_entries(q: int, J, n: int) -> StartEntryTable:
-    """Literal column rules for the first row of the color matrix.
-
-    Column 1 is the diagonal (value 1); odd columns j > 1 start at
-    2 + (j-3)/2, even columns at (q+1)/2 + (j-2)/2 + 1, all mod q with 0
-    read as q.  Wrap values are the forced entries at column n+2-j.
+    In fill_diagonals with q | n, the edges {0, s} and {n-s, 0} take 1 + s/2
+    and 1 - s/2: vertex 0's star holds the pair {s/2, -s/2}, plus one, for
+    each s, the patterned starter (R. C. Mullin and E. Nemeth, Canad. Math.
+    Bull. 12, 1969; J. H. Dinitz and D. R. Stinson, "Room squares and
+    related designs", 1992).  As 2 is a unit mod q, the pairs are disjoint
+    and avoid vertex 0's color 1 unless a generator is 0 mod q or two are
+    equal or negatives mod q; _star_conflicts counts those clashes.
     """
     if q < 3 or q % 2 == 0:
         raise ConstructionError("modulus q must be odd and >= 3")
-    columns = tuple(sorted(int(j) for j in J))
-    for j in columns:
-        if not (1 <= j <= n // 2 + 1):
-            raise ConstructionError("column %d outside 1..floor(n/2)+1" % j)
-    start = {}
-    wrap = {}
-    for j in columns:
-        if j == 1:
-            start[j] = 1
-            wrap[j] = 1
-        elif j % 2 == 1:
-            start[j] = _rho(2 + (j - 3) // 2, q)
-            wrap[j] = _rho(q - (j - 3) // 2, q)
-        else:
-            start[j] = _rho((q + 1) // 2 + (j - 2) // 2 + 1, q)
-            wrap[j] = _rho((q + 1) // 2 - (j - 2) // 2, q)
-    return StartEntryTable(q, columns, start, wrap)
+    half = (q + 1) // 2
+    return {s: s * half % q + 1 for s in gens}
 
 
 @dataclass(frozen=True)
@@ -211,8 +189,8 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
 
 
 def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
-    """Conflicts at vertex 0 of fill_diagonals(n, q, starts), for odd n
-    with q dividing n and no generator 0 mod q.
+    """Conflicts at vertex 0 of fill_diagonals(n, q, starts), for q
+    dividing n and no generator 0 mod q or n/2.
 
     Vertex 0 has color 1, the edge {0, s} color a_s and the edge {n-s, 0}
     color ((a_s - 1 - s) mod q) + 1 (this uses q | n).  The count is the
@@ -234,6 +212,21 @@ def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
     for s, a in starts.items():
         colors += [a, (a - 1 - s) % q + 1]
     return colors.count(1) + sum(k * (k - 1) // 2 for k in Counter(colors).values())
+
+
+def _diagonal_starts(q: int, gens) -> Tuple[Optional[Dict[int, int]], int]:
+    """(starts, conflicts) for fill_diagonals(n, q, starts) with q | n, where
+    conflicts is _star_conflicts of the patterned starts.  starts are the
+    patterned starts when that is 0; otherwise the starts x + 1 of
+    starter_search's pairs (x, x - s), which are disjoint and avoid 0, so
+    every star is proper; None when no pairing exists."""
+    starts = patterned_starts(q, gens)
+    conflicts = _star_conflicts(q, starts)
+    if conflicts:
+        pairing = starter_search(q, [s % q for s in gens])
+        starts = None if pairing is None else {
+            s: x % q + 1 for s, (d, (x, y)) in zip(gens, pairing.entries)}
+    return starts, conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +268,10 @@ def color_unitary_even(G: Graph) -> UnitaryEvenResult:
     phi(n)+1 colors.
 
     Part 1 colors the vertices and the 2-factors of the odd generators below
-    r = least prime factor of m, using r colors via the literal even-column
-    start rules.  Part 2 gives each remaining generator pair two fresh
-    colors, alternating on the parity of the edge's base endpoint.
+    r = least prime factor of m, using r colors via patterned_starts: the
+    generators are odd and below r, so no two of them sum to r.  Part 2
+    gives each remaining generator pair two fresh colors, alternating on
+    the parity of the edge's base endpoint.
     """
     _require_unitary_even(G)
     n = G.n
@@ -286,8 +280,7 @@ def color_unitary_even(G: Graph) -> UnitaryEvenResult:
         m //= 2
     r = least_prime_factor(m)
     part1_gens = [s for s in range(1, r, 2)]
-    table = start_entries(r, [s + 1 for s in part1_gens], n)
-    part1 = fill_diagonals(n, r, {s: table.start[s + 1] for s in part1_gens})
+    part1 = fill_diagonals(n, r, patterned_starts(r, part1_gens))
 
     part2 = TotalColoring(n)
     part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
@@ -310,17 +303,12 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     """thm2.3: Delta+1 total coloring of an odd circulant whose generators
     avoid and distinguish the residues mod Delta+1.
 
-    The literal column rules come first.  Whether their coloring is proper
-    is decided on the star of vertex 0 in O(Delta) (_star_conflicts); when
-    it has conflicts, start values come from an exhaustive starter pairing
-    over the generators' difference classes.  Only the coloring returned is
-    built, and verify_total checks it in full.  result.strategy names the
-    strategy used.
-    A starter pairing always gives a proper coloring: at vertex i the
-    generator s colors its two edges x_s + i and y_s + i and the vertex
-    takes i (all mod q, plus one); the pairs are disjoint and avoid 0, so
-    these all differ, and adjacent vertices differ since no generator is
-    0 mod q.
+    The start values come from _diagonal_starts: the patterned starter,
+    which is the paper's literal column rules, when vertex 0's star shows no
+    conflict (decided in O(Delta) by _star_conflicts), and otherwise an
+    exhaustive starter pairing over the generators' difference classes.
+    Only the coloring returned is built, and verify_total checks it in full.
+    result.strategy names the strategy used ("literal" or "starter").
     """
     spec = G.circulant
     _require_odd_circulant(spec)
@@ -328,19 +316,14 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     q = spec.degree + 1
     half = spec.half_set()
 
-    table = start_entries(q, [s + 1 for s in half], n)
-    literal = {s: table.start[s + 1] for s in half}
-    conflicts = _star_conflicts(q, literal)
+    starts, conflicts = _diagonal_starts(q, half)
     if not conflicts:
-        c = _checked(G, fill_diagonals(n, q, literal), "color_odd_circulant")
+        c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
         return OddCirculantResult(c, ["strategy used: literal"], "literal")
     failed = "literal rules failed with %d conflicts" % (n * conflicts)
-
-    pairing = starter_search(q, [s % q for s in half])
-    if pairing is None:
+    if starts is None:
         raise ConstructionError("both strategies failed for %r: %s; no starter "
                                 "pairing exists" % (spec, failed))
-    starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(half, pairing.entries)}
     c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
     return OddCirculantResult(
         c, ["strategy used: starter", "starter fallback used", failed], "starter")
@@ -355,7 +338,7 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
     """thm2.5: Delta+1 total coloring for dense circulants with n = 2(2k+1).
 
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
-    color).  k half-set generators H with an admissible starter pairing are
+    color).  k half-set generators H, with starts from _diagonal_starts, are
     colored diagonally with 2k+1 colors; the remainder G - E(H) must stay
     connected and take Delta-2k fresh colors from edge_color_vizing.  The
     remainder is built as the circulant on the other generators; a connected
@@ -370,14 +353,12 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
     k = (q - 1) // 2
     half = spec.half_set()
     budget = spec.degree - 2 * k
-    # the antipodal pairing {v, v+n/2} is itself a perfect matching of the
-    # complement, so complement connectivity is not needed for this route
-    notes = ["complement connected: %s" % connected(complement(G))]
+    notes = []
 
     for H in itertools.combinations(half, k):
         label = "H=%s" % (list(H),)
-        pairing = starter_search(q, [s % q for s in H])
-        if pairing is None:
+        starts, conflicts = _diagonal_starts(q, H)
+        if starts is None:
             notes.append("%s: no starter pairing" % label)
             continue
         rest = [s for s in half if s not in H]
@@ -392,12 +373,12 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
                 % (label, rem.colors_used, rem.route, budget)
             )
             continue
-        starts = {s: _rho(x + 1, q) for s, (d, (x, y)) in zip(H, pairing.entries)}
         c = fill_diagonals(n, q, starts)
         for e, col in rem.edge_color.items():
             c.edge_color[e] = q + col
         _checked(G, c, "color_even_dense_circulant")
-        notes.append("%s: accepted, remainder edge-colored by %s" % (label, rem.route))
+        notes.append("%s: accepted, starter %s, remainder edge-colored by %s"
+                     % (label, "search" if conflicts else "patterned", rem.route))
         return EvenDenseResult(c, ["chosen generators H = %s" % (list(H),)] + notes, H)
     raise ConstructionError(
         "no admissible generator subset for %r: %s" % (spec, "; ".join(notes))

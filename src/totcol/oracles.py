@@ -329,9 +329,13 @@ class CliqueStats:
 
 def maximal_cliques(G: Graph) -> CliqueStats:
     """All maximal cliques via pivoting enumeration, with clique-number and
-    count statistics."""
+    count statistics.  The enumeration runs on an explicit stack, so no
+    clique size reaches Python's recursion limit."""
     out: list = []
     nbr = [set(G.neighbors(v)) for v in range(G.n)]
+    # A frame: clique, candidates, excluded, and the branch vertices left
+    # (the candidates outside the pivot's neighborhood).
+    stack: list = []
 
     def expand(clique, candidates, excluded):
         if not candidates and not excluded:
@@ -339,13 +343,20 @@ def maximal_cliques(G: Graph) -> CliqueStats:
             return
         pivot_pool = candidates | excluded
         pivot = max(pivot_pool, key=lambda u: (len(candidates & nbr[u]), -u))
-        for v in sorted(candidates - nbr[pivot]):
-            expand(clique + [v], candidates & nbr[v], excluded & nbr[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        stack.append((clique, candidates, excluded,
+                      iter(sorted(candidates - nbr[pivot]))))
 
     if G.n:
         expand([], set(range(G.n)), set())
+    while stack:
+        clique, candidates, excluded, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        expand(clique + [v], candidates & nbr[v], excluded & nbr[v])
+        candidates.discard(v)
+        excluded.add(v)
     out.sort()
     omega = max((len(c) for c in out), default=0)
     maximum_count = sum(1 for c in out if len(c) == omega)

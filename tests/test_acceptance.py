@@ -6,14 +6,15 @@ import random
 import time
 
 from totcol.cli import main as cli_main
-from totcol.coloring import verify_total, write_coloring
+from totcol.coloring import ekey, verify_total, write_coloring
 from totcol.constructions import (
     ConstructionError,
     color_complete_bipartite,
     color_even_dense_circulant,
     color_odd_circulant,
     color_unitary_even,
-    start_entries,
+    fill_diagonals,
+    patterned_starts,
 )
 from totcol.graphs import (
     CirculantSpec,
@@ -226,10 +227,15 @@ def test_criterion_10a_randomized_instances_verify():
 
 
 def test_criterion_10b_start_entry_identity():
+    # on the coloring: generator s = j - 1 colors {0, s} with start(j) and
+    # the wrap edge {n-s, 0} with wrap(j)
     for q in range(3, 102, 2):
-        table = start_entries(q, range(1, (q + 1) // 2 + 1), 3 * q)
-        for j in table.columns:
-            assert (table.start[j] - table.wrap[j]) % q == (j - 1) % q, (q, j)
+        n = 3 * q
+        gens = range(1, (q + 1) // 2 + 1)
+        c = fill_diagonals(n, q, patterned_starts(q, gens))
+        for s in gens:
+            start, wrap = c.edge_color[ekey(0, s)], c.edge_color[ekey(n - s, 0)]
+            assert (start - wrap) % q == s % q, (q, s)
     report(10, True, "(b) start(j)-wrap(j) = j-1 (mod q) for every odd q <= 101")
 
 

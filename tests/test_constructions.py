@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -20,7 +21,7 @@ from totcol.constructions import (
     color_unitary_even,
     edge_color_vizing,
     fill_diagonals,
-    start_entries,
+    patterned_starts,
     starter_search,
 )
 from totcol.graphs import (
@@ -73,47 +74,70 @@ def symmetric(n, half):
 # start entries and starter pairings
 
 
+def wraps(n, q, starts):
+    """The color of the edge {n-s, 0} of each generator s in fill_diagonals."""
+    c = fill_diagonals(n, q, starts)
+    return {s: c.edge_color[ekey(n - s, 0)] for s in starts}
+
+
+def column_rule(q, s):
+    """The paper's literal column rules for generator s, column j = s + 1:
+    (start, wrap), mod q with 0 read as q.  The reference for
+    patterned_starts and for fill_diagonals' edge {n-s, 0}."""
+    j = s + 1
+    if j % 2:
+        start, wrap = 2 + (j - 3) // 2, q - (j - 3) // 2
+    else:
+        start, wrap = (q + 1) // 2 + (j - 2) // 2 + 1, (q + 1) // 2 - (j - 2) // 2
+    return (start - 1) % q + 1, (wrap - 1) % q + 1
+
+
 def test_start_entries_q3_table_values():
-    t = start_entries(3, {1, 2}, 24)
-    assert t.start[2] == 3
-    assert t.wrap[2] == 2
+    starts = patterned_starts(3, [1])
+    assert starts == {1: 3}
+    assert wraps(24, 3, starts) == {1: 2}
 
 
 def test_start_entries_q7_columns_2_3_4():
-    t = start_entries(7, {2, 3, 4}, 21)
-    assert (t.start[2], t.start[3], t.start[4]) == (5, 2, 6)
-    assert (t.wrap[2], t.wrap[3], t.wrap[4]) == (4, 7, 3)
-    palette = [1] + [t.start[j] for j in (2, 3, 4)] + [t.wrap[j] for j in (2, 3, 4)]
+    starts = patterned_starts(7, [1, 2, 3])
+    assert starts == {1: 5, 2: 2, 3: 6}
+    assert wraps(21, 7, starts) == {1: 4, 2: 7, 3: 3}
+    palette = [1] + list(starts.values()) + list(wraps(21, 7, starts).values())
     assert sorted(palette) == list(range(1, 8))
 
 
 def test_start_entries_column_one():
+    # column 1 is the diagonal, generator 0: vertex 0's color
     for q in (3, 7, 11):
-        assert start_entries(q, {1}, 4 * q).start[1] == 1
+        assert patterned_starts(q, [0]) == {0: 1}
 
 
 def test_start_entries_difference_identity_all_q():
-    # start(j) - wrap(j) = j - 1 (mod q), every odd q up to 101
+    # the column rules, start and wrap, for every generator 1..q, every odd
+    # q up to 101; start(j) - wrap(j) = j - 1 (mod q)
     for q in range(3, 102, 2):
-        n = 2 * q
-        cols = range(1, n // 2 + 2)
-        t = start_entries(q, cols, n)
-        for j in cols:
-            assert (t.start[j] - t.wrap[j]) % q == (j - 1) % q
+        n = 3 * q
+        gens = range(1, q + 1)
+        starts = patterned_starts(q, gens)
+        wrap = wraps(n, q, starts)
+        for s in gens:
+            assert (starts[s], wrap[s]) == column_rule(q, s), (q, s)
+            assert (starts[s] - wrap[s]) % q == s % q
 
 
 def test_start_entries_cover_all_colors_for_even_column_sets():
-    # Columns {1} + evens 2..r-1 must produce the full palette 1..r
+    # thm2.2's part 1, the odd generators below r, fills the palette 1..r
     for r in ODD_PRIMES:
-        cols = [1] + list(range(2, r, 2))
-        t = start_entries(r, cols, 2 * r)
-        palette = [1] + [t.start[j] for j in cols[1:]] + [t.wrap[j] for j in cols[1:]]
+        starts = patterned_starts(r, range(1, r, 2))
+        palette = [1] + list(starts.values()) + list(wraps(2 * r, r, starts).values())
         assert sorted(palette) == list(range(1, r + 1))
 
 
 def test_start_entries_rejects_even_modulus():
     with pytest.raises(ConstructionError):
-        start_entries(4, {1, 2}, 8)
+        patterned_starts(4, [1, 2])
+    with pytest.raises(ConstructionError):
+        patterned_starts(1, [])
 
 
 def test_starter_search_examples():
@@ -285,15 +309,14 @@ def admissible_odd_circulants():
 
 
 def test_star_conflicts_match_verify_total():
-    # The literal starts are 1 + s/2 mod q, so their edges at vertex 0
+    # The patterned starts are 1 + s/2 mod q, so their edges at vertex 0
     # never take vertex 0's color; random starts check that count too.
     rng = random.Random(12)
     proper = {"literal": 0, "random": 0}
     for n, half in admissible_odd_circulants():
         q = 2 * len(half) + 1
-        table = start_entries(q, [s + 1 for s in half], n)
         G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
-        for kind, starts in [("literal", {s: table.start[s + 1] for s in half}),
+        for kind, starts in [("literal", patterned_starts(q, half)),
                              ("random", {s: rng.randint(1, q) for s in half})]:
             report = verify_total(G, fill_diagonals(n, q, starts))
             star = constructions._star_conflicts(q, starts)
@@ -461,13 +484,49 @@ def test_edge_color_even_circulant_needs_even_order_and_an_odd_generator():
     assert constructions.edge_color_even_circulant(symmetric(12, [2, 4, 6])) is None
 
 
-@pytest.mark.parametrize("n, top", [(10, 3), (30, 10), (42, 12), (46, 14)])
+def spy_on_starter_search(monkeypatch):
+    calls = []
+    search = constructions.starter_search
+
+    def spy(q, diffs):
+        calls.append((q, list(diffs)))
+        return search(q, diffs)
+
+    monkeypatch.setattr(constructions, "starter_search", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, top", [(10, 3), (30, 10), (42, 12), (46, 14),
+                                    (74, 21), (502, 128)])
 def test_color_even_dense_never_searches(monkeypatch, n, top):
+    # no edge-coloring search and no starter search: the patterned starts
+    # serve every H inside 1..k
     calls = spy_on_search(monkeypatch)
-    res = color_even_dense_circulant(build_circulant(symmetric(n, range(1, top + 1))))
-    assert calls == []
-    assert any(note.endswith("accepted, remainder edge-colored by construction")
-               for note in res.notes)
+    starter_calls = spy_on_starter_search(monkeypatch)
+    spec = symmetric(n, range(1, top + 1))
+    res = color_even_dense_circulant(build_circulant(spec))
+    assert calls == [] and starter_calls == []
+    assert any(note.endswith("accepted, starter patterned, remainder edge-colored by "
+                             "construction") for note in res.notes)
+    report = verify_total(build_circulant(spec), res.coloring)
+    assert report.ok and report.colors_used == spec.degree + 1
+
+
+def test_color_even_dense_searches_when_patterned_starts_clash(monkeypatch, tmp_path):
+    # H = [3, 4, 6] holds 3 = -4 mod 7, so its starts come from
+    # starter_search's least pairing; the digest pins the .tc bytes
+    starter_calls = spy_on_starter_search(monkeypatch)
+    spec = symmetric(14, [3, 4, 5, 6])
+    res = color_even_dense_circulant(build_circulant(spec))
+    assert res.chosen_generators == (3, 4, 6)
+    assert "H=[3, 4, 6]: accepted, starter search, remainder edge-colored by " \
+        "construction" in res.notes
+    assert starter_calls == [(7, [3, 4, 5]), (7, [3, 4, 6])]
+    assert {s: res.coloring.edge_color[(0, s)] for s in (3, 4, 6)} == {3: 2, 4: 7, 6: 4}
+    assert verify_total(build_circulant(spec), res.coloring).colors_used == 9
+    write_coloring(res.coloring, tmp_path / "c14.tc")
+    assert hashlib.sha256((tmp_path / "c14.tc").read_bytes()).hexdigest() == \
+        "83fb06c58ce42e792241c4f5624e97f0362859e63c033b21f1b7aa4928233b10"
 
 
 def test_color_even_dense_c46_takes_the_first_subset():

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -81,6 +83,20 @@ def test_maximal_cliques_small():
     c5 = build_circulant(CirculantSpec(5, {1, 4}))
     stats = maximal_cliques(c5)
     assert stats.maximal_count == 5 and stats.omega == 2
+
+
+def test_maximal_cliques_runs_deeper_than_the_recursion_limit():
+    # K_100 is one clique, one branch level per vertex; the enumeration runs
+    # 60 frames above this one
+    k100 = complete(100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        stats = maximal_cliques(k100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert stats.cliques == [tuple(range(100))]
+    assert stats.omega == 100 and stats.maximum_count == 1
 
 
 def test_is_perfect_examples():
