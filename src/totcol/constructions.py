@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-# build_unitary, complement, two_factors and factor_edges have no caller
-# here: every construction takes the graph it is given.  They stay imported
-# because perfbench/spans.py patches them on this module by name.
+# build_unitary, complement, connected, two_factors and factor_edges have no
+# caller here: every construction takes the graph it is given.  They stay
+# imported because perfbench/spans.py patches them on this module by name.
 from .graphs import (
     CirculantSpec,
     Graph,
@@ -339,12 +339,14 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
 
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H, with starts from _diagonal_starts, are
-    colored diagonally with 2k+1 colors; the remainder G - E(H) must stay
-    connected and take Delta-2k fresh colors from edge_color_vizing.  The
-    remainder is built as the circulant on the other generators; a connected
-    one has an odd generator (n is 2 mod 4), so edge_color_vizing colors it
-    by the parity-layer construction, never by search.  The first H whose
-    remainder fits the budget gives a proper coloring, as in thm2.3.
+    colored diagonally with 2k+1 colors; the remainder G - E(H), the
+    circulant on the other generators, takes Delta-2k fresh colors from
+    edge_color_vizing.  The remainder must have an odd generator: then
+    edge_color_vizing colors it by the parity-layer construction, with
+    Delta-2k colors and never by search.  A remainder may be disconnected
+    and still qualify (C_18{2,3,4,6,8} with H = [2, 4, 6, 8] leaves three
+    6-cycles).  The first H whose remainder fits the budget gives a proper
+    coloring, as in thm2.3.
     """
     spec = G.circulant
     _require_even_dense(spec)
@@ -362,10 +364,10 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
             notes.append("%s: no starter pairing" % label)
             continue
         rest = [s for s in half if s not in H]
-        remainder = build_circulant(CirculantSpec(n, rest + [n - s for s in rest]))
-        if not connected(remainder):
-            notes.append("%s: remainder disconnected" % label)
+        if not any(s % 2 for s in rest):
+            notes.append("%s: remainder has no odd generator" % label)
             continue
+        remainder = build_circulant(CirculantSpec(n, rest + [n - s for s in rest]))
         rem = edge_color_vizing(remainder)
         if rem.colors_used > budget:
             notes.append(

@@ -7,9 +7,14 @@ objects are immutable after construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 
@@ -165,15 +170,18 @@ class Graph:
                 row ^= low
         return out
 
-    @property
+    # The degree sums popcount every row, so each is computed once per
+    # Graph: cached_property stores it in the instance __dict__, which a
+    # frozen dataclass without slots still has.
+    @cached_property
     def edge_count(self) -> int:
         return sum(self.degree(u) for u in range(self.n)) // 2
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max((self.degree(u) for u in range(self.n)), default=0)
 
-    @property
+    @cached_property
     def regular_degree(self) -> Optional[int]:
         degs = {self.degree(u) for u in range(self.n)}
         return degs.pop() if len(degs) == 1 else None
@@ -345,6 +353,30 @@ def write_dimacs(G: Graph, path) -> None:
 # cannot make the reader allocate unbounded rows.
 MAX_VERTICES = 1 << 20
 
+# The file readers take this many lines at a time.  A chunk in the writer's
+# own line form is parsed and checked in bulk; any other chunk, and one that
+# fails a bulk check, is walked line by line.  A whole file at once costs
+# memory in proportion to the file; a chunk keeps it flat.
+CHUNK_LINES = 1024
+
+
+def read_in_chunks(path, pattern, bulk, walk) -> None:
+    """Pass each run of CHUNK_LINES lines of the text file at path to
+    bulk(text) if the run's text fullmatches the regex pattern, and to
+    walk(number of its first line, its lines) if it does not or bulk
+    returns False.  bulk must change nothing when it returns False."""
+    first = 1
+    with open(path) as fh:
+        while lines := list(itertools.islice(fh, CHUNK_LINES)):
+            text = "".join(lines)
+            if not (re.fullmatch(pattern, text) and bulk(text)):
+                walk(first, lines)
+            first += len(lines)
+
+
+# write_dimacs's edge lines
+_EDGE_LINES = r"(?:e [0-9]+ [0-9]+\n)+"
+
 
 def read_dimacs(path) -> Graph:
     """Inverse of write_dimacs.  The `e` lines must list each of the m edges
@@ -356,8 +388,11 @@ def read_dimacs(path) -> Graph:
     count = 0
     circ = None
     diffs = set()  # (v - u) mod n over the edges
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+
+    def walk(first, lines):
+        """Read lines one at a time: the grammar and its error texts."""
+        nonlocal n, m, p_line, rows, count, circ
+        for lineno, raw in enumerate(lines, first):
             tok = raw.split()
             if not tok:
                 continue
@@ -395,6 +430,36 @@ def read_dimacs(path) -> Graph:
                     raise GraphError("unrecognized line")
             except ValueError as exc:
                 raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
+
+    def bulk(text):
+        """Read a chunk of edge lines at once, if they come in the writer's
+        order: u ascending and 1 <= u < v <= n.  Then the v's of each u are
+        a run, and their bits one mask: a v repeated in the run carries in
+        the sum, and an edge read before meets the row of u."""
+        nonlocal count
+        tok = text.split()
+        us = list(map(int, tok[1::3]))
+        vs = list(map(int, tok[2::3]))
+        if n is None or not (0 < us[0] and max(vs) <= n and all(map(operator.le, us, us[1:]))
+                             and all(map(operator.lt, us, vs))):
+            return False
+        masks = []
+        i = 0
+        for u, k in Counter(us).items():
+            mask = sum(map((1).__lshift__, vs[i:i + k])) >> 1
+            i += k
+            if mask.bit_count() != k or rows[u - 1] & mask:
+                return False
+            masks.append((u - 1, mask))
+        for u, mask in masks:
+            rows[u] |= mask
+        for u, v in zip(us, vs):
+            rows[v - 1] |= 1 << (u - 1)
+        diffs.update(map(operator.sub, vs, us))
+        count += len(us)
+        return True
+
+    read_in_chunks(path, _EDGE_LINES, bulk, walk)
     if n is None:
         raise GraphError("missing problem line")
     if count != m:

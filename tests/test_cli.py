@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ import totcol
 from totcol import cli, coloring, constructions, oracles
 from totcol.cli import main
 from totcol.coloring import matrix_from_csv, matrix_to_csv, read_coloring
-from totcol.graphs import CirculantSpec
+from totcol.graphs import CirculantSpec, build_unitary, write_dimacs
 
 
 def run(argv, cwd, monkeypatch):
@@ -249,6 +250,46 @@ def test_oracle_bad_input_exit_4(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@functools.lru_cache(maxsize=None)
+def _u420_lines(suffix):
+    """The lines of U_420's .col file, or of its thm2.2 .tc file."""
+    G = build_unitary(420)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "u420" + suffix)
+        if suffix == ".col":
+            write_dimacs(G, path)
+        else:
+            coloring.write_coloring(constructions.color_unitary_even(G).coloring, path)
+        with open(path) as fh:
+            return tuple(fh.read().splitlines())
+
+
+def _u420(suffix, edits):
+    """A function giving U_420's `suffix` file with the lines numbered in
+    edits replaced; a replacement may be a function of the lines."""
+    def text():
+        lines = list(_u420_lines(suffix))
+        for lineno, new in edits.items():
+            lines[lineno - 1] = new(lines) if callable(new) else new
+        return "\n".join(lines) + "\n"
+    return text
+
+
+def _again(lineno, reverse=False, v=None):
+    """The edge line numbered lineno once more, its endpoints swapped if
+    reverse, its second endpoint replaced by v if given."""
+    def line(lines):
+        tok = lines[lineno - 1].split()
+        if reverse:
+            tok[1], tok[2] = tok[2], tok[1]
+        if v is not None:
+            tok[2] = str(v)
+        return " ".join(tok)
+    return line
+
+
+# Lines 10240 and 10241 end and start a chunk of the readers.  U_420's .col
+# has its edge lines from line 3 on, its .tc from line 422.
 @pytest.mark.parametrize("name, text, argv, message", [
     ("bad.col", "p edge 3 1\ne 1\n", ["color", "bad.col"], "line 2: "),
     ("bad.col", "p edge 3 1\ne 1 x\n", ["color", "bad.col"], "line 2: "),
@@ -266,13 +307,47 @@ def test_oracle_bad_input_exit_4(tmp_path, monkeypatch, capsys, argv):
     ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
      "line 3: "),
     ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
+    ("bad.col", _u420(".col", {10000: "e 5 x"}), ["color", "bad.col"], "line 10000: "),
+    ("bad.col", _u420(".col", {10240: _again(10240, v=421)}), ["color", "bad.col"],
+     "line 10240: edge endpoint out of range"),
+    ("bad.col", _u420(".col", {10241: "e 0 5"}), ["color", "bad.col"],
+     "line 10241: edge endpoint out of range"),
+    ("bad.col", _u420(".col", {10241: "e 7 7"}), ["color", "bad.col"], "line 10241: self-loop"),
+    ("bad.col", _u420(".col", {10241: _again(10240)}), ["color", "bad.col"],
+     "line 10241: repeated edge"),
+    ("bad.col", _u420(".col", {10500: _again(10499)}), ["color", "bad.col"],
+     "line 10500: repeated edge"),
+    ("bad.col", _u420(".col", {12000: _again(11999, reverse=True)}), ["color", "bad.col"],
+     "line 12000: repeated edge"),
+    ("bad.col", _u420(".col", {10100: _again(10099), 10200: "e 1 999"}), ["color", "bad.col"],
+     "line 10100: repeated edge"),
+    ("bad.tc", _u420(".tc", {10000: "e 5 6 x"}), ["verify", "k3.col", "bad.tc"],
+     "line 10000: "),
+    ("bad.tc", _u420(".tc", {10241: "v 3 1"}), ["verify", "k3.col", "bad.tc"],
+     "line 10241: repeated vertex 3"),
+    ("bad.tc", _u420(".tc", {10241: _again(10240, reverse=True)}),
+     ["verify", "k3.col", "bad.tc"], "line 10241: repeated edge"),
+    ("bad.tc", _u420(".tc", {10241: _again(10240)}), ["verify", "k3.col", "bad.tc"],
+     "line 10241: repeated edge"),
+    ("bad.tc", _u420(".tc", {10500: _again(10499)}), ["verify", "k3.col", "bad.tc"],
+     "line 10500: repeated edge"),
+    ("bad.tc", _u420(".tc", {10241: "v 500 1", 10242: "v 500 2"}),
+     ["verify", "k3.col", "bad.tc"], "line 10242: repeated vertex 500"),
+    ("bad.tc", _u420(".tc", {10300: _again(10299), 10400: _again(10100, reverse=True)}),
+     ["verify", "k3.col", "bad.tc"], "line 10300: repeated edge"),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
         "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
-        "tc-repeated-header", "csv-token", "grp-token"])
+        "tc-repeated-header", "csv-token", "grp-token",
+        "col-deep-token", "col-deep-range-chunk-end", "col-deep-zero-chunk-start",
+        "col-deep-self-loop-chunk-start", "col-deep-repeat-across-chunks",
+        "col-deep-repeat", "col-deep-repeat-reversed",
+        "col-deep-two-errors", "tc-deep-token", "tc-deep-repeated-vertex-chunk-start",
+        "tc-deep-repeat-reversed-across-chunks", "tc-deep-repeat-across-chunks",
+        "tc-deep-repeat", "tc-deep-vertex-twice-in-a-chunk", "tc-deep-two-errors"])
 def test_malformed_input_exit_4_names_the_line(tmp_path, monkeypatch, capsys,
                                                name, text, argv, message):
     run(["gen", "circulant", "3", "1", "2", "-o", "k3.col"], tmp_path, monkeypatch)
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text if isinstance(text, str) else text())
     capsys.readouterr()
     assert run(argv, tmp_path, monkeypatch) == 4
     assert capsys.readouterr().err.startswith("input error: " + message)

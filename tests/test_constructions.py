@@ -355,16 +355,34 @@ def test_color_even_dense_negative_control_needs_generator_4():
     assert res.coloring.colors_used() == 7
     assert verify_total(build_circulant(spec), res.coloring).ok
     # the generator-4 remainder was rejected before the accepted subset
-    rejected = [n for n in res.notes if "H=[1, 3]" in n]
-    assert rejected
+    assert "H=[1, 3]: remainder has no odd generator" in res.notes
 
 
 def test_color_even_dense_accepts_class_one_remainder():
-    # the remainder {8, 9, 10} of H = [1..7] is connected, so class 1 (Stong)
+    # the remainder {8, 9, 10} of H = [1..7] has an odd generator, so class 1 (Stong)
     spec = CirculantSpec(30, set(range(1, 11)) | set(range(20, 30)))
     res = color_even_dense_circulant(build_circulant(spec))
     assert res.chosen_generators == (1, 2, 3, 4, 5, 6, 7)
     assert verify_total(build_circulant(spec), res.coloring).ok
+
+
+@pytest.mark.parametrize("half, chosen", [
+    ((2, 3, 4, 6, 8), (2, 4, 6, 8)),
+    ((1, 2, 3, 4, 6), (1, 2, 4, 6)),
+    ((1, 2, 3, 4, 8), (1, 2, 4, 8)),
+    ((1, 2, 3, 6, 8), (1, 2, 6, 8)),
+    ((1, 3, 4, 6, 8), (1, 4, 6, 8)),
+])
+def test_color_even_dense_accepts_a_disconnected_remainder(half, chosen):
+    # each chosen H leaves C_18{3, 15}, three 6-cycles: disconnected, but
+    # with an odd generator, so class 1 by the parity-layer construction.
+    # The first half set had no admissible H while the remainder had to be
+    # connected; the others took a later H.
+    spec = symmetric(18, half)
+    res = color_even_dense_circulant(build_circulant(spec))
+    assert res.chosen_generators == chosen
+    report = verify_total(build_circulant(spec), res.coloring)
+    assert report.ok and report.colors_used == 11
 
 
 def test_color_even_dense_small():

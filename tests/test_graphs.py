@@ -5,6 +5,7 @@ import pytest
 
 from totcol.graphs import (
     CirculantSpec,
+    Graph,
     GraphError,
     GroupTable,
     build_cayley,
@@ -251,6 +252,18 @@ def test_clique_translates_are_cliques():
             for i, u in enumerate(shifted):
                 for v in shifted[i + 1:]:
                     assert G.has_edge(u, v)
+
+
+def test_degree_sums_are_computed_once_per_graph(monkeypatch):
+    G = build_unitary(24)
+    calls = []
+    degree = Graph.degree
+    monkeypatch.setattr(Graph, "degree", lambda self, u: calls.append(u) or degree(self, u))
+    first = (G.edge_count, G.max_degree, G.regular_degree)
+    assert first == (96, 8, 8) and len(calls) == 3 * 24
+    calls.clear()
+    assert (G.edge_count, G.max_degree, G.regular_degree) == first
+    assert calls == []
 
 
 def test_dimacs_round_trip(tmp_path):
