@@ -171,21 +171,30 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
     {i, i+s} of generator s gets ((start_s - 1 + i) mod q) + 1.
 
     starts maps each half-set generator s (1 <= s < n/2) to its start value
-    in 1..q.  This function does not check that the coloring is proper:
-    when q divides n, _star_conflicts decides that on the star of vertex 0
-    in O(Delta), and every coloring a construction returns goes through
+    in 1..q.  The colors of a generator repeat with period q along i, so
+    each generator is one dict update (_fill_diagonal) of the cycled
+    pattern, with the keys and insertion order of an edge-by-edge fill.
+    This function does not check that the coloring is proper: when q
+    divides n, _star_conflicts decides that on the star of vertex 0 in
+    O(Delta), and every coloring a construction returns goes through
     verify_total.
     """
-    c = TotalColoring(n)
-    for v in range(n):
-        c.vertex_color[v] = (v % q) + 1
+    c = TotalColoring(n, dict(enumerate(itertools.islice(itertools.cycle(range(1, q + 1)), n))))
     for s in sorted(starts):
         if not 1 <= s or 2 * s >= n:
             raise ConstructionError("generator %d is not a proper half-set rep" % s)
         a = starts[s]
-        for i in range(n):
-            c.set_edge(i, (i + s) % n, ((a - 1 + i) % q) + 1)
+        _fill_diagonal(c.edge_color, n, s, [(a - 1 + i) % q + 1 for i in range(q)])
     return c
+
+
+def _fill_diagonal(edge_color: Dict[tuple, int], n: int, s: int, pattern) -> None:
+    """Give the edge {i, i+s mod n} of generator s (1 <= s < n/2) the color
+    pattern[i mod len(pattern)], in one update, in the order of i = 0..n-1:
+    the keys are (i, i+s) for i < n-s, then (i+s-n, i)."""
+    edge_color.update(zip(itertools.chain(zip(range(n - s), range(s, n)),
+                                          zip(range(s), range(n - s, n))),
+                          itertools.islice(itertools.cycle(pattern), n)))
 
 
 def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
@@ -285,9 +294,7 @@ def color_unitary_even(G: Graph) -> UnitaryEvenResult:
     part2 = TotalColoring(n)
     part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
     for p, s in enumerate(part2_gens, start=1):
-        c_even, c_odd = r + 2 * p - 1, r + 2 * p
-        for i in range(n):
-            part2.set_edge(i, (i + s) % n, c_even if i % 2 == 0 else c_odd)
+        _fill_diagonal(part2.edge_color, n, s, (r + 2 * p - 1, r + 2 * p))
 
     combined = _checked(G, part1.merged_with(part2), "color_unitary_even(%d)" % n)
     notes = ["part-1 generators %s, part-2 generators %s" % (part1_gens, part2_gens)]
@@ -510,8 +517,7 @@ def edge_color_even_circulant(spec: CirculantSpec) -> Optional[Dict[tuple, int]]
                 color[(i, i + b)] = fresh
             fresh += 1
         else:
-            for i in range(n):
-                color[ekey(i, (i + b) % n)] = fresh + i % 2
+            _fill_diagonal(color, n, b, (fresh, fresh + 1))
             fresh += 2
     return color
 

@@ -4,6 +4,11 @@ Vertices are always labeled 0..n-1.  Adjacency is stored densely, one
 bitmask row per vertex, so membership tests are O(1) and the verifier /
 exact solvers can hammer them freely.  All constructors are pure; Graph
 objects are immutable after construction.
+
+A circulant is built, and read back from write_dimacs's file, one
+generator at a time rather than one edge at a time: its rows are the
+connection mask rotated by each vertex (circulant_rows), and the reader
+only checks each edge's difference against the connection set.
 """
 from __future__ import annotations
 
@@ -197,15 +202,21 @@ def _graph_from_edges(n: int, edges, circulant=None, cayley=None) -> Graph:
     return Graph(n, tuple(rows), circulant, cayley)
 
 
+def circulant_rows(spec: CirculantSpec) -> tuple:
+    """Adjacency rows of the circulant: row u is the connection mask rotated
+    left by u within n bits, the bits s < n - u moved up by u and the rest
+    wrapped down by n - u.  The | comes last so that each row is allocated
+    at its own length: an & last would keep n bits for every row, twice
+    the memory of a sparse circulant."""
+    n = spec.n
+    mask = sum(1 << s for s in spec.connection)
+    full = (1 << n) - 1
+    return tuple(((mask << u) & full) | (mask >> (n - u)) for u in range(n))
+
+
 def build_circulant(spec: CirculantSpec) -> Graph:
     """Circulant graph: u ~ v iff (v - u) mod n lies in the connection set."""
-    edges = []
-    for u in range(spec.n):
-        for s in spec.connection:
-            v = (u + s) % spec.n
-            if u < v:
-                edges.append((u, v))
-    return _graph_from_edges(spec.n, edges, circulant=spec)
+    return Graph(spec.n, circulant_rows(spec), spec)
 
 
 def units(n: int) -> frozenset:
@@ -364,14 +375,23 @@ def read_in_chunks(path, pattern, bulk, walk) -> None:
     """Pass each run of CHUNK_LINES lines of the text file at path to
     bulk(text) if the run's text fullmatches the regex pattern, and to
     walk(number of its first line, its lines) if it does not or bulk
-    returns False.  bulk must change nothing when it returns False."""
+    returns False.  Of the first run, the leading lines that do not each
+    fullmatch the pattern (a file's header) go to walk on their own, and
+    the rest of the run as above.  bulk must change nothing when it
+    returns False."""
+    fullmatch = re.compile(pattern).fullmatch
     first = 1
     with open(path) as fh:
         while lines := list(itertools.islice(fh, CHUNK_LINES)):
-            text = "".join(lines)
-            if not (re.fullmatch(pattern, text) and bulk(text)):
-                walk(first, lines)
-            first += len(lines)
+            if first == 1:
+                head = next((k for k, line in enumerate(lines) if fullmatch(line)), len(lines))
+                walk(1, lines[:head])
+                first, lines = 1 + head, lines[head:]
+            if lines:
+                text = "".join(lines)
+                if not (fullmatch(text) and bulk(text)):
+                    walk(first, lines)
+                first += len(lines)
 
 
 # write_dimacs's edge lines
@@ -382,7 +402,70 @@ def read_dimacs(path) -> Graph:
     """Inverse of write_dimacs.  The `e` lines must list each of the m edges
     of the `p edge n m` line exactly once, with n <= MAX_VERTICES and m at
     most n(n-1)/2; errors name the offending line.  A `c circulant` comment
-    must describe the same graph."""
+    must describe the same graph.
+
+    A file in write_dimacs's own form for a circulant is checked a chunk of
+    edges at a time against the connection set, and its rows come from
+    circulant_rows (_read_circulant).  Every other file, and one that fails
+    any of those checks, is read again from its start, line by line where
+    it is not in the writer's form (_read_edge_list), which defines the
+    grammar and every error text."""
+    G = _read_circulant(path)
+    return G if G is not None else _read_edge_list(path)
+
+
+def _read_circulant(path) -> Optional[Graph]:
+    """The circulant C_n(S) of a file in write_dimacs's form, else None.
+
+    The form is a `c circulant n S` line, a `p edge n m` line with
+    m = n|S|/2 and n <= MAX_VERTICES, and then only edge lines `e u v` in
+    the writer's form, whose pairs (u, v) strictly increase through the
+    file, with 1 <= u and v <= n and every v - u in S (so u < v).  Strictly
+    increasing pairs are distinct edges, each an edge of the circulant
+    since its difference lies in S; m of them are all its edges.  So no bit
+    is set while reading."""
+    spec = m = None
+    last = (0, 0)  # the last pair read
+    count = 0
+
+    def walk(first, lines):
+        """Take the two header lines; anything else is not the form."""
+        nonlocal spec, m
+        for lineno, raw in enumerate(lines, first):
+            tok = raw.split()
+            if lineno == 1 and len(tok) > 2 and tok[:2] == ["c", "circulant"]:
+                spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
+            elif (lineno == 2 and spec is not None and spec.n <= MAX_VERTICES
+                  and tok == ["p", "edge", str(spec.n), str(spec.n * spec.degree // 2)]):
+                m = int(tok[3])
+            else:
+                raise ValueError("not a circulant in the writer's form")
+
+    def bulk(text):
+        """Check a chunk of edge lines against the form; set nothing."""
+        nonlocal last, count
+        tok = text.split()
+        us = list(map(int, tok[1::3]))
+        vs = list(map(int, tok[2::3]))
+        pairs = [last, *zip(us, vs)]
+        if m is None or not (0 < us[0] and max(vs) <= spec.n
+                             and all(map(operator.lt, pairs, pairs[1:]))
+                             and spec.connection.issuperset(map(operator.sub, vs, us))):
+            return False
+        last = pairs[-1]
+        count += len(us)
+        return True
+
+    try:
+        read_in_chunks(path, _EDGE_LINES, bulk, walk)
+    except ValueError:  # walk's, int's, or CirculantSpec's GraphError
+        return None
+    return Graph(spec.n, circulant_rows(spec), spec) if m is not None and count == m else None
+
+
+def _read_edge_list(path) -> Graph:
+    """read_dimacs for any file: a chunk of edge lines in the writer's form
+    is read in bulk into the rows, every other line one at a time."""
     n = m = p_line = None
     rows: list = []
     count = 0

@@ -216,6 +216,57 @@ def test_fill_diagonals_starter_starts_distinct_at_vertex_zero():
     assert len(incident) == len(set(incident))
 
 
+def fill_diagonals_per_edge(n, q, starts):
+    """fill_diagonals as it was written edge by edge: the reference for the
+    one-update-per-generator fill."""
+    c = TotalColoring(n)
+    for v in range(n):
+        c.vertex_color[v] = (v % q) + 1
+    for s in sorted(starts):
+        a = starts[s]
+        for i in range(n):
+            c.set_edge(i, (i + s) % n, ((a - 1 + i) % q) + 1)
+    return c
+
+
+def assert_same_in_order(c, reference):
+    assert c.n == reference.n
+    assert list(c.vertex_color.items()) == list(reference.vertex_color.items())
+    assert list(c.edge_color.items()) == list(reference.edge_color.items())
+
+
+def test_fill_diagonals_matches_the_per_edge_fill():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(3, 150)
+        q = rng.randint(1, 12)
+        gens = rng.sample(range(1, (n + 1) // 2), rng.randint(0, min(6, (n - 1) // 2)))
+        starts = {s: rng.randint(1, q) for s in gens}
+        assert_same_in_order(fill_diagonals(n, q, starts), fill_diagonals_per_edge(n, q, starts))
+
+
+def test_color_unitary_even_matches_the_per_edge_fill():
+    for n in range(6, 121, 2):
+        if n & (n - 1) == 0:
+            continue
+        G = build_unitary(n)
+        res = color_unitary_even(G)
+        m = n
+        while m % 2 == 0:
+            m //= 2
+        r = min(p for p in range(3, m + 1) if m % p == 0)
+        part1_gens = list(range(1, r, 2))
+        part1 = fill_diagonals_per_edge(n, r, patterned_starts(r, part1_gens))
+        part2 = TotalColoring(n)
+        part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
+        for p, s in enumerate(part2_gens, start=1):
+            for i in range(n):
+                part2.set_edge(i, (i + s) % n, r + 2 * p - 1 if i % 2 == 0 else r + 2 * p)
+        assert_same_in_order(res.part1, part1)
+        assert_same_in_order(res.part2, part2)
+        assert_same_in_order(res.coloring, part1.merged_with(part2))
+
+
 # ---------------------------------------------------------------------------
 # theorem pipelines
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from totcol.graphs import (
     build_cayley,
     build_circulant,
     build_unitary,
+    circulant_rows,
     complement,
     connected,
     cyclic_group,
@@ -194,6 +196,24 @@ def test_two_factors_cover_edges_exactly_once():
             seen.extend(factor_edges(f))
         assert sorted(seen) == G.edges()
         assert len(seen) == len(set(seen))
+
+
+def test_circulant_rows_match_the_edge_by_edge_rows():
+    # every symmetric connection set for n <= 16: n = 1 and 2, the empty set,
+    # and every set that holds n/2
+    cases = 0
+    for n in range(1, 17):
+        for k in range(n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), k):
+                spec = CirculantSpec(n, set(half) | {n - s for s in half})
+                rows = [0] * n
+                for u in range(n):
+                    for s in spec.connection:
+                        rows[u] |= 1 << (u + s) % n
+                assert circulant_rows(spec) == tuple(rows)
+                assert build_circulant(spec) == Graph(n, tuple(rows), spec)
+                cases += 1
+    assert cases == 765
 
 
 def test_set_bit_walks_match_a_bit_scan():

@@ -1,7 +1,9 @@
 """The graph and coloring files: the readers take a file a chunk of lines at
 a time, and read every accepted form as the line-by-line grammar does; the
 writers' bytes are pinned."""
+import contextlib
 import hashlib
+import io
 import os
 import tempfile
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totcol import graphs
+from totcol.cli import main
 from totcol.coloring import (
     TotalColoring,
     matrix_to_csv,
@@ -20,6 +23,7 @@ from totcol.coloring import (
 from totcol.constructions import color_auto, color_unitary_even
 from totcol.graphs import (
     CirculantSpec,
+    GraphError,
     build_circulant,
     build_unitary,
     read_dimacs,
@@ -105,6 +109,120 @@ def test_chunked_readers_read_every_accepted_form_alike(pair, graph_edits, color
                 fh.write(text)
         assert _read_at_chunk_sizes(read_dimacs, g_path) == [G] * 4
         assert _read_at_chunk_sizes(read_coloring, c_path) == [c] * 4
+
+
+# How a circulant's `.col` may differ from the writer's: after these the
+# circulant check must fail, or pass with the graph the line reader returns.
+_MUTATIONS = ("none", "repeat-later", "reverse", "swap", "off-difference",
+              "comment-after-p", "comment-other-n", "missing", "extra", "self-loop",
+              "out-of-range", "problem-line-repeated")
+
+
+@st.composite
+def circulant_files(draw):
+    """The text of write_dimacs for a circulant with n <= 60, changed by one
+    mutation, and that mutation ("none" if it found nothing to change)."""
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind in ("none", "comment-after-p", "comment-other-n"):
+        n = draw(st.integers(1, 60))
+        half = draw(st.sets(st.integers(1, n // 2))) if n > 1 else set()
+    else:  # at least two edges to change
+        n = draw(st.integers(3, 60))
+        half = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    G = build_circulant(CirculantSpec(n, half | {n - s for s in half}))
+    with tempfile.TemporaryDirectory() as d:
+        write_dimacs(G, os.path.join(d, "g.col"))
+        with open(os.path.join(d, "g.col")) as fh:
+            lines = fh.read().splitlines()
+    body = range(2, len(lines))  # the edge lines
+    index = st.sampled_from(body)
+    if kind == "repeat-later":
+        i = draw(st.sampled_from(body[:-1]))
+        lines[draw(st.integers(i + 1, body[-1]))] = lines[i]
+    elif kind == "reverse":
+        i = draw(index)
+        tag, u, v = lines[i].split()
+        lines[i] = " ".join((tag, v, u))
+    elif kind == "swap":
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "off-difference":
+        off = [(i, u, v) for i in body for u in [int(lines[i].split()[1])]
+               for v in range(u + 1, n + 1) if v - u not in G.circulant.connection]
+        if not off:  # a complete graph
+            return "\n".join(lines) + "\n", "none"
+        i, u, v = draw(st.sampled_from(off))
+        lines[i] = "e %d %d" % (u, v)
+    elif kind == "comment-after-p":
+        lines[0], lines[1] = lines[1], lines[0]
+    elif kind == "comment-other-n":
+        tok = lines[0].split()
+        tok[2] = str(draw(st.integers(1, 61).filter(lambda k: k != n)))
+        lines[0] = " ".join(tok)
+    elif kind == "missing":
+        del lines[draw(index)]
+    elif kind == "extra":
+        u = draw(st.integers(1, n - 1))
+        edge = "e %d %d" % (u, draw(st.integers(u + 1, n)))
+        lines.insert(draw(st.integers(2, len(lines))), edge)
+    elif kind == "self-loop":
+        i = draw(index)
+        u = lines[i].split()[1]
+        lines[i] = "e %s %s" % (u, u)
+    elif kind == "out-of-range":
+        # 0 or n+1 at either end, or a v beyond n whose difference is in S
+        i, k, value = draw(st.sampled_from(
+            [(i, k, value) for i in body for k in (1, 2) for value in (0, n + 1)]
+            + [(i, 2, u + s) for i in body for u in [int(lines[i].split()[1])]
+               for s in G.circulant.connection if u + s > n]))
+        tok = lines[i].split()
+        tok[k] = str(value)
+        lines[i] = " ".join(tok)
+    elif kind == "problem-line-repeated":
+        lines.insert(2, lines[1])
+    return "\n".join(lines) + "\n", kind
+
+
+def _graph_or_error(path):
+    try:
+        return read_dimacs(path)
+    except GraphError as exc:
+        return "GraphError: %s" % exc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=circulant_files())
+def test_circulant_check_reads_what_the_line_reader_reads(case):
+    text, kind = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.col")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_read_circulant", lambda path: None)
+            expected = _graph_or_error(path)
+        assert _read_at_chunk_sizes(_graph_or_error, path) == [expected] * 4
+        if kind == "none":
+            assert graphs._read_circulant(path) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 60), unitary=st.booleans(), data=st.data())
+def test_gen_output_never_reaches_the_slow_reread(n, unitary, data):
+    if unitary:
+        argv, G = ["unitary", str(n)], build_unitary(n)
+    else:
+        half = data.draw(st.sets(st.integers(1, n // 2), min_size=1))
+        G = build_circulant(CirculantSpec(n, half | {n - s for s in half}))
+        argv = ["circulant", str(n)] + [str(s) for s in sorted(G.circulant.connection)]
+    slow = []
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(d, "g.col")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *argv, "-o", path]) == 0
+        mp.setattr(graphs, "_read_edge_list", lambda path: slow.append(path))
+        assert _read_at_chunk_sizes(read_dimacs, path) == [G] * 4
+    assert slow == []
 
 
 def test_read_coloring_holds_one_chunk_beyond_what_it_returns(tmp_path):
