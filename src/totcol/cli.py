@@ -83,9 +83,7 @@ def cmd_color(args) -> int:
     print("verification: clean")
     out = args.output or "coloring.tc"
     if args.format == "csv-matrix":
-        # partial=True: the method has verified this coloring, coverage
-        # included, so the full render would only verify it a second time
-        matrix_to_csv(render_matrix(G, result_coloring, partial=True), out)
+        matrix_to_csv(render_matrix(G, result_coloring), out)
     else:
         write_coloring(result_coloring, out)
     print("wrote %s" % out)
@@ -201,10 +199,9 @@ def regenerate_tables(outdir) -> list:
     res = constructions.color_unitary_even(G)
     paths = [os.path.join(outdir, name) for name in GOLDEN_TABLES]
     adjacency_matrix_csv(G, paths[0])
-    matrix_to_csv(render_matrix(G, res.part1, partial=True), paths[1])
-    matrix_to_csv(render_matrix(G, res.part2, partial=True), paths[2])
-    # color_unitary_even has verified res.coloring, coverage included
-    matrix_to_csv(render_matrix(G, res.coloring, partial=True), paths[3])
+    matrix_to_csv(render_matrix(G, res.part1), paths[1])
+    matrix_to_csv(render_matrix(G, res.part2), paths[2])
+    matrix_to_csv(render_matrix(G, res.coloring), paths[3])
     return paths
 
 

@@ -324,14 +324,13 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     half = spec.half_set()
 
     starts, conflicts = _diagonal_starts(q, half)
-    if not conflicts:
-        c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
-        return OddCirculantResult(c, ["strategy used: literal"], "literal")
     failed = "literal rules failed with %d conflicts" % (n * conflicts)
     if starts is None:
         raise ConstructionError("both strategies failed for %r: %s; no starter "
                                 "pairing exists" % (spec, failed))
     c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
+    if not conflicts:
+        return OddCirculantResult(c, ["strategy used: literal"], "literal")
     return OddCirculantResult(
         c, ["strategy used: starter", "starter fallback used", failed], "starter")
 

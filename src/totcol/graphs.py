@@ -5,10 +5,11 @@ bitmask row per vertex, so membership tests are O(1) and the verifier /
 exact solvers can hammer them freely.  All constructors are pure; Graph
 objects are immutable after construction.
 
-A circulant is built, and read back from write_dimacs's file, one
-generator at a time rather than one edge at a time: its rows are the
-connection mask rotated by each vertex (circulant_rows), and the reader
-only checks each edge's difference against the connection set.
+A circulant is built one generator at a time rather than one edge at a
+time: its rows are the connection mask rotated by each vertex
+(circulant_rows).  read_dimacs checks a circulant in write_dimacs's own
+form a chunk at a time against its connection set and takes those rows;
+it reads every other file by the line grammar, one edge at a time.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import math
 import operator
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -146,7 +146,6 @@ class Graph:
     n: int
     rows: tuple
     circulant: Optional[CirculantSpec] = None
-    cayley: Optional[tuple] = None  # (GroupTable, frozenset of generators)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -192,14 +191,14 @@ class Graph:
         return degs.pop() if len(degs) == 1 else None
 
 
-def _graph_from_edges(n: int, edges, circulant=None, cayley=None) -> Graph:
+def _graph_from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for (u, v) in edges:
         if u == v:
             raise GraphError("self-loop at vertex %d" % u)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows), circulant, cayley)
+    return Graph(n, tuple(rows))
 
 
 def circulant_rows(spec: CirculantSpec) -> tuple:
@@ -245,11 +244,11 @@ def build_cayley(table: GroupTable, S) -> Graph:
             h = table.product[g][s]
             if g != h:
                 edges.add((min(g, h), max(g, h)))
-    return _graph_from_edges(table.n, sorted(edges), cayley=(table, S))
+    return _graph_from_edges(table.n, sorted(edges))
 
 
 def complement(G: Graph) -> Graph:
-    """Complement graph; circulant / Cayley provenance is carried along."""
+    """Complement graph; circulant provenance is carried along."""
     full = (1 << G.n) - 1
     rows = tuple((full & ~G.rows[u]) & ~(1 << u) for u in range(G.n))
     circ = None
@@ -257,12 +256,7 @@ def complement(G: Graph) -> Graph:
         circ = CirculantSpec(
             G.n, frozenset(range(1, G.n)) - G.circulant.connection
         )
-    cay = None
-    if G.cayley is not None:
-        table, S = G.cayley
-        comp_S = frozenset(range(table.n)) - S - {table.identity}
-        cay = (table, comp_S)
-    return Graph(G.n, rows, circ, cay)
+    return Graph(G.n, rows, circ)
 
 
 def connected(G: Graph) -> bool:
@@ -364,10 +358,11 @@ def write_dimacs(G: Graph, path) -> None:
 # cannot make the reader allocate unbounded rows.
 MAX_VERTICES = 1 << 20
 
-# The file readers take this many lines at a time.  A chunk in the writer's
-# own line form is parsed and checked in bulk; any other chunk, and one that
-# fails a bulk check, is walked line by line.  A whole file at once costs
-# memory in proportion to the file; a chunk keeps it flat.
+# read_in_chunks takes this many lines at a time.  A chunk in the writer's
+# own line form is checked in bulk.  Any other chunk goes to the caller's
+# walk: read_coloring's reads it line by line, the circulant check's rejects.
+# A whole file at once costs memory in proportion to the file; a chunk
+# keeps it flat.
 CHUNK_LINES = 1024
 
 
@@ -404,12 +399,12 @@ def read_dimacs(path) -> Graph:
     most n(n-1)/2; errors name the offending line.  A `c circulant` comment
     must describe the same graph.
 
-    A file in write_dimacs's own form for a circulant is checked a chunk of
-    edges at a time against the connection set, and its rows come from
-    circulant_rows (_read_circulant).  Every other file, and one that fails
-    any of those checks, is read again from its start, line by line where
-    it is not in the writer's form (_read_edge_list), which defines the
-    grammar and every error text."""
+    There are two paths.  A file in write_dimacs's own form for a circulant
+    is checked a chunk of edges at a time against the connection set, and
+    its rows come from circulant_rows (_read_circulant).  Every other file,
+    and one that fails any of those checks, is read again from its start
+    by the line grammar (_read_edge_list), which defines every error
+    text."""
     G = _read_circulant(path)
     return G if G is not None else _read_edge_list(path)
 
@@ -464,18 +459,15 @@ def _read_circulant(path) -> Optional[Graph]:
 
 
 def _read_edge_list(path) -> Graph:
-    """read_dimacs for any file: a chunk of edge lines in the writer's form
-    is read in bulk into the rows, every other line one at a time."""
+    """read_dimacs for any file, one line at a time: the grammar and its
+    error texts."""
     n = m = p_line = None
     rows: list = []
     count = 0
     circ = None
     diffs = set()  # (v - u) mod n over the edges
-
-    def walk(first, lines):
-        """Read lines one at a time: the grammar and its error texts."""
-        nonlocal n, m, p_line, rows, count, circ
-        for lineno, raw in enumerate(lines, first):
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
             tok = raw.split()
             if not tok:
                 continue
@@ -513,36 +505,6 @@ def _read_edge_list(path) -> Graph:
                     raise GraphError("unrecognized line")
             except ValueError as exc:
                 raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
-
-    def bulk(text):
-        """Read a chunk of edge lines at once, if they come in the writer's
-        order: u ascending and 1 <= u < v <= n.  Then the v's of each u are
-        a run, and their bits one mask: a v repeated in the run carries in
-        the sum, and an edge read before meets the row of u."""
-        nonlocal count
-        tok = text.split()
-        us = list(map(int, tok[1::3]))
-        vs = list(map(int, tok[2::3]))
-        if n is None or not (0 < us[0] and max(vs) <= n and all(map(operator.le, us, us[1:]))
-                             and all(map(operator.lt, us, vs))):
-            return False
-        masks = []
-        i = 0
-        for u, k in Counter(us).items():
-            mask = sum(map((1).__lshift__, vs[i:i + k])) >> 1
-            i += k
-            if mask.bit_count() != k or rows[u - 1] & mask:
-                return False
-            masks.append((u - 1, mask))
-        for u, mask in masks:
-            rows[u] |= mask
-        for u, v in zip(us, vs):
-            rows[v - 1] |= 1 << (u - 1)
-        diffs.update(map(operator.sub, vs, us))
-        count += len(us)
-        return True
-
-    read_in_chunks(path, _EDGE_LINES, bulk, walk)
     if n is None:
         raise GraphError("missing problem line")
     if count != m:

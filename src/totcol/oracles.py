@@ -393,10 +393,14 @@ def _has_odd_hole(G: Graph) -> bool:
     return False
 
 
-def is_perfect(G: Graph, size_limit: int = 20) -> bool:
+# The most vertices is_perfect's exhaustive odd-hole search takes.
+_PERFECT_MAX_N = 20
+
+
+def is_perfect(G: Graph) -> bool:
     """No induced odd hole in G or its complement (exhaustive; desk scale)."""
-    if G.n > size_limit:
-        raise OracleError("is_perfect limited to n <= %d" % size_limit)
+    if G.n > _PERFECT_MAX_N:
+        raise OracleError("is_perfect limited to n <= %d" % _PERFECT_MAX_N)
     if _has_odd_hole(G):
         return False
     return not _has_odd_hole(complement(G))

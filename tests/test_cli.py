@@ -74,7 +74,7 @@ def _count_calls(monkeypatch, module, name, counts):
     # coloring is verified
     (["circulant", 21, 1, 3, 4, 17, 18, 20], ["-o", "g.tc"], 1),
     (["circulant", 21, 1, 2, 3, 18, 19, 20], ["-o", "g.tc"], 1),
-    # render_matrix checks coverage through verify_total unless partial=True
+    # render_matrix checks nothing: the method's own check is the only one
     (["unitary", 24], ["--format", "csv-matrix", "-o", "g.csv"], 1),
 ], ids=["U_24", "C_21-starter-fallback", "C_21-literal", "U_24-csv-matrix"])
 def test_color_verifies_once(tmp_path, monkeypatch, gen, output, verifications):

@@ -294,18 +294,6 @@ def test_matrix_k1():
     assert m.grid == [[7]]
 
 
-def test_render_matrix_rejects_what_verify_reports_as_coverage():
-    G = build_circulant(CirculantSpec(5, {1, 4}))
-    c = greedy_total_coloring(G)
-    del c.edge_color[(0, 1)]
-    c.vertex_color[7] = 1
-    expected = verify_total(G, c).coverage_errors
-    assert expected == [("extra-vertex", 7), ("missing-edge", (0, 1))]
-    with pytest.raises(ColoringError) as exc:
-        render_matrix(G, c)
-    assert str(exc.value) == "coverage errors: %r" % expected[:5]
-
-
 def test_parse_matrix_rejects_asymmetric():
     with pytest.raises(ColoringError):
         parse_matrix([[1, 2], [3, 1]])
