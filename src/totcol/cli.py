@@ -14,6 +14,7 @@ budget ran out, and nothing else; 4 bad input: I/O errors, malformed files
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import sys
 from importlib import resources
@@ -225,6 +226,8 @@ def cmd_tables(args) -> int:
     return status
 
 
+# built once per process: parse_args does not change the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="totcol",

@@ -297,6 +297,13 @@ def matrix_to_csv(matrix: TotalColorMatrix, path) -> None:
         writer.writerows([i] + row for i, row in enumerate(matrix.grid))
 
 
+class _CellValues(dict):
+    """Cell text -> None if blank, else its int, converted once per text."""
+
+    def __missing__(self, text):
+        return self.setdefault(text, int(text))
+
+
 def matrix_from_csv(path) -> TotalColorMatrix:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -305,10 +312,11 @@ def matrix_from_csv(path) -> TotalColorMatrix:
     n = len(rows[0]) - 1
     if len(rows) != n + 1:
         raise ColoringError("CSV not square")
+    value = _CellValues({"": None}).__getitem__
     grid = []
     for lineno, raw in enumerate(rows[1:], 2):
         try:
-            grid.append([None if cell == "" else int(cell) for cell in raw[1:]])
+            grid.append(list(map(value, raw[1:])))
         except ValueError as exc:
             raise ColoringError("line %d: %s" % (lineno, exc)) from None
     return TotalColorMatrix(n, grid)

@@ -7,15 +7,16 @@ objects are immutable after construction.
 
 A circulant is built one generator at a time rather than one edge at a
 time: its rows are the connection mask rotated by each vertex
-(circulant_rows).  read_dimacs checks a circulant in write_dimacs's own
-form a chunk at a time against its connection set and takes those rows;
-it reads every other file by the line grammar, one edge at a time.
+(circulant_rows).  read_dimacs takes those rows for a file whose text is
+write_dimacs's text for the circulant its first line names; it reads every
+other file by the line grammar, one edge at a time.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -342,27 +343,22 @@ def subgraph_of_edges(n: int, edges) -> Graph:
 def write_dimacs(G: Graph, path) -> None:
     """Write `p edge n m` / `e u v` lines, 1-indexed; circulant provenance
     goes into a `c circulant n s1 s2 ...` comment."""
-    lines = []
-    if G.circulant is not None:
-        conn = " ".join(str(s) for s in sorted(G.circulant.connection))
-        lines.append("c circulant %d %s" % (G.circulant.n, conn))
-    edges = G.edges()
-    lines.append("p edge %d %d" % (G.n, len(edges)))
-    for (u, v) in edges:
-        lines.append("e %d %d" % (u + 1, v + 1))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if G.circulant is not None:
+            fh.writelines(_circulant_text(G.circulant))
+        else:
+            edges = G.edges()
+            fh.write("p edge %d %d\n" % (G.n, len(edges))
+                     + "".join("e %d %d\n" % (u + 1, v + 1) for (u, v) in edges))
 
 
 # The most vertices a `p edge n m` line may declare, so that a short header
 # cannot make the reader allocate unbounded rows.
 MAX_VERTICES = 1 << 20
 
-# read_in_chunks takes this many lines at a time.  A chunk in the writer's
-# own line form is checked in bulk.  Any other chunk goes to the caller's
-# walk: read_coloring's reads it line by line, the circulant check's rejects.
-# A whole file at once costs memory in proportion to the file; a chunk
-# keeps it flat.
+# read_in_chunks takes this many lines at a time, and _circulant_text yields
+# about this many edge lines per piece.  A whole file at once costs memory
+# in proportion to the file; a chunk keeps it flat.
 CHUNK_LINES = 1024
 
 
@@ -389,8 +385,27 @@ def read_in_chunks(path, pattern, bulk, walk) -> None:
                 first += len(lines)
 
 
-# write_dimacs's edge lines
-_EDGE_LINES = r"(?:e [0-9]+ [0-9]+\n)+"
+def _circulant_text(spec: CirculantSpec):
+    """write_dimacs's text for C_n(S) in pieces: the two header lines, then
+    runs of about CHUNK_LINES edge lines.  Vertex u's lines are
+    `e u+1 u+s+1` for s in S ascending with u + s < n, the order of
+    Graph.edges.  The names are built once the header lines are taken."""
+    n, conn = spec.n, sorted(spec.connection)
+    yield "c circulant %d %s\n" % (n, " ".join(map(str, conn)))
+    yield "p edge %d %d\n" % (n, n * len(conn) // 2)
+    if not conn:
+        return
+    names = list(map(str, range(1, n + 1)))  # names[u] is vertex u's decimal name
+    piece, count = [], 0
+    for u in range(n - conn[0]):
+        head = "e " + names[u] + " "
+        gens = conn[:bisect.bisect_left(conn, n - u)]
+        piece.append(head + ("\n" + head).join([names[u + s] for s in gens]) + "\n")
+        count += len(gens)
+        if count >= CHUNK_LINES:
+            yield "".join(piece)
+            piece, count = [], 0
+    yield "".join(piece)
 
 
 def read_dimacs(path) -> Graph:
@@ -399,63 +414,37 @@ def read_dimacs(path) -> Graph:
     most n(n-1)/2; errors name the offending line.  A `c circulant` comment
     must describe the same graph.
 
-    There are two paths.  A file in write_dimacs's own form for a circulant
-    is checked a chunk of edges at a time against the connection set, and
-    its rows come from circulant_rows (_read_circulant).  Every other file,
-    and one that fails any of those checks, is read again from its start
-    by the line grammar (_read_edge_list), which defines every error
-    text."""
+    There are two paths.  A file with write_dimacs's text for the circulant
+    its first line names takes its rows from circulant_rows
+    (_read_circulant).  Every other file is read again from its start by
+    the line grammar (_read_edge_list), which defines every error text."""
     G = _read_circulant(path)
     return G if G is not None else _read_edge_list(path)
 
 
 def _read_circulant(path) -> Optional[Graph]:
-    """The circulant C_n(S) of a file in write_dimacs's form, else None.
-
-    The form is a `c circulant n S` line, a `p edge n m` line with
-    m = n|S|/2 and n <= MAX_VERTICES, and then only edge lines `e u v` in
-    the writer's form, whose pairs (u, v) strictly increase through the
-    file, with 1 <= u and v <= n and every v - u in S (so u < v).  Strictly
-    increasing pairs are distinct edges, each an edge of the circulant
-    since its difference lies in S; m of them are all its edges.  So no bit
-    is set while reading."""
-    spec = m = None
-    last = (0, 0)  # the last pair read
-    count = 0
-
-    def walk(first, lines):
-        """Take the two header lines; anything else is not the form."""
-        nonlocal spec, m
-        for lineno, raw in enumerate(lines, first):
-            tok = raw.split()
-            if lineno == 1 and len(tok) > 2 and tok[:2] == ["c", "circulant"]:
-                spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
-            elif (lineno == 2 and spec is not None and spec.n <= MAX_VERTICES
-                  and tok == ["p", "edge", str(spec.n), str(spec.n * spec.degree // 2)]):
-                m = int(tok[3])
-            else:
-                raise ValueError("not a circulant in the writer's form")
-
-    def bulk(text):
-        """Check a chunk of edge lines against the form; set nothing."""
-        nonlocal last, count
-        tok = text.split()
-        us = list(map(int, tok[1::3]))
-        vs = list(map(int, tok[2::3]))
-        pairs = [last, *zip(us, vs)]
-        if m is None or not (0 < us[0] and max(vs) <= spec.n
-                             and all(map(operator.lt, pairs, pairs[1:]))
-                             and spec.connection.issuperset(map(operator.sub, vs, us))):
-            return False
-        last = pairs[-1]
-        count += len(us)
-        return True
-
+    """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
+    if the file's text is write_dimacs's text for it (_circulant_text's
+    pieces, then the end), else None: that text reads as C_n(S).  The O(n)
+    names are built only when the file has room for n|S|/2 edge lines of 6
+    or more characters, so a short file claiming a large n costs little; a
+    pipe, which cannot be read again, is not refused for its size."""
     try:
-        read_in_chunks(path, _EDGE_LINES, bulk, walk)
-    except ValueError:  # walk's, int's, or CirculantSpec's GraphError
+        with open(path) as fh:
+            first = fh.readline()
+            tok = first.split()
+            if len(tok) < 3 or tok[:2] != ["c", "circulant"]:
+                return None
+            spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
+            text = _circulant_text(spec)
+            if (next(text) != first or spec.n > MAX_VERTICES or fh.seekable()
+                    and os.fstat(fh.fileno()).st_size < 6 * (spec.n * spec.degree // 2)):
+                return None
+            if any(fh.read(len(piece)) != piece for piece in text) or fh.read(1):
+                return None
+    except ValueError:  # int's, CirculantSpec's GraphError, or a decoding error
         return None
-    return Graph(spec.n, circulant_rows(spec), spec) if m is not None and count == m else None
+    return Graph(spec.n, circulant_rows(spec), spec)
 
 
 def _read_edge_list(path) -> Graph:

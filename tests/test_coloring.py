@@ -319,3 +319,12 @@ def test_matrix_csv_round_trip(tmp_path):
     matrix_to_csv(m, path)
     back = matrix_from_csv(path)
     assert back.grid == m.grid
+
+
+def test_matrix_csv_error_names_the_line(tmp_path):
+    # of two bad cells, the first names its line
+    path = tmp_path / "m.csv"
+    path.write_text(",0,1,2\n0,1,2,\n1,2,3,x\n2,,x,4\n")
+    with pytest.raises(ColoringError) as info:
+        matrix_from_csv(path)
+    assert str(info.value) == "line 3: invalid literal for int() with base 10: 'x'"

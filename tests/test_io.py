@@ -1,6 +1,7 @@
-"""The graph and coloring files: the readers take a file a chunk of lines at
-a time, and read every accepted form as the line-by-line grammar does; the
-writers' bytes are pinned."""
+"""The graph and coloring files: the coloring reader takes a file a chunk of
+lines at a time, the graph reader compares a circulant's file with the
+writer's text, and both read every accepted form as the line-by-line grammar
+does; the writers' bytes are pinned."""
 import contextlib
 import hashlib
 import io
@@ -113,9 +114,12 @@ def test_chunked_readers_read_every_accepted_form_alike(pair, graph_edits, color
 
 # How a circulant's `.col` may differ from the writer's: after these the
 # circulant check must fail, or pass with the graph the line reader returns.
+# The last four still hold the circulant but differ from the writer's text:
+# the text comparison refuses them, and the line reader reads the graph.
+_HARMLESS = ("leading-zero", "comment-unsorted", "comment-doubled-space", "trailing-blank")
 _MUTATIONS = ("none", "repeat-later", "reverse", "swap", "off-difference",
               "comment-after-p", "comment-other-n", "missing", "extra", "self-loop",
-              "out-of-range", "problem-line-repeated")
+              "out-of-range", "problem-line-repeated") + _HARMLESS
 
 
 @st.composite
@@ -123,7 +127,8 @@ def circulant_files(draw):
     """The text of write_dimacs for a circulant with n <= 60, changed by one
     mutation, and that mutation ("none" if it found nothing to change)."""
     kind = draw(st.sampled_from(_MUTATIONS))
-    if kind in ("none", "comment-after-p", "comment-other-n"):
+    if kind in ("none", "comment-after-p", "comment-other-n", "comment-unsorted",
+                "comment-doubled-space", "trailing-blank"):
         n = draw(st.integers(1, 60))
         half = draw(st.sets(st.integers(1, n // 2))) if n > 1 else set()
     else:  # at least two edges to change
@@ -180,6 +185,22 @@ def circulant_files(draw):
         lines[i] = " ".join(tok)
     elif kind == "problem-line-repeated":
         lines.insert(2, lines[1])
+    elif kind == "leading-zero":
+        i = draw(index)
+        tok = lines[i].split()
+        k = draw(st.sampled_from((1, 2)))
+        tok[k] = "0" + tok[k]
+        lines[i] = " ".join(tok)
+    elif kind == "comment-unsorted":
+        tok = lines[0].split()
+        if len(tok) < 5:  # fewer than two generators to reorder
+            return "\n".join(lines) + "\n", "none"
+        lines[0] = " ".join(tok[:3] + tok[:2:-1])
+    elif kind == "comment-doubled-space":
+        head, _, tail = lines[0].rpartition(" ")
+        lines[0] = head + "  " + tail
+    elif kind == "trailing-blank":
+        lines.append("")
     return "\n".join(lines) + "\n", kind
 
 
@@ -204,6 +225,9 @@ def test_circulant_check_reads_what_the_line_reader_reads(case):
         assert _read_at_chunk_sizes(_graph_or_error, path) == [expected] * 4
         if kind == "none":
             assert graphs._read_circulant(path) == expected
+        if kind in _HARMLESS:
+            assert graphs._read_circulant(path) is None
+            assert isinstance(expected, graphs.Graph)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -223,6 +247,47 @@ def test_gen_output_never_reaches_the_slow_reread(n, unitary, data):
         mp.setattr(graphs, "_read_edge_list", lambda path: slow.append(path))
         assert _read_at_chunk_sizes(read_dimacs, path) == [G] * 4
     assert slow == []
+
+
+@pytest.mark.parametrize("text, error", [
+    # 2^20 edges claimed over two edge lines: the file has no room for them,
+    # so the text comparison stops before it builds 2^20 vertex names
+    ("c circulant 1048576 1 1048575\np edge 1048576 1048576\ne 1 2\ne 2 3\n",
+     "line 2: problem line declares 1048576 edges, the file lists 2"),
+    # the writer's text for an edgeless circulant, one vertex too many
+    ("c circulant 1048577 \np edge 1048577 0\n", "line 2: vertex count 1048577 outside"),
+], ids=["edges-claimed", "too-many-vertices"])
+def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
+        tmp_path, text, error):
+    path = tmp_path / "big.col"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_read_circulant", lambda path: None)
+        expected = _graph_or_error(path)
+    assert expected.startswith("GraphError: " + error)
+    assert _graph_or_error(path) == expected
+    tracemalloc.start()
+    try:
+        assert graphs._read_circulant(path) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_circulant_reads_from_a_pipe(tmp_path):
+    # a pipe has no size to check, and what is read from it cannot be read
+    # again by the line reader
+    G = build_circulant(CirculantSpec(21, {1, 2, 3, 18, 19, 20}))
+    write_dimacs(G, tmp_path / "g.col")
+    r, w = os.pipe()
+    try:
+        os.write(w, (tmp_path / "g.col").read_bytes())
+        os.close(w)
+        assert read_dimacs("/dev/fd/%d" % r) == G
+    finally:
+        os.close(r)
 
 
 def test_read_coloring_holds_one_chunk_beyond_what_it_returns(tmp_path):
