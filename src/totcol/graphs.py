@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import io
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -414,86 +414,97 @@ def read_dimacs(path) -> Graph:
     most n(n-1)/2; errors name the offending line.  A `c circulant` comment
     must describe the same graph.
 
-    There are two paths.  A file with write_dimacs's text for the circulant
-    its first line names takes its rows from circulant_rows
-    (_read_circulant).  Every other file is read again from its start by
-    the line grammar (_read_edge_list), which defines every error text."""
-    G = _read_circulant(path)
-    return G if G is not None else _read_edge_list(path)
+    The file is opened once, and its text takes one of two routes.  A file
+    with write_dimacs's text for the circulant its first line names takes
+    its rows from circulant_rows (_read_circulant).  Every other file is
+    read again from its start by the line grammar (_read_edge_list), which
+    defines every error text.  Input that cannot seek, such as a pipe, is
+    read into memory first, so that both see all of it.  Text that is not
+    UTF-8 raises GraphError."""
+    with open(path) as raw:
+        try:
+            fh = raw if raw.seekable() else io.StringIO(raw.read())
+            G = _read_circulant(fh)
+            if G is None:
+                fh.seek(0)
+                G = _read_edge_list(fh)
+        except UnicodeDecodeError as exc:
+            raise GraphError("not UTF-8 text: %s" % exc) from None
+    return G
 
 
-def _read_circulant(path) -> Optional[Graph]:
+def _read_circulant(fh) -> Optional[Graph]:
     """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
-    if the file's text is write_dimacs's text for it (_circulant_text's
-    pieces, then the end), else None: that text reads as C_n(S).  The O(n)
-    names are built only when the file has room for n|S|/2 edge lines of 6
-    or more characters, so a short file claiming a large n costs little; a
-    pipe, which cannot be read again, is not refused for its size."""
+    if the text of the open file fh is write_dimacs's text for it
+    (_circulant_text's pieces, then the end), else None: that text reads as
+    C_n(S).  fh must be seekable.  The O(n) names are built only when the
+    file has room for n|S|/2 edge lines of 6 or more characters, so a short
+    file claiming a large n costs little."""
     try:
-        with open(path) as fh:
-            first = fh.readline()
-            tok = first.split()
-            if len(tok) < 3 or tok[:2] != ["c", "circulant"]:
-                return None
-            spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
-            text = _circulant_text(spec)
-            if (next(text) != first or spec.n > MAX_VERTICES or fh.seekable()
-                    and os.fstat(fh.fileno()).st_size < 6 * (spec.n * spec.degree // 2)):
-                return None
-            if any(fh.read(len(piece)) != piece for piece in text) or fh.read(1):
-                return None
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        first = fh.readline()
+        tok = first.split()
+        if len(tok) < 3 or tok[:2] != ["c", "circulant"]:
+            return None
+        spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
+        text = _circulant_text(spec)
+        if (next(text) != first or spec.n > MAX_VERTICES
+                or size < 6 * (spec.n * spec.degree // 2)):
+            return None
+        if any(fh.read(len(piece)) != piece for piece in text) or fh.read(1):
+            return None
     except ValueError:  # int's, CirculantSpec's GraphError, or a decoding error
         return None
     return Graph(spec.n, circulant_rows(spec), spec)
 
 
-def _read_edge_list(path) -> Graph:
-    """read_dimacs for any file, one line at a time: the grammar and its
-    error texts."""
+def _read_edge_list(fh) -> Graph:
+    """read_dimacs for the text of any open file fh, one line at a time: the
+    grammar and its error texts."""
     n = m = p_line = None
     rows: list = []
     count = 0
     circ = None
     diffs = set()  # (v - u) mod n over the edges
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            tok = raw.split()
-            if not tok:
-                continue
-            try:
-                if tok[0] == "e":
-                    if n is None:
-                        raise GraphError("edge line before problem line")
-                    if len(tok) != 3:
-                        raise GraphError("edge line needs two endpoints")
-                    u, v = int(tok[1]) - 1, int(tok[2]) - 1
-                    if not (0 <= u < n and 0 <= v < n):
-                        raise GraphError("edge endpoint out of range")
-                    if u == v:
-                        raise GraphError("self-loop")
-                    if (rows[u] >> v) & 1:
-                        raise GraphError("repeated edge")
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    diffs.add((v - u) % n)
-                    count += 1
-                elif tok[0] == "c":
-                    if len(tok) >= 3 and tok[1] == "circulant":
-                        circ = CirculantSpec(int(tok[2]), [int(x) for x in tok[3:]])
-                elif tok[0] == "p":
-                    if len(tok) != 4 or tok[1] != "edge" or n is not None:
-                        raise GraphError("malformed or repeated problem line")
-                    n, m, p_line = int(tok[2]), int(tok[3]), lineno
-                    if not 0 <= n <= MAX_VERTICES:
-                        raise GraphError("vertex count %d outside 0..%d" % (n, MAX_VERTICES))
-                    if not 0 <= m <= n * (n - 1) // 2:
-                        raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
-                                         % (m, n * (n - 1) // 2))
-                    rows = [0] * n
-                else:
-                    raise GraphError("unrecognized line")
-            except ValueError as exc:
-                raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
+    for lineno, raw in enumerate(fh, 1):
+        tok = raw.split()
+        if not tok:
+            continue
+        try:
+            if tok[0] == "e":
+                if n is None:
+                    raise GraphError("edge line before problem line")
+                if len(tok) != 3:
+                    raise GraphError("edge line needs two endpoints")
+                u, v = int(tok[1]) - 1, int(tok[2]) - 1
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError("edge endpoint out of range")
+                if u == v:
+                    raise GraphError("self-loop")
+                if (rows[u] >> v) & 1:
+                    raise GraphError("repeated edge")
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                diffs.add((v - u) % n)
+                count += 1
+            elif tok[0] == "c":
+                if len(tok) >= 3 and tok[1] == "circulant":
+                    circ = CirculantSpec(int(tok[2]), [int(x) for x in tok[3:]])
+            elif tok[0] == "p":
+                if len(tok) != 4 or tok[1] != "edge" or n is not None:
+                    raise GraphError("malformed or repeated problem line")
+                n, m, p_line = int(tok[2]), int(tok[3]), lineno
+                if not 0 <= n <= MAX_VERTICES:
+                    raise GraphError("vertex count %d outside 0..%d" % (n, MAX_VERTICES))
+                if not 0 <= m <= n * (n - 1) // 2:
+                    raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
+                                     % (m, n * (n - 1) // 2))
+                rows = [0] * n
+            else:
+                raise GraphError("unrecognized line")
+        except ValueError as exc:
+            raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
     if n is None:
         raise GraphError("missing problem line")
     if count != m:

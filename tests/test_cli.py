@@ -449,7 +449,7 @@ def test_classify_by_construction_spends_no_budget(tmp_path, monkeypatch, capsys
     assert run(["verify", "c21.col", "cert.tc"], tmp_path, monkeypatch) == 0
     capsys.readouterr()
     assert run(["oracle", "c21.col", "--what", "total-chromatic"], tmp_path, monkeypatch) == 0
-    assert "total chromatic number: 7 (lower bound 7, 1771 nodes)" in capsys.readouterr().out
+    assert "total chromatic number: 7 (lower bound 7, 6096 nodes)" in capsys.readouterr().out
 
 
 def test_z9_lower_bound_comes_from_conformability(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import hashlib
 import io
 import os
 import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -204,6 +205,11 @@ def circulant_files(draw):
     return "\n".join(lines) + "\n", kind
 
 
+def _read_circulant(path):
+    with open(path) as fh:
+        return graphs._read_circulant(fh)
+
+
 def _graph_or_error(path):
     try:
         return read_dimacs(path)
@@ -220,13 +226,13 @@ def test_circulant_check_reads_what_the_line_reader_reads(case):
         with open(path, "w") as fh:
             fh.write(text)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_read_circulant", lambda path: None)
+            mp.setattr(graphs, "_read_circulant", lambda fh: None)
             expected = _graph_or_error(path)
         assert _read_at_chunk_sizes(_graph_or_error, path) == [expected] * 4
         if kind == "none":
-            assert graphs._read_circulant(path) == expected
+            assert _read_circulant(path) == expected
         if kind in _HARMLESS:
-            assert graphs._read_circulant(path) is None
+            assert _read_circulant(path) is None
             assert isinstance(expected, graphs.Graph)
 
 
@@ -244,7 +250,7 @@ def test_gen_output_never_reaches_the_slow_reread(n, unitary, data):
         path = os.path.join(d, "g.col")
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gen", *argv, "-o", path]) == 0
-        mp.setattr(graphs, "_read_edge_list", lambda path: slow.append(path))
+        mp.setattr(graphs, "_read_edge_list", lambda fh: slow.append(fh))
         assert _read_at_chunk_sizes(read_dimacs, path) == [G] * 4
     assert slow == []
 
@@ -262,13 +268,13 @@ def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
     path = tmp_path / "big.col"
     path.write_text(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_read_circulant", lambda path: None)
+        mp.setattr(graphs, "_read_circulant", lambda fh: None)
         expected = _graph_or_error(path)
     assert expected.startswith("GraphError: " + error)
     assert _graph_or_error(path) == expected
     tracemalloc.start()
     try:
-        assert graphs._read_circulant(path) is None
+        assert _read_circulant(path) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,6 +294,37 @@ def test_a_circulant_reads_from_a_pipe(tmp_path):
         assert read_dimacs("/dev/fd/%d" % r) == G
     finally:
         os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_refused_circulant_reads_from_a_pipe_by_its_lines(tmp_path):
+    # two edge lines swapped: the text comparison refuses the file, and the
+    # line reader must still see all of it, not what the comparison left
+    G = build_circulant(CirculantSpec(2009, {684, 807, 843, 1166, 1202, 1325}))
+    write_dimacs(G, tmp_path / "g.col")
+    lines = (tmp_path / "g.col").read_text().splitlines(keepends=True)
+    lines[100], lines[101] = lines[101], lines[100]
+    (tmp_path / "swapped.col").write_text("".join(lines))
+    from_disk = read_dimacs(tmp_path / "swapped.col")
+    assert from_disk == G
+    r, w = os.pipe()
+    # the writer runs in a thread: the file is larger than a pipe's buffer
+    writer = threading.Thread(target=lambda: (os.write(w, "".join(lines).encode()),
+                                              os.close(w)))
+    writer.start()
+    try:
+        assert read_dimacs("/dev/fd/%d" % r) == from_disk
+    finally:
+        os.close(r)  # a writer still blocked on a full pipe then fails
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_undecodable_graph_file_is_a_graph_error(tmp_path):
+    path = tmp_path / "bad.col"
+    path.write_bytes(b"p edge 3 1\ne 1 2\n\xff\n")
+    with pytest.raises(GraphError, match="not UTF-8 text"):
+        read_dimacs(path)
 
 
 def test_read_coloring_holds_one_chunk_beyond_what_it_returns(tmp_path):

@@ -169,14 +169,33 @@ C_10 = build_circulant(CirculantSpec(10, {1, 2, 3, 7, 8, 9}))
 
 
 @pytest.mark.parametrize("solve, G, nodes", [
-    (classify_type, build_unitary(8), 2257),
-    (classify_type, build_unitary(9), 4166),
+    (classify_type, build_unitary(8), 1962),
+    (classify_type, build_unitary(9), 32),
     # thm2.3 classifies C_21 with no search; the oracle still searches it
-    (exact_total_chromatic, C_21, 1771),
+    (exact_total_chromatic, C_21, 6096),
 ], ids=["U_8", "U_9", "C_21"])
 def test_classify_search_tree_is_pinned(solve, G, nodes):
     # the branching order fixes the tree: a change to it changes these counts
     assert solve(G).nodes == nodes
+
+
+def test_edge_search_keeps_the_index_tie_break():
+    # only the total-coloring search breaks ties by unassigned neighbours;
+    # on spec-less K_16 that order takes 102 591 nodes instead of 146
+    G = subgraph_of_edges(16, build_circulant(CirculantSpec(16, set(range(1, 16)))).edges())
+    assert oracles.exact_edge_coloring(G, 15, SearchBudget(node_limit=146))[0] == "sat"
+    assert oracles.exact_edge_coloring(G, 15, SearchBudget(node_limit=145))[0] == "budget"
+
+
+@pytest.mark.parametrize("half", [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 6), (1, 3, 5, 6)],
+                         ids=lambda half: "C_12{%s}" % ",".join(map(str, half)))
+def test_classify_decides_order_12_circulants_by_search(half):
+    # inconclusive after 300 000 nodes with the index tie-break
+    G = build_circulant(CirculantSpec(12, set(half) | {12 - s for s in half}))
+    res = classify_type(G, SearchBudget(node_limit=300_000))
+    assert res.kind == "type1" and res.upper_evidence == "search"
+    report = verify_total(G, res.certificate)
+    assert report.ok and report.colors_used == G.max_degree + 1
 
 
 def test_classify_takes_the_upper_bound_from_a_construction():
@@ -192,7 +211,7 @@ def test_classify_takes_the_upper_bound_from_a_construction():
 @pytest.mark.parametrize("G, method", [(C_21, "thm2.3"), (C_10, "thm2.5")],
                          ids=["C_21", "C_10"])
 def test_classify_by_construction_does_not_search(G, method, monkeypatch):
-    def spy(*args):
+    def spy(*args, **kwargs):
         raise AssertionError("searched")
 
     monkeypatch.setattr(oracles, "_solve_list_coloring", spy)
@@ -206,7 +225,7 @@ def test_classify_falls_back_to_search_when_the_construction_fails(monkeypatch):
     monkeypatch.setattr(constructions, "color_odd_circulant", fails)
     res = classify_type(C_21)
     assert res.kind == "type1" and res.upper_evidence == "search"
-    assert res.nodes == 1771
+    assert res.nodes == 6096
 
 
 def test_classify_lets_a_construction_verification_failure_through(monkeypatch):
@@ -237,9 +256,9 @@ def test_classify_type2_by_conformability_searches_only_delta_plus_2(G, monkeypa
     searched = []
     solve = oracles._solve_list_coloring
 
-    def spy(adj, k, precolor, budget):
+    def spy(adj, k, precolor, budget, **kwargs):
         searched.append(k)
-        return solve(adj, k, precolor, budget)
+        return solve(adj, k, precolor, budget, **kwargs)
 
     monkeypatch.setattr(oracles, "_solve_list_coloring", spy)
     delta = G.max_degree
@@ -265,10 +284,12 @@ def test_classify_names_the_evidence_of_its_lower_bound(G, evidence):
 
 
 def test_classify_bounds_check_and_search_with_one_budget():
-    G = build_unitary(9)
+    # the conformability check takes at most a tenth of the node limit, so
+    # this needs a search well above ten times the check's steps
+    G = build_unitary(8)
     full = classify_type(G)
     ticks = full.conformability_steps + full.nodes
-    assert classify_type(G, SearchBudget(node_limit=ticks)).kind == "type1"
+    assert classify_type(G, SearchBudget(node_limit=ticks)).kind == full.kind
     res = classify_type(G, SearchBudget(node_limit=ticks - 1))
     assert res.kind == "inconclusive" and res.nodes == full.nodes
 
@@ -282,7 +303,7 @@ def test_classify_out_of_time_in_the_conformability_check_is_inconclusive():
 
 
 def test_open_conformability_check_leaves_the_bound_to_the_search():
-    # the check is open after millions of steps here; the search needs 954
+    # the check is open after millions of steps here; the search needs 651
     # nodes, and the graph is type I
     G = build_circulant(CirculantSpec(23, {6, 8, 11, 12, 15, 17}))
     res = classify_type(G, SearchBudget(node_limit=10_000))
