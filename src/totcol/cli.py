@@ -39,7 +39,10 @@ EXIT_IO = 4
 
 def _read_group_table(path) -> GroupTable:
     with open(path) as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise graphs.GraphError("not UTF-8 text: %s" % exc) from None
     if len(tokens) < 2:
         raise graphs.GraphError("group table file too short")
     try:

@@ -227,7 +227,8 @@ _COLORING_LINES = r"(?:v [0-9]+ [0-9]+\n)*(?:e [0-9]+ [0-9]+ [0-9]+\n)*"
 def read_coloring(path) -> TotalColoring:
     """Inverse of write_coloring; errors name the offending line.  A second
     `t` header, or a vertex or an edge (in either orientation) given twice,
-    is an error, as a repeated edge is in `read_dimacs`."""
+    is an error, as a repeated edge is in `read_dimacs`.  Text that is not
+    UTF-8 raises ColoringError."""
     c = None
 
     def walk(first, lines):
@@ -281,7 +282,10 @@ def read_coloring(path) -> TotalColoring:
         c.edge_color.update(edges)
         return True
 
-    read_in_chunks(path, _COLORING_LINES, bulk, walk)
+    try:
+        read_in_chunks(path, _COLORING_LINES, bulk, walk)
+    except UnicodeDecodeError as exc:
+        raise ColoringError("not UTF-8 text: %s" % exc) from None
     if c is None:
         raise ColoringError("missing header line")
     return c
@@ -306,7 +310,10 @@ class _CellValues(dict):
 
 def matrix_from_csv(path) -> TotalColorMatrix:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ColoringError("not UTF-8 text: %s" % exc) from None
     if not rows:
         raise ColoringError("empty CSV")
     n = len(rows[0]) - 1

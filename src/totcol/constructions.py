@@ -255,15 +255,22 @@ def color_complete_bipartite(G: Graph) -> ConstructionResult:
     """thm2.1: total coloring of U_n for n = 2m a power of two, the complete
     bipartite graph on evens vs odds, with m+2 colors."""
     _require_power_of_two_unitary(G)
-    m = G.n // 2
-    c = TotalColoring(G.n)
-    for i in range(m):
-        c.vertex_color[2 * i] = m + 1
-        c.vertex_color[2 * i + 1] = m + 2
-    for i in range(m):
-        for j in range(m):
-            c.set_edge(2 * i, 2 * j + 1, ((i + j) % m) + 1)
-    return ConstructionResult(_checked(G, c, "color_complete_bipartite(%d)" % m), [])
+    c = fill_complete_bipartite(G.n, range(0, G.n, 2), range(1, G.n, 2))
+    return ConstructionResult(_checked(G, c, "color_complete_bipartite(%d)" % (G.n // 2)), [])
+
+
+def fill_complete_bipartite(n: int, A, B) -> TotalColoring:
+    """(m+2)-color total coloring of K_{m,m} on the sides A and B, each of m
+    vertices in ascending order: A's vertices take m+1, B's take m+2, and
+    the edge a_i b_j takes ((i+j) mod m)+1."""
+    m = len(A)
+    c = TotalColoring(n)
+    c.vertex_color.update(dict.fromkeys(A, m + 1))
+    c.vertex_color.update(dict.fromkeys(B, m + 2))
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            c.set_edge(a, b, ((i + j) % m) + 1)
+    return c
 
 
 @dataclass
@@ -405,6 +412,44 @@ def color_complete_odd(q: int) -> TotalColoring:
         for j in range(i + 1, q):
             c.set_edge(i, j, ((i + j) % q) + 1)
     return c
+
+
+def color_complete_even(n: int) -> TotalColoring:
+    """(n+1)-color total coloring of K_n for even n >= 2: color_complete_odd's
+    coloring of K_{n+1} restricted to the vertices 0..n-1, as a subgraph
+    inherits a proper total coloring."""
+    big = color_complete_odd(n + 1)
+    return TotalColoring(n, {v: col for v, col in big.vertex_color.items() if v < n},
+                         {e: col for e, col in big.edge_color.items() if e[1] < n})
+
+
+def complete_type_two(G: Graph) -> Optional[Tuple[str, TotalColoring]]:
+    """(construction, coloring) when G is exactly K_n with n even
+    ("complete-even") or exactly K_{m,m} with n = 2m ("complete-bipartite"),
+    in any labelling, else None.  The coloring has Delta+2 colors and
+    verify_total has accepted it; oracles.classify_type takes it as the
+    upper bound of a type II graph, because chi''(K_n) = n+1 for even n and
+    chi''(K_{m,m}) = m+2 (M. Behzad, G. Chartrand and J. K. Cooper, "The
+    colour numbers of complete graphs", J. London Math. Soc. 42, 1967).
+
+    The test compares each bitmask row once.  K_n: row v is every vertex
+    but v.  K_{m,m}: B, the neighbours of vertex 0, has m vertices, and
+    each row is A = the rest (vertex 0 included) for a vertex of B, and B
+    for a vertex of A."""
+    n, rows = G.n, G.rows
+    if n < 2 or n % 2:
+        return None
+    full = (1 << n) - 1
+    if all(row == full ^ (1 << v) for v, row in enumerate(rows)):
+        return "complete-even", _checked(G, color_complete_even(n), "color_complete_even(%d)" % n)
+    B = rows[0]
+    A = full ^ B
+    if B.bit_count() != n // 2 or any(row != (A if B >> v & 1 else B)
+                                      for v, row in enumerate(rows)):
+        return None
+    sides = ([v for v in range(n) if A >> v & 1], [v for v in range(n) if B >> v & 1])
+    return "complete-bipartite", _checked(G, fill_complete_bipartite(n, *sides),
+                                          "fill_complete_bipartite(%d)" % (n // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,11 @@ def _read_circulant(fh) -> Optional[Graph]:
 
 def _read_edge_list(fh) -> Graph:
     """read_dimacs for the text of any open file fh, one line at a time: the
-    grammar and its error texts."""
+    grammar and its error texts.  The rows are kept in a dict of the
+    vertices with an edge until the edge count holds, so that a short file
+    whose `p` line claims many vertices allocates nothing in proportion."""
     n = m = p_line = None
-    rows: list = []
+    rows: dict = {}
     count = 0
     circ = None
     diffs = set()  # (v - u) mod n over the edges
@@ -482,10 +484,10 @@ def _read_edge_list(fh) -> Graph:
                     raise GraphError("edge endpoint out of range")
                 if u == v:
                     raise GraphError("self-loop")
-                if (rows[u] >> v) & 1:
+                if (rows.get(u, 0) >> v) & 1:
                     raise GraphError("repeated edge")
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+                rows[u] = rows.get(u, 0) | 1 << v
+                rows[v] = rows.get(v, 0) | 1 << u
                 diffs.add((v - u) % n)
                 count += 1
             elif tok[0] == "c":
@@ -500,7 +502,6 @@ def _read_edge_list(fh) -> Graph:
                 if not 0 <= m <= n * (n - 1) // 2:
                     raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
                                      % (m, n * (n - 1) // 2))
-                rows = [0] * n
             else:
                 raise GraphError("unrecognized line")
         except ValueError as exc:
@@ -515,4 +516,4 @@ def _read_edge_list(fh) -> Graph:
     if circ is not None and (circ.n != n or not diffs <= circ.connection
                              or 2 * count != n * circ.degree):
         raise GraphError("circulant comment inconsistent with edge list")
-    return Graph(n, tuple(rows), circ)
+    return Graph(n, tuple(rows.get(u, 0) for u in range(n)), circ)

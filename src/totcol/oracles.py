@@ -209,6 +209,8 @@ LOWER_EVIDENCE = {
     "conformability": "a regular graph with no conformable Delta+1 partition has "
                       "no Delta+1 total coloring [Chetwynd-Hilton 1988]",
     "search": "exhaustive search refuted every smaller color count",
+    "complete": "K_n with n even has chi'' = n+1 and K_{m,m} has chi'' = m+2 "
+                "[Behzad-Chartrand-Cooper 1967]",
 }
 
 
@@ -498,7 +500,8 @@ class Classification:
     nodes: int  # search nodes only
     conformability_steps: int
     lower_evidence: str  # a key of LOWER_EVIDENCE
-    upper_evidence: Optional[str]  # the construction's method name, "search", or None
+    # a TYPE_ONE method, a complete_type_two construction, "search", or None
+    upper_evidence: Optional[str]
     detail: str
 
 
@@ -527,13 +530,17 @@ def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classifica
     The upper bound comes first from the paper's Delta+1 theorems
     (constructions.TYPE_ONE): when Delta+1 is within max_colors, a verified
     Delta+1 coloring proves type I against the star clique, with no search.
-    The constructions run outside the budget: they spend no node and do not
-    watch the time limit.  Otherwise
-    this is exact_total_chromatic capped at Delta+2 colors, so the lower
-    bound Delta+2 of a type II graph comes from conformability when the
-    graph is regular and not conformable with Delta+1 classes (Chetwynd-
-    Hilton: a type I regular graph is conformable), and from an exhausted
-    Delta+1 search otherwise.  Irregular graphs always take the search.
+    Next, when Delta+2 is within max_colors, a graph that is exactly K_n
+    with n even or K_{m,m}, in any labelling, is type II by a theorem
+    (lower evidence "complete"), and constructions.complete_type_two's
+    verified Delta+2 coloring is the certificate, with no conformability
+    check and no search.  The constructions run outside the budget: they
+    spend no node and do not watch the time limit.  Otherwise this is
+    exact_total_chromatic capped at Delta+2 colors, so the lower bound
+    Delta+2 of a type II graph comes from conformability when the graph is
+    regular and not conformable with Delta+1 classes (Chetwynd-Hilton: a
+    type I regular graph is conformable), and from an exhausted Delta+1
+    search otherwise.  Irregular graphs always take the search.
     `lower_evidence`, `upper_evidence` and `detail` say which evidence
     closed each bound.
     """
@@ -546,6 +553,16 @@ def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classifica
             LOWER_EVIDENCE["clique"], method)
         return Classification("type1", delta, coloring, delta + 1, 0, 0, "clique",
                               method, detail)
+    if delta + 2 <= budget.max_colors:
+        from . import constructions  # circular at module level
+
+        found = constructions.complete_type_two(G)
+        if found is not None:
+            method, coloring = found
+            detail = "lower bound by complete: %s; Delta+2 certificate by construction %s" % (
+                LOWER_EVIDENCE["complete"], method)
+            return Classification("type2", delta, coloring, delta + 2, 0, 0, "complete",
+                                  method, detail)
     capped = SearchBudget(
         max_colors=min(budget.max_colors, delta + 2),
         node_limit=budget.node_limit,

@@ -388,6 +388,23 @@ def test_verify_rejects_a_coloring_of_another_size_quickly(tmp_path, name, text)
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, name, data", [
+    (["verify", "k3.col", "bad.tc"], "bad.tc", b"t 3 3\nv 0 1\n\xff\n"),
+    (["verify", "k3.col", "bad.csv"], "bad.csv", b",0,1,2\n0,\xff\n"),
+    (["gen", "cayley", "bad.grp", "1"], "bad.grp", b"2 0\n0 1\n1 \xff\n"),
+], ids=["tc", "csv", "group-table"])
+def test_undecodable_input_exits_4_without_traceback(tmp_path, argv, name, data):
+    (tmp_path / "k3.col").write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    (tmp_path / name).write_bytes(data)
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli"] + argv, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("input error: not UTF-8 text: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_leaves_networkx_unloaded():
     src = os.path.dirname(os.path.dirname(totcol.__file__))
     code = "import sys, totcol; sys.exit('networkx' in sys.modules)"

@@ -281,6 +281,21 @@ def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
     assert peak < 1 << 20
 
 
+def test_the_line_reader_allocates_no_rows_before_the_edge_count_holds(tmp_path):
+    # these 65 bytes once peaked at 8.4 MB: the line reader allocated 2^20
+    # rows at the `p` line, before it read an edge
+    path = tmp_path / "big.col"
+    path.write_text("c circulant 1048576 1 1048575\np edge 1048576 1048576\ne 1 2\ne 2 3\n")
+    tracemalloc.start()
+    try:
+        error = _graph_or_error(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert error == "GraphError: line 2: problem line declares 1048576 edges, the file lists 2"
+    assert peak < 1 << 20
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_a_circulant_reads_from_a_pipe(tmp_path):
     # a pipe has no size to check, and what is read from it cannot be read

@@ -1,5 +1,7 @@
 import inspect
 import itertools
+import math
+import random
 import sys
 
 import pytest
@@ -169,9 +171,10 @@ C_10 = build_circulant(CirculantSpec(10, {1, 2, 3, 7, 8, 9}))
 
 
 @pytest.mark.parametrize("solve, G, nodes", [
-    (classify_type, build_unitary(8), 1962),
+    # U_8 = K_{4,4} and thm2.3's C_21 are classified with no search; the
+    # oracle still searches them
+    (exact_total_chromatic, build_unitary(8), 1962),
     (classify_type, build_unitary(9), 32),
-    # thm2.3 classifies C_21 with no search; the oracle still searches it
     (exact_total_chromatic, C_21, 6096),
 ], ids=["U_8", "U_9", "C_21"])
 def test_classify_search_tree_is_pinned(solve, G, nodes):
@@ -249,9 +252,9 @@ def test_classify_inconclusive_on_tiny_budget():
 
 @pytest.mark.parametrize("G", [
     build_circulant(CirculantSpec(9, {1, 2, 3, 6, 7, 8})),
-    complete(6),
+    build_circulant(CirculantSpec(7, {1, 2, 5, 6})),
     build_circulant(CirculantSpec(5, {1, 4})),
-], ids=["Z_9", "K_6", "C_5"])
+], ids=["Z_9", "C_7", "C_5"])
 def test_classify_type2_by_conformability_searches_only_delta_plus_2(G, monkeypatch):
     searched = []
     solve = oracles._solve_list_coloring
@@ -272,10 +275,11 @@ def test_classify_type2_by_conformability_searches_only_delta_plus_2(G, monkeypa
 
 
 @pytest.mark.parametrize("G, evidence", [
-    (build_unitary(8), "search"),  # conformable, yet type II
+    (build_circulant(CirculantSpec(8, {1, 4, 7})), "search"),  # conformable, yet type II
+    (build_unitary(8), "complete"),  # K_{4,4}
     (build_unitary(9), "clique"),
     (subgraph_of_edges(3, [(0, 1), (1, 2)]), "clique"),  # irregular: no conformability check
-], ids=["U_8", "U_9", "P_3"])
+], ids=["C_8", "U_8", "U_9", "P_3"])
 def test_classify_names_the_evidence_of_its_lower_bound(G, evidence):
     res = classify_type(G)
     assert res.kind in ("type1", "type2")
@@ -285,13 +289,142 @@ def test_classify_names_the_evidence_of_its_lower_bound(G, evidence):
 
 def test_classify_bounds_check_and_search_with_one_budget():
     # the conformability check takes at most a tenth of the node limit, so
-    # this needs a search well above ten times the check's steps
-    G = build_unitary(8)
+    # this needs a search well above ten times the check's steps: 151 nodes
+    # and 11 steps
+    G = build_circulant(CirculantSpec(10, {2, 5, 8}))
     full = classify_type(G)
     ticks = full.conformability_steps + full.nodes
     assert classify_type(G, SearchBudget(node_limit=ticks)).kind == full.kind
     res = classify_type(G, SearchBudget(node_limit=ticks - 1))
     assert res.kind == "inconclusive" and res.nodes == full.nodes
+
+
+def _relabelled(G, seed):
+    """A copy of G with no circulant spec, its vertices shuffled."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return subgraph_of_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def _complete_families():
+    """(id, graph, construction): K_{m,m} for m = 1..8 as U_{2^k}, as
+    C_2m{odd} and relabelled, and K_2m for m = 1..6 as a circulant and with
+    no spec.  K_2 is both; the K_n test comes first."""
+    for m in range(1, 9):
+        method = "complete-even" if m == 1 else "complete-bipartite"
+        G = build_circulant(CirculantSpec(2 * m, set(range(1, 2 * m, 2))))
+        if m & (m - 1) == 0:
+            yield "U_%d" % (2 * m), build_unitary(2 * m), method
+        yield "C_%d{odd}" % (2 * m), G, method
+        yield "K_%d,%d-relabelled" % (m, m), _relabelled(G, m), method
+    for m in range(1, 7):
+        yield "C_%d{all}" % (2 * m), build_circulant(CirculantSpec(2 * m, range(1, 2 * m))), \
+            "complete-even"
+        yield "K_%d" % (2 * m), complete(2 * m), "complete-even"
+
+
+@pytest.mark.parametrize("G, method", [case[1:] for case in _complete_families()],
+                         ids=[case[0] for case in _complete_families()])
+def test_classify_takes_complete_families_by_theorem(G, method, monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracles, "_solve_list_coloring", spy)
+    monkeypatch.setattr(oracles, "_conformable", spy)
+    res = classify_type(G, SearchBudget(node_limit=1))
+    delta = G.max_degree
+    assert (res.kind, res.value, res.nodes, res.conformability_steps) == ("type2", delta + 2, 0, 0)
+    assert res.lower_evidence == "complete" and res.upper_evidence == method
+    assert res.detail.endswith("; Delta+2 certificate by construction %s" % method)
+    report = verify_total(G, res.certificate)
+    assert report.ok and report.colors_used == delta + 2
+
+
+def _minus_edge(G, e):
+    return subgraph_of_edges(G.n, [f for f in G.edges() if f != e])
+
+
+@pytest.mark.parametrize("G", [
+    _minus_edge(build_unitary(8), (0, 1)),
+    _minus_edge(build_unitary(8), (6, 7)),
+    _minus_edge(complete(6), (0, 1)),
+    _minus_edge(complete(6), (4, 5)),
+    build_circulant(CirculantSpec(12, {2, 4, 6, 8, 10})),  # two disjoint K_6
+    subgraph_of_edges(6, [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)]),  # K_2,4
+    subgraph_of_edges(4, [(0, 3), (1, 3), (2, 3)]),  # K_1,3 with vertex 0 a leaf
+    build_circulant(CirculantSpec(6, {3})),  # three disjoint K_2
+], ids=["K_4,4-0,1", "K_4,4-6,7", "K_6-0,1", "K_6-4,5", "2K_6", "K_2,4", "K_1,3", "3K_2"])
+def test_classify_does_not_take_a_near_miss_as_a_complete_family(G):
+    assert constructions.complete_type_two(G) is None
+    res = classify_type(G, SearchBudget(node_limit=2_000))
+    assert res.lower_evidence != "complete"
+    assert res.certificate is None or verify_total(G, res.certificate).ok
+
+
+@pytest.mark.parametrize("G", [build_unitary(8), complete(6)], ids=["U_8", "K_6"])
+def test_classify_below_delta_plus_2_colors_keeps_the_old_path(G, monkeypatch):
+    def spy(G):
+        raise AssertionError("took the complete-family step")
+
+    monkeypatch.setattr(constructions, "complete_type_two", spy)
+    res = classify_type(G, SearchBudget(max_colors=G.max_degree + 1))
+    assert res.kind == "inconclusive" and res.conformability_steps > 0
+
+
+# chi'' as classify_type decided it before the complete-family step, by
+# conformability and search under 300 000 nodes, for one circulant per
+# multiplier orbit with n <= 10: "half=chi''", the half-set as digits ("-"
+# when empty), and "?" where the budget ran out
+_BY_SEARCH = {
+    1: "-=1",
+    2: "-=1 1=3",
+    3: "-=1 1=3",
+    4: "-=1 1=4 2=3 12=5",
+    5: "-=1 1=4 12=5",
+    6: "-=1 1=3 2=3 3=3 12=5 13=5 23=4 123=7",
+    7: "-=1 1=4 12=6 123=7",
+    8: "-=1 1=4 2=4 4=3 12=5 13=6 14=5 24=5 123=7 124=6 134=6 1234=?",
+    9: "-=1 1=3 3=3 12=5 13=5 123=8 124=7 1234=9",
+    10: "-=1 1=4 2=4 5=3 12=5 13=5 14=5 15=5 24=5 25=5 123=7 124=7 125=6 135=7 "
+        "145=6 245=6 1234=9 1235=9 1245=8 12345=?",
+}
+
+
+def _orbit_representatives(max_n):
+    """The first circulant of each multiplier orbit, in _circulants' order:
+    C_n(S) and C_n(aS) are isomorphic for a unit a."""
+    seen = set()
+    for n, half, G in _circulants(max_n):
+        orbit = {(n, tuple(sorted(s for s in {a * t % n for t in G.circulant.connection}
+                                  if s <= n // 2)))
+                 for a in range(1, n) if math.gcd(a, n) == 1}
+        if not orbit & seen:
+            yield n, half, G
+        seen |= orbit
+
+
+def test_complete_family_step_changes_no_decided_orbit_row():
+    before = {(n, key): None if chi == "?" else int(chi)
+              for n, row in _BY_SEARCH.items()
+              for key, chi in (entry.split("=") for entry in row.split())}
+    rows, closed, taken = [], [], []
+    for n, half, G in _orbit_representatives(10):
+        key = (n, "".join(map(str, half)) or "-")
+        res = classify_type(G, SearchBudget(node_limit=300_000, time_limit_secs=10))
+        assert res.kind == ("type1" if res.value == res.delta + 1 else "type2"), key
+        report = verify_total(G, res.certificate)
+        assert report.ok and report.colors_used == res.value, key
+        if before[key] is None:
+            closed.append(key)
+        else:
+            assert res.value == before[key], key
+        if res.lower_evidence == "complete":
+            taken.append(key)
+        rows.append(key)
+    assert rows == list(before)
+    assert closed == [(8, "1234"), (10, "12345")]  # K_8 and K_10
+    assert taken == [(2, "1"), (4, "1"), (4, "12"), (6, "13"), (6, "123"), (8, "13"),
+                     (8, "1234"), (10, "135"), (10, "12345")]
 
 
 def test_classify_out_of_time_in_the_conformability_check_is_inconclusive():
