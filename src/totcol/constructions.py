@@ -29,6 +29,7 @@ from .graphs import (
     factor_edges,
     least_prime_factor,
     subgraph_of_edges,
+    totient,
     two_factors,
     units,
 )
@@ -764,8 +765,11 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
 
 
 def _require_unitary(G: Graph) -> None:
+    # units(n) takes n gcds, so the O(sqrt n) count phi(n) = |units(n)|
+    # (n >= 2) rejects most graphs first
     spec = G.circulant
-    if spec is None or spec.connection != units(spec.n):
+    if (spec is None or spec.n > 1 and len(spec.connection) != totient(spec.n)
+            or spec.connection != units(spec.n)):
         raise PreconditionError("not a unitary graph U_n")
 
 
@@ -831,6 +835,16 @@ def _perfect_chromatic(G: Graph):
     return chi, vertex_colors
 
 
+def color_complete(G: Graph) -> ConstructionResult:
+    """K_n with n even, or K_{m,m}, in any labelling: complete_type_two's
+    verified Delta+2 coloring, which is optimal for both."""
+    found = complete_type_two(G)
+    if found is None:
+        raise PreconditionError("not K_n with n even nor K_{m,m}")
+    construction, coloring = found
+    return ConstructionResult(coloring, ["construction: %s" % construction])
+
+
 # In the order color_auto tries them.  Each entry checks its theorem's
 # preconditions once (PreconditionError) and returns a ConstructionResult
 # whose coloring verify_total has accepted.  The lambdas name the
@@ -841,6 +855,7 @@ METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
     "thm2.3": lambda G: color_odd_circulant(G),
     "thm2.5": lambda G: color_even_dense_circulant(G),
     "thm2.7": lambda G: color_perfect_cayley(G),
+    "complete": lambda G: color_complete(G),
 }
 
 # The methods whose theorem gives Delta+1 colors, so that their verified
@@ -849,8 +864,8 @@ METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
 # takes phi(n)+1 colors (Theorem 2.2).  thm2.3: an odd circulant whose
 # generators avoid and distinguish the residues mod Delta+1, with Delta+1
 # dividing n (Theorem 2.3).  thm2.5: a circulant with n = 2 mod 4,
-# n/2 <= Delta < n-1 and no generator n/2 (Theorem 2.5).  thm2.1 and thm2.7
-# give Delta+2 colors.
+# n/2 <= Delta < n-1 and no generator n/2 (Theorem 2.5).  thm2.1, thm2.7
+# and complete give Delta+2 colors.
 TYPE_ONE = ("thm2.2", "thm2.3", "thm2.5")
 
 

@@ -175,20 +175,20 @@ class Graph:
                 row ^= low
         return out
 
-    # The degree sums popcount every row, so each is computed once per
-    # Graph: cached_property stores it in the instance __dict__, which a
-    # frozen dataclass without slots still has.
+    # The degree sums popcount every row, with no Python step per vertex,
+    # and each is computed once per Graph: cached_property stores it in the
+    # instance __dict__, which a frozen dataclass without slots still has.
     @cached_property
     def edge_count(self) -> int:
-        return sum(self.degree(u) for u in range(self.n)) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     @cached_property
     def max_degree(self) -> int:
-        return max((self.degree(u) for u in range(self.n)), default=0)
+        return max(map(int.bit_count, self.rows), default=0)
 
     @cached_property
     def regular_degree(self) -> Optional[int]:
-        degs = {self.degree(u) for u in range(self.n)}
+        degs = set(map(int.bit_count, self.rows))
         return degs.pop() if len(degs) == 1 else None
 
 

@@ -192,7 +192,8 @@ def test_color_precondition_exit_2(tmp_path, monkeypatch):
     (["circulant", 21, 1, 3, 4, 17, 18, 20], "thm2.3"),
     (["circulant", 10, 1, 2, 3, 7, 8, 9], "thm2.5"),
     (["unitary", 9], "thm2.7"),
-], ids=["U_8", "U_24", "C_21", "C_10", "U_9"])
+    (["circulant", 10, *range(1, 10)], "complete"),
+], ids=["U_8", "U_24", "C_21", "C_10", "U_9", "K_10"])
 def test_auto_picks_method_and_reports_rejections(tmp_path, monkeypatch, capsys,
                                                  gen, method):
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
@@ -200,7 +201,7 @@ def test_auto_picks_method_and_reports_rejections(tmp_path, monkeypatch, capsys,
     assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
     out = capsys.readouterr().out.splitlines()
     assert "auto-selected method: %s" % method in out
-    earlier = ["thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7"]
+    earlier = ["thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7", "complete"]
     earlier = earlier[:earlier.index(method)]
     rejected = [line.split()[1] for line in out if " rejected: " in line]
     assert rejected == earlier
@@ -226,8 +227,32 @@ def test_auto_without_method_exits_2_with_every_reason(tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert run(["color", "circulant_7.col"], tmp_path, monkeypatch) == 2
     err = capsys.readouterr().err
-    for name in ("thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7"):
+    for name in ("thm2.1", "thm2.2", "thm2.3", "thm2.5", "thm2.7", "complete"):
         assert "%s: " % name in err
+
+
+@pytest.mark.parametrize("gen, colors, construction", [
+    (["circulant", 10, *range(1, 10)], 11, "complete-even"),
+    (["circulant", 12, 1, 3, 5, 7, 9, 11], 8, "complete-bipartite"),
+], ids=["K_10", "K_6,6"])
+def test_color_complete_gives_delta_plus_2(tmp_path, monkeypatch, capsys, gen, colors,
+                                           construction):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["color", "g.col", "--method", "complete", "-o", "g.tc"],
+               tmp_path, monkeypatch) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "note: construction: %s" % construction in out
+    assert "colors used: %d" % colors in out
+    assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == 0
+    assert "verification: clean" in capsys.readouterr().out.splitlines()
+
+
+def test_color_complete_rejects_other_graphs(tmp_path, monkeypatch, capsys):
+    run(["gen", "circulant", "10", "1", "2", "8", "9", "-o", "g.col"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["color", "g.col", "--method", "complete"], tmp_path, monkeypatch) == 2
+    assert "not K_n with n even nor K_{m,m}" in capsys.readouterr().err
 
 
 def test_color_thm27_beyond_perfectness_limit_exits_2(tmp_path, monkeypatch, capsys):

@@ -714,6 +714,22 @@ def test_color_auto_looks_up_each_construction_when_called(monkeypatch):
     assert calls == [G]
 
 
+def test_unitary_precondition_counts_before_it_builds_the_units(monkeypatch):
+    built = []
+    units = constructions.units
+    monkeypatch.setattr(constructions, "units", lambda n: built.append(n) or units(n))
+    odd_sparse = build_circulant(CirculantSpec(2009, {684, 807, 843, 1166, 1202, 1325}))
+    same_count = build_circulant(CirculantSpec(10, {1, 2, 8, 9}))  # phi(10) = 4
+    for G in (odd_sparse, same_count):
+        with pytest.raises(PreconditionError, match="^not a unitary graph U_n$"):
+            METHODS["thm2.2"](G)
+    assert built == [10]
+    # n = 1: phi(1) = 1 but U_1's connection set is empty, so the count is
+    # not taken; the set comparison passes and n's parity rejects it
+    with pytest.raises(PreconditionError, match="^n = 1 is odd$"):
+        METHODS["thm2.2"](build_circulant(CirculantSpec(1, set())))
+
+
 def test_method_rejection_reason_is_the_constructions_error():
     # Every method either returns a coloring verify_total accepts or raises
     # ConstructionError; color_auto takes the first method that does not

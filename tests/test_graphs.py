@@ -274,16 +274,22 @@ def test_clique_translates_are_cliques():
                     assert G.has_edge(u, v)
 
 
-def test_degree_sums_are_computed_once_per_graph(monkeypatch):
-    G = build_unitary(24)
-    calls = []
-    degree = Graph.degree
-    monkeypatch.setattr(Graph, "degree", lambda self, u: calls.append(u) or degree(self, u))
+def test_degree_sums_are_computed_once_per_graph():
+    # each sum reads the rows in one pass on its first access, then never
+    passes = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    U = build_unitary(24)
+    G = Graph(U.n, Rows(U.rows), U.circulant)
     first = (G.edge_count, G.max_degree, G.regular_degree)
-    assert first == (96, 8, 8) and len(calls) == 3 * 24
-    calls.clear()
+    assert first == (96, 8, 8) and len(passes) == 3
+    passes.clear()
     assert (G.edge_count, G.max_degree, G.regular_degree) == first
-    assert calls == []
+    assert passes == []
 
 
 def test_dimacs_round_trip(tmp_path):

@@ -87,6 +87,61 @@ def test_maximal_cliques_small():
     assert stats.maximal_count == 5 and stats.omega == 2
 
 
+def reference_maximal_cliques(G):
+    """The enumeration on Python sets: the same pivot rule (most candidates
+    in N(u), then least u) and branch order as maximal_cliques' bitmasks."""
+    out = []
+    nbr = [set(G.neighbors(v)) for v in range(G.n)]
+    stack = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(tuple(sorted(clique)))
+            return
+        pivot = max(candidates | excluded, key=lambda u: (len(candidates & nbr[u]), -u))
+        stack.append((clique, candidates, excluded, iter(sorted(candidates - nbr[pivot]))))
+
+    if G.n:
+        expand([], set(range(G.n)), set())
+    while stack:
+        clique, candidates, excluded, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        expand(clique + [v], candidates & nbr[v], excluded & nbr[v])
+        candidates.discard(v)
+        excluded.add(v)
+    out.sort()
+    omega = max((len(c) for c in out), default=0)
+    return out, omega, len(out), sum(1 for c in out if len(c) == omega)
+
+
+def test_maximal_cliques_match_the_set_reference():
+    rng = random.Random(2006)
+    graphs = [complete(n) for n in range(0, 9)]
+    # Moon-Moser: C_3m without +-m is K_{3,...,3}, with 3^m maximal cliques
+    graphs += [build_circulant(CirculantSpec(3 * m, set(range(1, 3 * m)) - {m, 2 * m}))
+               for m in range(1, 5)]
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        graphs.append(subgraph_of_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                            if rng.random() < p]))
+    for G in graphs:
+        stats = maximal_cliques(G)
+        assert (stats.cliques, stats.omega, stats.maximal_count, stats.maximum_count) == \
+            reference_maximal_cliques(G)
+    assert maximal_cliques(graphs[9 + 3]).maximal_count == 3 ** 4
+
+
+def test_maximal_cliques_of_k600_is_one_clique():
+    # one pivot scan per level over bitmasks, not set intersections
+    stats = maximal_cliques(build_circulant(CirculantSpec(600, range(1, 600))))
+    assert stats.cliques == [tuple(range(600))]
+    assert (stats.omega, stats.maximal_count, stats.maximum_count) == (600, 1, 1)
+
+
 def test_maximal_cliques_runs_deeper_than_the_recursion_limit():
     # K_100 is one clique, one branch level per vertex; the enumeration runs
     # 60 frames above this one
