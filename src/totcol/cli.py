@@ -21,6 +21,7 @@ from importlib import resources
 
 from . import constructions, coloring, graphs, oracles
 from .coloring import (
+    TotalColoring,
     adjacency_matrix_csv,
     matrix_to_csv,
     read_coloring,
@@ -195,17 +196,26 @@ GOLDEN_TABLES = (
 )
 
 
+def unitary_even_parts(c: TotalColoring) -> tuple:
+    """thm2.2's coloring c split at color r into the paper's two parts: its
+    vertex colors are exactly 1..r."""
+    r = max(c.vertex_color.values())
+    return (TotalColoring(c.n, c.vertex_color, {e: k for e, k in c.edge_color.items() if k <= r}),
+            TotalColoring(c.n, {}, {e: k for e, k in c.edge_color.items() if k > r}))
+
+
 def regenerate_tables(outdir) -> list:
     """Regenerate the four U_24 tables into outdir; returns the paths."""
     import os
 
     G = build_unitary(24)
-    res = constructions.color_unitary_even(G)
+    c = constructions.color_unitary_even(G).coloring
+    part1, part2 = unitary_even_parts(c)
     paths = [os.path.join(outdir, name) for name in GOLDEN_TABLES]
     adjacency_matrix_csv(G, paths[0])
-    matrix_to_csv(render_matrix(G, res.part1), paths[1])
-    matrix_to_csv(render_matrix(G, res.part2), paths[2])
-    matrix_to_csv(render_matrix(G, res.coloring), paths[3])
+    matrix_to_csv(render_matrix(G, part1), paths[1])
+    matrix_to_csv(render_matrix(G, part2), paths[2])
+    matrix_to_csv(render_matrix(G, c), paths[3])
     return paths
 
 

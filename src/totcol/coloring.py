@@ -38,21 +38,6 @@ class TotalColoring:
     def set_edge(self, u: int, v: int, c: int) -> None:
         self.edge_color[ekey(u, v)] = c
 
-    def merged_with(self, other: "TotalColoring") -> "TotalColoring":
-        """Union of two fragments; overlapping assignments must agree.  Only
-        the keys both hold are compared; of those that disagree, the first
-        in `other`'s order is named."""
-        if self.n != other.n:
-            raise ColoringError("fragment sizes differ")
-        for mine, theirs, what in ((self.vertex_color, other.vertex_color, "vertex %d"),
-                                   (self.edge_color, other.edge_color, "edge %r")):
-            clash = {k for k in mine.keys() & theirs.keys() if mine[k] != theirs[k]}
-            if clash:
-                first = next(k for k in theirs if k in clash)
-                raise ColoringError((what + " colored twice inconsistently") % (first,))
-        return TotalColoring(self.n, self.vertex_color | other.vertex_color,
-                             self.edge_color | other.edge_color)
-
 
 @dataclass
 class VerificationReport:

@@ -239,6 +239,21 @@ def _diagonal_starts(q: int, gens) -> Tuple[Optional[Dict[int, int]], int]:
     return starts, conflicts
 
 
+def _layered(G: Graph, q: int, starts: Dict[int, int], rest, what: str):
+    """The Delta+1 fill of thm2.2, thm2.3 and thm2.5 on a circulant G with
+    q | n, verified: (coloring, remainder).  fill_diagonals colors the
+    vertices and the generators of starts with 1..q; edge_color_vizing
+    colors the remainder, the circulant on the half-set generators rest,
+    from q+1 on (None when rest is empty)."""
+    n = G.n
+    c = fill_diagonals(n, q, starts)
+    rem = None
+    if rest:
+        rem = edge_color_vizing(build_circulant(CirculantSpec(n, rest + [n - s for s in rest])), q)
+        c.edge_color |= rem.edge_color
+    return _checked(G, c, what), rem
+
+
 # ---------------------------------------------------------------------------
 # Theorem pipelines
 
@@ -274,21 +289,16 @@ def fill_complete_bipartite(n: int, A, B) -> TotalColoring:
     return c
 
 
-@dataclass
-class UnitaryEvenResult(ConstructionResult):
-    part1: TotalColoring
-    part2: TotalColoring
-
-
-def color_unitary_even(G: Graph) -> UnitaryEvenResult:
+def color_unitary_even(G: Graph) -> ConstructionResult:
     """thm2.2: total coloring of U_n for n = 2^k * m (m odd > 1) with
-    phi(n)+1 colors.
+    phi(n)+1 colors, by _layered with q = r, the least prime factor of m.
 
-    Part 1 colors the vertices and the 2-factors of the odd generators below
-    r = least prime factor of m, using r colors via patterned_starts: the
-    generators are odd and below r, so no two of them sum to r.  Part 2
-    gives each remaining generator pair two fresh colors, alternating on
-    the parity of the edge's base endpoint.
+    H is the odd generators below r, with patterned_starts: they are odd
+    and below r, so no two of them sum to r, and they are units.  The
+    remainder has only odd generators, so edge_color_even_circulant gives
+    each remaining generator two fresh colors, alternating on the parity of
+    the edge's base endpoint.  The vertex colors are exactly 1..r, so the
+    colors up to r are the paper's part 1 and the rest its part 2.
     """
     _require_unitary_even(G)
     n = G.n
@@ -297,16 +307,11 @@ def color_unitary_even(G: Graph) -> UnitaryEvenResult:
         m //= 2
     r = least_prime_factor(m)
     part1_gens = [s for s in range(1, r, 2)]
-    part1 = fill_diagonals(n, r, patterned_starts(r, part1_gens))
-
-    part2 = TotalColoring(n)
     part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
-    for p, s in enumerate(part2_gens, start=1):
-        _fill_diagonal(part2.edge_color, n, s, (r + 2 * p - 1, r + 2 * p))
-
-    combined = _checked(G, part1.merged_with(part2), "color_unitary_even(%d)" % n)
+    c, _ = _layered(G, r, patterned_starts(r, part1_gens), part2_gens,
+                    "color_unitary_even(%d)" % n)
     notes = ["part-1 generators %s, part-2 generators %s" % (part1_gens, part2_gens)]
-    return UnitaryEvenResult(combined, notes, part1, part2)
+    return ConstructionResult(c, notes)
 
 
 @dataclass
@@ -336,7 +341,7 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     if starts is None:
         raise ConstructionError("both strategies failed for %r: %s; no starter "
                                 "pairing exists" % (spec, failed))
-    c = _checked(G, fill_diagonals(n, q, starts), "color_odd_circulant")
+    c, _ = _layered(G, q, starts, [], "color_odd_circulant")
     if not conflicts:
         return OddCirculantResult(c, ["strategy used: literal"], "literal")
     return OddCirculantResult(
@@ -349,18 +354,19 @@ class EvenDenseResult(ConstructionResult):
 
 
 def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
-    """thm2.5: Delta+1 total coloring for dense circulants with n = 2(2k+1).
+    """thm2.5: Delta+1 total coloring for dense circulants with n = 2(2k+1),
+    by _layered with q = 2k+1.
 
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H, with starts from _diagonal_starts, are
     colored diagonally with 2k+1 colors; the remainder G - E(H), the
-    circulant on the other generators, takes Delta-2k fresh colors from
+    circulant on the other generators, takes fresh colors from
     edge_color_vizing.  The remainder must have an odd generator: then
-    edge_color_vizing colors it by the parity-layer construction, with
-    Delta-2k colors and never by search.  A remainder may be disconnected
-    and still qualify (C_18{2,3,4,6,8} with H = [2, 4, 6, 8] leaves three
-    6-cycles).  The first H whose remainder fits the budget gives a proper
-    coloring, as in thm2.3.
+    edge_color_vizing colors it by the parity-layer construction, with its
+    degree Delta-2k in colors and never by search.  A remainder may be
+    disconnected and still qualify (C_18{2,3,4,6,8} with H = [2, 4, 6, 8]
+    leaves three 6-cycles).  The first H with a starter and an odd
+    generator in its remainder gives a proper coloring, as in thm2.3.
     """
     spec = G.circulant
     _require_even_dense(spec)
@@ -368,7 +374,6 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
     q = n // 2
     k = (q - 1) // 2
     half = spec.half_set()
-    budget = spec.degree - 2 * k
     notes = []
 
     for H in itertools.combinations(half, k):
@@ -381,18 +386,7 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
         if not any(s % 2 for s in rest):
             notes.append("%s: remainder has no odd generator" % label)
             continue
-        remainder = build_circulant(CirculantSpec(n, rest + [n - s for s in rest]))
-        rem = edge_color_vizing(remainder)
-        if rem.colors_used > budget:
-            notes.append(
-                "%s: remainder needs %d colors by %s, budget %d"
-                % (label, rem.colors_used, rem.route, budget)
-            )
-            continue
-        c = fill_diagonals(n, q, starts)
-        for e, col in rem.edge_color.items():
-            c.edge_color[e] = q + col
-        _checked(G, c, "color_even_dense_circulant")
+        c, rem = _layered(G, q, starts, rest, "color_even_dense_circulant")
         notes.append("%s: accepted, starter %s, remainder edge-colored by %s"
                      % (label, "search" if conflicts else "patterned", rem.route))
         return EvenDenseResult(c, ["chosen generators H = %s" % (list(H),)] + notes, H)
@@ -469,8 +463,8 @@ class EdgeColoringResult:
 _EXACT_EDGE_NODES = 200_000
 
 
-def edge_color_vizing(G: Graph) -> EdgeColoringResult:
-    """Proper edge coloring with at most Delta+1 colors.
+def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
+    """Proper edge coloring with at most Delta+1 colors, offset+1 on.
 
     A circulant of even order with an odd generator is Delta-edge-colored by
     construction (edge_color_even_circulant).  Any other graph first gets an
@@ -481,20 +475,22 @@ def edge_color_vizing(G: Graph) -> EdgeColoringResult:
     each color class is a matching of at most floor(n/2) edges, so no
     Delta-edge-coloring exists.  route names the step that produced the
     coloring; delta_achieved reports whether it uses only Delta colors.
+    An offset shifts every color, so a layer on top of colors 1..offset
+    merges by one dict union.
     """
     delta = G.max_degree
     if delta == 0:
         return _edge_result({}, 0, "construction")
     if G.circulant is not None:
-        colors = edge_color_even_circulant(G.circulant)
+        colors = edge_color_even_circulant(G.circulant, offset)
         if colors is not None:
             return _edge_result(colors, delta, "construction")
     if G.edge_count <= delta * (G.n // 2):
         status, exact = exact_edge_coloring(G, delta,
                                             SearchBudget(node_limit=_EXACT_EDGE_NODES))
         if status == "sat":
-            return _edge_result(exact, delta, "search")
-    return _edge_result(_misra_gries(G, delta), delta, "misra-gries")
+            return _edge_result({e: offset + c for e, c in exact.items()}, delta, "search")
+    return _edge_result(_misra_gries(G, delta, offset), delta, "misra-gries")
 
 
 def _edge_result(colors: Dict[tuple, int], delta: int, route: str) -> EdgeColoringResult:
@@ -502,9 +498,10 @@ def _edge_result(colors: Dict[tuple, int], delta: int, route: str) -> EdgeColori
     return EdgeColoringResult(colors, used, delta, used <= delta, route)
 
 
-def edge_color_even_circulant(spec: CirculantSpec) -> Optional[Dict[tuple, int]]:
+def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[Dict[tuple, int]]:
     """Delta-edge-coloring of a circulant of even order n with an odd
-    generator, built from its parity layers; None for any other circulant.
+    generator, built from its parity layers, in the colors offset+1 ..
+    offset+Delta; None for any other circulant.
 
     Parity-layer lemma.  Such a circulant is class 1 (the case of R. A.
     Stong, "On 1-factorizability of Cayley graphs", J. Combin. Theory Ser. B
@@ -542,16 +539,16 @@ def edge_color_even_circulant(spec: CirculantSpec) -> Optional[Dict[tuple, int]]
     a, m = odd[0], n // 2
     layer = build_circulant(CirculantSpec(m, {s // 2 for s in spec.connection if s % 2 == 0}))
     palette = layer.max_degree + 1
-    missing = [palette * (palette + 1) // 2] * m  # palette sum minus colors met
+    missing = [palette * (2 * offset + palette + 1) // 2] * m  # palette sum minus colors met
     color: Dict[tuple, int] = {}
-    for (i, j), c in _misra_gries(layer, palette - 1).items():
+    for (i, j), c in _misra_gries(layer, palette - 1, offset).items():
         missing[i] -= c
         missing[j] -= c
         color[(2 * i, 2 * j)] = c
         color[ekey((2 * i + a) % n, (2 * j + a) % n)] = c
     for i in range(m):
         color[ekey(2 * i, (2 * i + a) % n)] = missing[i]
-    fresh = palette + 1
+    fresh = offset + palette + 1
     if 2 * a != n:
         for w in range(1, n, 2):
             color[ekey(w, (w + a) % n)] = fresh
@@ -567,14 +564,14 @@ def edge_color_even_circulant(spec: CirculantSpec) -> Optional[Dict[tuple, int]]
     return color
 
 
-def _misra_gries(G: Graph, delta: int) -> Dict[tuple, int]:
-    """Misra-Gries fan recoloring with palette 1..Delta+1."""
-    K = delta + 1
+def _misra_gries(G: Graph, delta: int, offset: int = 0) -> Dict[tuple, int]:
+    """Misra-Gries fan recoloring with palette offset+1..offset+Delta+1."""
+    palette = range(offset + 1, offset + delta + 2)
     at = [dict() for _ in range(G.n)]  # at[v][color] = neighbor
     color: Dict[tuple, int] = {}
 
     def free(v):
-        for c in range(1, K + 1):
+        for c in palette:
             if c not in at[v]:
                 return c
         raise AssertionError("no free color at %d" % v)
@@ -748,9 +745,8 @@ def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
 
         clique_edges = set(c.edge_color)
         rest_edges = [e for e in G.edges() if e not in clique_edges]
-        rem = edge_color_vizing(subgraph_of_edges(G.n, rest_edges))
-        for e, col in rem.edge_color.items():
-            c.edge_color[e] = chi + col
+        rem = edge_color_vizing(subgraph_of_edges(G.n, rest_edges), chi)
+        c.edge_color |= rem.edge_color
         remainder_colors = rem.colors_used
         total = chi + remainder_colors
     _checked(G, c, "color_perfect_cayley")

@@ -234,6 +234,9 @@ def build_unitary(n: int) -> Graph:
 def build_cayley(table: GroupTable, S) -> Graph:
     """Cayley graph of a finite group: g ~ g*s for s in the symmetric set S."""
     S = frozenset(int(s) for s in S)
+    outside = sorted(s for s in S if not 0 <= s < table.n)
+    if outside:
+        raise GraphError("generator %d outside 0..%d" % (outside[0], table.n - 1))
     if table.identity in S:
         raise GraphError("generating set contains the identity")
     for s in S:

@@ -86,18 +86,22 @@ def test_color_verifies_once(tmp_path, monkeypatch, gen, output, verifications):
     assert counts == {"verify_total": verifications}
 
 
-@pytest.mark.parametrize("generators, strategy", [
-    ([1, 3, 4, 17, 18, 20], "starter"),
-    ([1, 2, 3, 18, 19, 20], "literal"),
-], ids=["starter", "literal"])
+@pytest.mark.parametrize("gen, method, note", [
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], "thm2.3", "strategy used: starter"),
+    (["circulant", 21, 1, 2, 3, 18, 19, 20], "thm2.3", "strategy used: literal"),
+    (["unitary", 30], "thm2.2", "part-1 generators [1], part-2 generators [7, 11, 13]"),
+    # the first H is accepted, so the loop fills once
+    (["circulant", 30, *range(1, 11), *range(20, 30)], "thm2.5",
+     "chosen generators H = [1, 2, 3, 4, 5, 6, 7]"),
+], ids=["starter", "literal", "thm2.2-U_30", "thm2.5-C_30"])
 def test_thm23_fills_only_the_coloring_it_returns(tmp_path, monkeypatch, capsys,
-                                                 generators, strategy):
-    run(["gen", "circulant", 21] + generators + ["-o", "g.col"], tmp_path, monkeypatch)
+                                                 gen, method, note):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
     counts = {}
     _count_calls(monkeypatch, constructions, "fill_diagonals", counts)
     capsys.readouterr()
-    assert run(["color", "g.col", "--method", "thm2.3"], tmp_path, monkeypatch) == 0
-    assert "note: strategy used: %s" % strategy in capsys.readouterr().out.splitlines()
+    assert run(["color", "g.col", "--method", method], tmp_path, monkeypatch) == 0
+    assert "note: %s" % note in capsys.readouterr().out.splitlines()
     assert counts == {"fill_diagonals": 1}
 
 
@@ -141,7 +145,10 @@ def _spy_on_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("gen, method, builds", [
-    (["unitary", 30], "thm2.2", []),
+    # the remainder of H = [1], then its even layer, which has no edges
+    (["unitary", 30], "thm2.2",
+     [("build_circulant", CirculantSpec(30, {7, 11, 13, 17, 19, 23})),
+      ("build_circulant", CirculantSpec(15, set()))]),
     (["circulant", 21, 1, 2, 3, 18, 19, 20], "thm2.3", []),
     # the remainder of the accepted H = (1..7), then its even layer
     (["circulant", 30, *range(1, 11), *range(20, 30)], "thm2.5",
@@ -313,6 +320,10 @@ def _again(lineno, reverse=False, v=None):
     return line
 
 
+# Z_9's group table: "n identity", then the n*n products
+_Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i in range(9))
+
+
 # Lines 10240 and 10241 end and start a chunk of the readers.  U_420's .col
 # has its edge lines from line 3 on, its .tc from line 422.
 @pytest.mark.parametrize("name, text, argv, message", [
@@ -332,6 +343,10 @@ def _again(lineno, reverse=False, v=None):
     ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
      "line 3: "),
     ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
+    # a generator is an element index: 99 and -1 are none of Z_9's
+    ("z9.grp", _Z9, ["gen", "cayley", "z9.grp", "99"], "generator 99 outside 0..8\n"),
+    ("z9.grp", _Z9, ["gen", "cayley", "z9.grp", "-1", "1", "8"],
+     "generator -1 outside 0..8\n"),
     ("bad.col", _u420(".col", {10000: "e 5 x"}), ["color", "bad.col"], "line 10000: "),
     ("bad.col", _u420(".col", {10240: _again(10240, v=421)}), ["color", "bad.col"],
      "line 10240: edge endpoint out of range"),
@@ -362,7 +377,8 @@ def _again(lineno, reverse=False, v=None):
      ["verify", "k3.col", "bad.tc"], "line 10300: repeated edge"),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
         "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
-        "tc-repeated-header", "csv-token", "grp-token",
+        "tc-repeated-header", "csv-token", "grp-token", "grp-generator-above",
+        "grp-generator-negative",
         "col-deep-token", "col-deep-range-chunk-end", "col-deep-zero-chunk-start",
         "col-deep-self-loop-chunk-start", "col-deep-repeat-across-chunks",
         "col-deep-repeat", "col-deep-repeat-reversed",

@@ -327,32 +327,6 @@ def test_parse_matrix_reads_a_grid_of_tuples_like_one_of_lists():
     assert list(by_pairs.edge_color.items()) == list(at_once.edge_color.items())
 
 
-def test_merged_with_names_the_first_clash_in_the_other_parts_order():
-    part = TotalColoring(4, {0: 1, 1: 2, 2: 3}, {(0, 1): 4, (1, 2): 5, (2, 3): 6})
-    # (2, 3) agrees; (1, 2) and (0, 1) clash, in that order
-    other = TotalColoring(4, {3: 1}, {(2, 3): 6, (1, 2): 7, (0, 1): 8})
-    with pytest.raises(ColoringError) as info:
-        part.merged_with(other)
-    assert str(info.value) == "edge (1, 2) colored twice inconsistently"
-    other.edge_color = {(0, 1): 8, (1, 2): 7}
-    with pytest.raises(ColoringError) as info:
-        part.merged_with(other)
-    assert str(info.value) == "edge (0, 1) colored twice inconsistently"
-    # vertices are compared before edges
-    other.vertex_color = {2: 3, 1: 9, 0: 9}
-    with pytest.raises(ColoringError) as info:
-        part.merged_with(other)
-    assert str(info.value) == "vertex 1 colored twice inconsistently"
-    with pytest.raises(ColoringError, match="fragment sizes differ"):
-        part.merged_with(TotalColoring(5))
-    # an agreeing overlap: part's keys first, then other's new ones
-    merged = part.merged_with(TotalColoring(4, {3: 4, 0: 1}, {(0, 3): 2, (0, 1): 4}))
-    assert list(merged.vertex_color.items()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert list(merged.edge_color.items()) == [((0, 1), 4), ((1, 2), 5), ((2, 3), 6),
-                                               ((0, 3), 2)]
-    assert part.vertex_color == {0: 1, 1: 2, 2: 3}  # the parts are left alone
-
-
 def test_coloring_file_round_trip(tmp_path):
     c = color_unitary_even(build_unitary(24)).coloring
     path = tmp_path / "u24.tc"

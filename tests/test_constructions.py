@@ -6,6 +6,7 @@ import re
 import pytest
 
 from totcol import constructions
+from totcol.cli import unitary_even_parts
 from totcol.coloring import TotalColoring, ekey, verify_total, write_coloring
 from totcol.constructions import (
     METHODS,
@@ -245,7 +246,16 @@ def test_fill_diagonals_matches_the_per_edge_fill():
         assert_same_in_order(fill_diagonals(n, q, starts), fill_diagonals_per_edge(n, q, starts))
 
 
+def assert_same_colors(c, reference):
+    assert c.n == reference.n
+    assert c.vertex_color == reference.vertex_color
+    assert c.edge_color == reference.edge_color
+
+
 def test_color_unitary_even_matches_the_per_edge_fill():
+    # the coloring, and the parts that `totcol tables` renders, against the
+    # two parts filled edge by edge; write_coloring, render_matrix and
+    # verify_total all sort, so the dicts are compared, not their order
     for n in range(6, 121, 2):
         if n & (n - 1) == 0:
             continue
@@ -262,9 +272,11 @@ def test_color_unitary_even_matches_the_per_edge_fill():
         for p, s in enumerate(part2_gens, start=1):
             for i in range(n):
                 part2.set_edge(i, (i + s) % n, r + 2 * p - 1 if i % 2 == 0 else r + 2 * p)
-        assert_same_in_order(res.part1, part1)
-        assert_same_in_order(res.part2, part2)
-        assert_same_in_order(res.coloring, part1.merged_with(part2))
+        rendered1, rendered2 = unitary_even_parts(res.coloring)
+        assert_same_colors(rendered1, part1)
+        assert_same_colors(rendered2, part2)
+        assert_same_colors(res.coloring, TotalColoring(n, part1.vertex_color,
+                                                       part1.edge_color | part2.edge_color))
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +532,27 @@ def test_edge_color_vizing_constructs_even_circulants(monkeypatch):
     assert_proper_edge_coloring(G, res.edge_color, 4)
     assert res.delta_achieved and res.route == "construction"
     assert calls == []
+
+
+@pytest.mark.parametrize("make, route", [
+    (lambda: build_circulant(symmetric(12, [1, 2, 3, 4])), "construction"),
+    (lambda: build_circulant(symmetric(10, [2, 5])), "construction"),  # 2a = n
+    (lambda: subgraph_of_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+     "search"),
+    (lambda: subgraph_of_edges(700, build_circulant(symmetric(700, [1, 2])).edges()),
+     "search"),
+    (lambda: build_circulant(CirculantSpec(5, {1, 4})), "misra-gries"),  # overfull
+    (petersen, "misra-gries"),  # class 2: searched, then Misra-Gries
+], ids=["C_12", "C_10-antipodal", "K_4", "C_700-edges", "C_5", "petersen"])
+def test_edge_color_vizing_offset_shifts_the_default_coloring(make, route):
+    G = make()
+    base = edge_color_vizing(G)
+    assert base.route == route
+    for offset in (1, 3, 20):
+        res = edge_color_vizing(G, offset)
+        assert res.route == route
+        assert res.edge_color == {e: offset + c for e, c in base.edge_color.items()}
+        assert (res.colors_used, res.delta_achieved) == (base.colors_used, base.delta_achieved)
 
 
 def assert_constructed(spec):

@@ -117,6 +117,11 @@ def test_build_cayley_rejects_bad_sets():
         build_cayley(cyclic_group(5), {1})  # inverse 4 missing
     with pytest.raises(GraphError):
         build_cayley(cyclic_group(5), {0, 1, 4})
+    # a generator outside 0..n-1, above or below: not an index into the table
+    with pytest.raises(GraphError, match="generator 99 outside 0..8"):
+        build_cayley(cyclic_group(9), {99})
+    with pytest.raises(GraphError, match="generator -1 outside 0..8"):
+        build_cayley(cyclic_group(9), {-1, 1, 8})
 
 
 def test_group_table_validation():
