@@ -13,7 +13,6 @@ from .graphs import (
     build_unitary,
     complement,
     connected,
-    cyclic_group,
     least_prime_factor,
     totient,
     two_factors,

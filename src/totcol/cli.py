@@ -100,7 +100,7 @@ def cmd_verify(args) -> int:
     if args.coloring.endswith(".csv"):
         from .coloring import matrix_from_csv, parse_matrix
 
-        c = parse_matrix(matrix_from_csv(args.coloring).grid)
+        c = parse_matrix(matrix_from_csv(args.coloring))
     else:
         c = read_coloring(args.coloring)
     if c.n != G.n:

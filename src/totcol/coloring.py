@@ -147,26 +147,18 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
 # Total color matrix
 
 
-@dataclass
-class TotalColorMatrix:
-    """n x n grid; diagonal = vertex colors, cell (i,j) = color of edge {i,j},
-    None on blanks."""
-
-    n: int
-    grid: list
-
-
-def render_matrix(G: Graph, c: TotalColoring) -> TotalColorMatrix:
-    """Render a coloring as the symmetric color matrix: whatever is present,
-    leaving blanks.  It checks nothing; every caller renders a coloring (or
-    a part of one) that has been verified."""
+def render_matrix(G: Graph, c: TotalColoring) -> list:
+    """Render a coloring as the symmetric n x n color matrix, a list of rows:
+    the diagonal holds the vertex colors, cell (i, j) the color of edge
+    {i, j}, and None marks a blank.  It checks nothing; every caller renders
+    a coloring (or a part of one) that has been verified."""
     grid = [[None] * G.n for _ in range(G.n)]
     for v, col in c.vertex_color.items():
         grid[v][v] = col
     for (u, v), col in c.edge_color.items():
         grid[u][v] = col
         grid[v][u] = col
-    return TotalColorMatrix(G.n, grid)
+    return grid
 
 
 def parse_matrix(grid) -> TotalColoring:
@@ -285,14 +277,14 @@ def read_coloring(path) -> TotalColoring:
     return c
 
 
-def matrix_to_csv(matrix: TotalColorMatrix, path) -> None:
-    """CSV with a header row/column of vertex labels; empty cell = blank,
-    matching the printed table layout."""
+def matrix_to_csv(grid, path) -> None:
+    """CSV of a render_matrix grid with a header row/column of vertex
+    labels; empty cell = blank, matching the printed table layout."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([""] + list(range(matrix.n)))
+        writer.writerow([""] + list(range(len(grid))))
         # the csv module writes None as an empty cell
-        writer.writerows([i] + row for i, row in enumerate(matrix.grid))
+        writer.writerows([i] + row for i, row in enumerate(grid))
 
 
 class _CellValues(dict):
@@ -304,7 +296,8 @@ class _CellValues(dict):
         return self.setdefault(text, int(text))
 
 
-def matrix_from_csv(path) -> TotalColorMatrix:
+def matrix_from_csv(path) -> list:
+    """Inverse of matrix_to_csv: the grid of rows, blanks as None."""
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -322,7 +315,7 @@ def matrix_from_csv(path) -> TotalColorMatrix:
             grid.append(list(map(value, raw[1:])))
         except ValueError as exc:
             raise ColoringError("line %d: %s" % (lineno, exc)) from None
-    return TotalColorMatrix(n, grid)
+    return grid
 
 
 def adjacency_matrix_csv(G: Graph, path) -> None:

@@ -135,11 +135,6 @@ class GroupTable:
         return self.product[g].index(self.identity)
 
 
-def cyclic_group(n: int) -> GroupTable:
-    """The cyclic group Z_n as an explicit table."""
-    return GroupTable(n, [[(i + j) % n for j in range(n)] for i in range(n)], 0)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with dense bitmask adjacency rows."""

@@ -34,7 +34,8 @@ class SearchBudget:
     time_limit_secs: float = 600.0
 
     def __post_init__(self):
-        if self.max_colors <= 0 or self.node_limit <= 0 or self.time_limit_secs <= 0:
+        # not x > 0, so that NaN, which compares false, is refused too
+        if not (self.max_colors > 0 and self.node_limit > 0 and self.time_limit_secs > 0):
             raise OracleError("budget limits must be positive")
 
 
@@ -156,42 +157,39 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
 # Total graph view
 
 
+def _line_graph(G: Graph):
+    """(edges, stars, adj): edges is G.edges(), stars[w] the indices of w's
+    edges in neighbour order, and adj[i] the other edges at either end of
+    edge i."""
+    edges = G.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    stars = [[index[ekey(w, u)] for u in G.neighbors(w)] for w in range(G.n)]
+    adj: List[list] = [[] for _ in edges]
+    for star in stars:
+        for i in star:
+            adj[i].extend(j for j in star if j != i)
+    return edges, stars, adj
+
+
 def total_items(G: Graph):
-    """Items of the total graph (vertices then edges) and their conflict
-    adjacency lists."""
-    items = [("v", v) for v in range(G.n)] + [("e", e) for e in G.edges()]
-    index = {it: i for i, it in enumerate(items)}
-    adj: List[set] = [set() for _ in items]
-
-    def link(a, b):
-        ia, ib = index[a], index[b]
-        adj[ia].add(ib)
-        adj[ib].add(ia)
-
-    for (u, v) in G.edges():
-        link(("v", u), ("v", v))
-        link(("v", u), ("e", (u, v)))
-        link(("v", v), ("e", (u, v)))
-    for w in range(G.n):
-        nbrs = G.neighbors(w)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                link(("e", ekey(w, nbrs[i])), ("e", ekey(w, nbrs[j])))
-    return items, [sorted(s) for s in adj], index
+    """The total graph: vertex v is item v and edge i of G.edges() is item
+    n + i.  Returns (edges, stars, adj), stars as in _line_graph and adj[i]
+    the items in conflict with item i."""
+    n = G.n
+    edges, stars, line = _line_graph(G)
+    adj = [G.neighbors(v) + [n + i for i in stars[v]] for v in range(n)]
+    adj += [[u, v] + [n + j for j in others] for (u, v), others in zip(edges, line)]
+    return edges, stars, adj
 
 
-def _star_clique(G: Graph, index) -> Dict[int, int]:
+def _star_clique(G: Graph, stars) -> Dict[int, int]:
     """Precolor the star of a maximum-degree vertex (a clique of size
     Delta+1 in the total graph) with colors 1..Delta+1."""
     if G.n == 0:
         return {}
     v = max(range(G.n), key=lambda u: (G.degree(u), -u))
-    pre = {index[("v", v)]: 1}
-    c = 2
-    for u in G.neighbors(v):
-        pre[index[("e", ekey(v, u))]] = c
-        c += 1
-    return pre
+    star = [v] + [G.n + i for i in stars[v]]
+    return dict(zip(star, range(1, len(star) + 1)))
 
 
 # Steps the Delta+1 conformability check may take in exact_total_chromatic
@@ -263,17 +261,12 @@ def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> To
         if conformable is False:  # None: still open, the search decides
             lower, evidence = delta + 2, "conformability"
     steps = tracker.nodes
-    items, adj, index = total_items(G)
-    pre = _star_clique(G, index)
+    edges, stars, adj = total_items(G)
+    pre = _star_clique(G, stars)
     for c in range(lower, budget.max_colors + 1):
         status, colors = _solve_list_coloring(adj, c, pre, tracker, busiest_first=True)
         if status == "sat":
-            tc = TotalColoring(G.n)
-            for i, it in enumerate(items):
-                if it[0] == "v":
-                    tc.vertex_color[it[1]] = colors[i]
-                else:
-                    tc.edge_color[it[1]] = colors[i]
+            tc = TotalColoring(G.n, dict(enumerate(colors[:G.n])), dict(zip(edges, colors[G.n:])))
             report = verify_total(G, tc)
             if not report.ok:
                 raise AssertionError("oracle certificate failed verification")
@@ -317,13 +310,7 @@ def exact_edge_coloring(G: Graph, k: int, budget: SearchBudget):
 
     Returns ("sat", {edge: color}), ("unsat", None), or ("budget", None).
     """
-    edges = G.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    adj: List[list] = [[] for _ in edges]
-    for w in range(G.n):
-        star = [index[ekey(w, u)] for u in G.neighbors(w)]
-        for i in star:
-            adj[i].extend(j for j in star if j != i)
+    edges, _, adj = _line_graph(G)
     status, colors = _solve_list_coloring(adj, k, {}, _Budget(budget))
     if status != "sat":
         return status, None

@@ -177,9 +177,9 @@ def test_verify_corrupted_csv_exits_1(tmp_path, monkeypatch, capsys):
     run(["gen", "unitary", "24"], tmp_path, monkeypatch)
     run(["color", "unitary_24.col", "--format", "csv-matrix", "-o", "u24.csv"],
         tmp_path, monkeypatch)
-    m = matrix_from_csv(tmp_path / "u24.csv")
-    m.grid[0][1] = m.grid[1][0] = m.grid[0][0]  # edge {0,1} takes vertex 0's color
-    matrix_to_csv(m, tmp_path / "bad.csv")
+    grid = matrix_from_csv(tmp_path / "u24.csv")
+    grid[0][1] = grid[1][0] = grid[0][0]  # edge {0,1} takes vertex 0's color
+    matrix_to_csv(grid, tmp_path / "bad.csv")
     code = run(["verify", "unitary_24.col", "bad.csv"], tmp_path, monkeypatch)
     out = capsys.readouterr().out
     assert code == 1
@@ -280,6 +280,17 @@ def test_oracle_bad_input_exit_4(tmp_path, monkeypatch, capsys, argv):
     capsys.readouterr()
     assert run(argv, tmp_path, monkeypatch) == 4
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_classify_nan_time_limit_exits_4(tmp_path, monkeypatch, capsys):
+    # NaN passes a `<= 0` test, and a NaN deadline never passes
+    run(["gen", "unitary", "9"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    code = run(["classify", "unitary_9.col", "--time-limit-secs", "nan"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "input error: budget limits must be positive\n"
+    assert "Traceback" not in err
 
 
 @functools.lru_cache(maxsize=None)

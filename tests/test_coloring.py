@@ -271,8 +271,7 @@ def test_residue_classes_independent_iff_no_generator_divisible():
 def test_matrix_round_trip_u24():
     G = build_unitary(24)
     c = color_unitary_even(G).coloring
-    m = render_matrix(G, c)
-    back = parse_matrix(m.grid)
+    back = parse_matrix(render_matrix(G, c))
     assert back.vertex_color == c.vertex_color
     assert back.edge_color == c.edge_color
 
@@ -283,15 +282,14 @@ def test_matrix_round_trip_randomized():
         n = rng.randint(1, 10)
         G = random_graph(rng, n)
         c = greedy_total_coloring(G)
-        back = parse_matrix(render_matrix(G, c).grid)
+        back = parse_matrix(render_matrix(G, c))
         assert back.vertex_color == c.vertex_color
         assert back.edge_color == c.edge_color
 
 
 def test_matrix_k1():
     G = subgraph_of_edges(1, [])
-    m = render_matrix(G, TotalColoring(1, {0: 7}, {}))
-    assert m.grid == [[7]]
+    assert render_matrix(G, TotalColoring(1, {0: 7}, {})) == [[7]]
 
 
 def test_parse_matrix_rejects_asymmetric():
@@ -320,7 +318,7 @@ def test_parse_matrix_reads_a_grid_of_tuples_like_one_of_lists():
     # rows that are not lists never equal the transposed lists, so they take
     # the pair-by-pair walk, to the same coloring
     G = build_unitary(24)
-    grid = render_matrix(G, color_unitary_even(G).coloring).grid
+    grid = render_matrix(G, color_unitary_even(G).coloring)
     by_pairs = parse_matrix([tuple(row) for row in grid])
     at_once = parse_matrix(grid)
     assert list(by_pairs.vertex_color.items()) == list(at_once.vertex_color.items())
@@ -342,11 +340,10 @@ def test_coloring_file_round_trip(tmp_path):
 
 def test_matrix_csv_round_trip(tmp_path):
     G = build_unitary(24)
-    m = render_matrix(G, color_unitary_even(G).coloring)
+    grid = render_matrix(G, color_unitary_even(G).coloring)
     path = tmp_path / "m.csv"
-    matrix_to_csv(m, path)
-    back = matrix_from_csv(path)
-    assert back.grid == m.grid
+    matrix_to_csv(grid, path)
+    assert matrix_from_csv(path) == grid
 
 
 def test_matrix_csv_error_names_the_line(tmp_path):

@@ -15,7 +15,6 @@ from totcol.graphs import (
     circulant_rows,
     complement,
     connected,
-    cyclic_group,
     factor_edges,
     least_prime_factor,
     read_dimacs,
@@ -24,6 +23,11 @@ from totcol.graphs import (
     two_factors,
     write_dimacs,
 )
+
+
+def cyclic_group(n):
+    """The cyclic group Z_n as an explicit table."""
+    return GroupTable(n, [[(i + j) % n for j in range(n)] for i in range(n)], 0)
 
 
 def totient_by_factorization(n):

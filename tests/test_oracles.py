@@ -7,8 +7,15 @@ import sys
 import pytest
 
 from totcol import constructions, oracles
-from totcol.coloring import read_coloring, verify_total, write_coloring
-from totcol.graphs import CirculantSpec, build_circulant, build_unitary, subgraph_of_edges
+from totcol.coloring import TotalColoring, ekey, read_coloring, verify_total, write_coloring
+from totcol.graphs import (
+    CirculantSpec,
+    GroupTable,
+    build_cayley,
+    build_circulant,
+    build_unitary,
+    subgraph_of_edges,
+)
 from totcol.oracles import (
     BudgetExhausted,
     OracleError,
@@ -300,6 +307,17 @@ def test_classify_keeps_the_color_cap_on_the_construction_path():
     assert res.kind == "inconclusive" and res.upper_evidence is None
 
 
+@pytest.mark.parametrize("limits", [
+    {"time_limit_secs": float("nan")},
+    {"time_limit_secs": 0.0},
+    {"node_limit": 0},
+    {"max_colors": -1},
+], ids=["nan-time", "zero-time", "zero-nodes", "negative-colors"])
+def test_search_budget_rejects_limits_that_are_not_positive(limits):
+    with pytest.raises(OracleError, match="budget limits must be positive"):
+        SearchBudget(**limits)
+
+
 def test_classify_inconclusive_on_tiny_budget():
     res = classify_type(build_unitary(9), SearchBudget(node_limit=3))
     assert res.kind == "inconclusive"
@@ -527,13 +545,99 @@ def test_nonconformable_circulants_have_no_delta_plus_1_total_coloring():
         delta = G.regular_degree
         if conformable_exists(G, delta + 1)[0]:
             continue
-        items, adj, index = total_items(G)
+        _, stars, adj = total_items(G)
         tracker = oracles._Budget(SearchBudget(node_limit=20_000))
         status, _ = oracles._solve_list_coloring(adj, delta + 1,
-                                                 oracles._star_clique(G, index), tracker)
+                                                 oracles._star_clique(G, stars), tracker)
         assert status == ("budget" if (n, half) in _DEEP else "unsat"), (n, half)
         nonconformable.append((n, half))
     assert len(nonconformable) == 19 and _DEEP <= set(nonconformable)
+
+
+def _tagged_total_items(G):
+    """The total graph as tagged items, ("v", v) then ("e", e) in G.edges()
+    order, with a tuple-keyed index and sorted conflict lists: the reference
+    for total_items."""
+    items = [("v", v) for v in range(G.n)] + [("e", e) for e in G.edges()]
+    index = {it: i for i, it in enumerate(items)}
+    adj = [set() for _ in items]
+
+    def link(a, b):
+        ia, ib = index[a], index[b]
+        adj[ia].add(ib)
+        adj[ib].add(ia)
+
+    for (u, v) in G.edges():
+        link(("v", u), ("v", v))
+        link(("v", u), ("e", (u, v)))
+        link(("v", v), ("e", (u, v)))
+    for w in range(G.n):
+        nbrs = G.neighbors(w)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                link(("e", ekey(w, nbrs[i])), ("e", ekey(w, nbrs[j])))
+    return items, [sorted(s) for s in adj], index
+
+
+def _tagged_star_clique(G, index):
+    if G.n == 0:
+        return {}
+    v = max(range(G.n), key=lambda u: (G.degree(u), -u))
+    pre = {index[("v", v)]: 1}
+    for c, u in enumerate(G.neighbors(v), 2):
+        pre[index[("e", ekey(v, u))]] = c
+    return pre
+
+
+def _total_items_cases():
+    for n, half, G in _circulants(10):
+        yield "C_%d%s" % (n, list(half)), G
+    z9 = GroupTable(9, [[(i + j) % 9 for j in range(9)] for i in range(9)], 0)
+    yield "Cay(Z_9)", build_cayley(z9, {1, 2, 4, 5, 7, 8})
+    rng = random.Random(21)
+    # vertices 9, 10 and 11 stay isolated
+    yield "random", subgraph_of_edges(12, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                                           if rng.random() < 0.4])
+    yield "n=0", subgraph_of_edges(0, [])
+    yield "n=1", subgraph_of_edges(1, [])
+
+
+def test_total_items_matches_the_tagged_reference():
+    # vertex v is item v and edge i item n + i, as the tagged encoding
+    # numbers them; the search from either gives the same tree.  K_8 and
+    # K_10 run out of the budget at Delta+2 colors, so that outcome is
+    # compared too.
+    limit = 20_000
+    for name, G in _total_items_cases():
+        n = G.n
+        edges, stars, adj = total_items(G)
+        items, ref_adj, index = _tagged_total_items(G)
+        assert items == [("v", v) for v in range(n)] + [("e", e) for e in edges], name
+        assert [sorted(a) for a in adj] == ref_adj, name
+        assert all(len(a) == len(set(a)) for a in adj), name
+        ref_pre = _tagged_star_clique(G, index)
+        assert oracles._star_clique(G, stars) == ref_pre, name
+
+        res = exact_total_chromatic(G, SearchBudget(node_limit=limit))
+        # the search's share of the budget, which the check has not spent
+        tracker = oracles._Budget(SearchBudget(node_limit=limit - res.conformability_steps))
+        c = res.lower_bound
+        while True:
+            status, colors = oracles._solve_list_coloring(ref_adj, c, ref_pre, tracker,
+                                                          busiest_first=True)
+            if status != "unsat":
+                break
+            c += 1
+        assert tracker.nodes == res.nodes, name
+        if status == "budget":
+            assert res.status == "inconclusive", name
+            continue
+        assert (res.status, res.value) == ("exact", c), name
+        ref = TotalColoring(n)
+        for i, (tag, x) in enumerate(items):
+            (ref.vertex_color if tag == "v" else ref.edge_color)[x] = colors[i]
+        assert list(res.coloring.vertex_color.items()) == list(ref.vertex_color.items()), name
+        assert list(res.coloring.edge_color.items()) == list(ref.edge_color.items()), name
 
 
 def test_type_one_theorems_agree_with_the_search():
