@@ -150,7 +150,7 @@ def cmd_oracle(args) -> int:
         print("chromatic number: %d" % chi)
         return EXIT_OK
     if args.what == "cliques":
-        stats = oracles.maximal_cliques(G)
+        stats = oracles.maximal_cliques(G, _budget_from(args))
         print("clique number: %d" % stats.omega)
         print("maximal cliques: %d" % stats.maximal_count)
         print("maximum cliques: %d" % stats.maximum_count)

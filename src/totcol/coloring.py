@@ -193,14 +193,35 @@ def parse_matrix(grid) -> TotalColoring:
 
 def write_coloring(c: TotalColoring, path) -> None:
     """Line format: `t <n> <color-count>`, then `v <vertex> <color>` and
-    `e <u> <v> <color>` lines, 0-indexed, deterministic order."""
+    `e <u> <v> <color>` lines, 0-indexed, deterministic order.  Each
+    distinct number is formatted once per call, by a _NumberTexts table."""
+    name = _NumberTexts().__getitem__
+    vs = sorted(c.vertex_color)
     es = sorted(c.edge_color)
     us, ws = zip(*es) if es else ((), ())
     with open(path, "w") as fh:
-        fh.write("t %d %d\n" % (c.n, c.colors_used())
-                 + "".join(map("v %d %d\n".__mod__, sorted(c.vertex_color.items())))
-                 + "".join(map("e %d %d %d\n".__mod__,
-                               zip(us, ws, map(c.edge_color.__getitem__, es)))))
+        fh.write("t %d %d\n" % (c.n, c.colors_used()))
+        _write_lines(fh, "v ", map(name, vs), map(name, map(c.vertex_color.__getitem__, vs)))
+        _write_lines(fh, "e ", map(name, us), map(name, ws),
+                     map(name, map(c.edge_color.__getitem__, es)))
+
+
+def _write_lines(fh, tag, *columns) -> None:
+    """Write one line per row of the text columns, tag and then the row's
+    texts joined by spaces, as one join of the lines; nothing for no rows."""
+    text = ("\n" + tag).join(map(" ".join, zip(*columns)))
+    if text:
+        fh.write(tag)
+        fh.write(text)
+        fh.write("\n")
+
+
+class _NumberTexts(dict):
+    """Number -> "%d" % number, made once per distinct number: the reverse
+    of _CellValues."""
+
+    def __missing__(self, number):
+        return self.setdefault(number, "%d" % number)
 
 
 _FIELDS = {"t": 3, "v": 3, "e": 4}

@@ -158,17 +158,18 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
 
 
 def _line_graph(G: Graph):
-    """(edges, stars, adj): edges is G.edges(), stars[w] the indices of w's
-    edges in neighbour order, and adj[i] the other edges at either end of
-    edge i."""
+    """(edges, nbrs, stars, adj): edges is G.edges(), nbrs[w] the list
+    G.neighbors(w), stars[w] the indices of w's edges in neighbour order,
+    and adj[i] the other edges at either end of edge i."""
     edges = G.edges()
     index = {e: i for i, e in enumerate(edges)}
-    stars = [[index[ekey(w, u)] for u in G.neighbors(w)] for w in range(G.n)]
+    nbrs = [G.neighbors(w) for w in range(G.n)]
+    stars = [[index[ekey(w, u)] for u in nbr] for w, nbr in enumerate(nbrs)]
     adj: List[list] = [[] for _ in edges]
     for star in stars:
         for i in star:
             adj[i].extend(j for j in star if j != i)
-    return edges, stars, adj
+    return edges, nbrs, stars, adj
 
 
 def total_items(G: Graph):
@@ -176,8 +177,8 @@ def total_items(G: Graph):
     n + i.  Returns (edges, stars, adj), stars as in _line_graph and adj[i]
     the items in conflict with item i."""
     n = G.n
-    edges, stars, line = _line_graph(G)
-    adj = [G.neighbors(v) + [n + i for i in stars[v]] for v in range(n)]
+    edges, nbrs, stars, line = _line_graph(G)
+    adj = [nbr + [n + i for i in star] for nbr, star in zip(nbrs, stars)]
     adj += [[u, v] + [n + j for j in others] for (u, v), others in zip(edges, line)]
     return edges, stars, adj
 
@@ -310,7 +311,7 @@ def exact_edge_coloring(G: Graph, k: int, budget: SearchBudget):
 
     Returns ("sat", {edge: color}), ("unsat", None), or ("budget", None).
     """
-    edges, _, adj = _line_graph(G)
+    edges, _, _, adj = _line_graph(G)
     status, colors = _solve_list_coloring(adj, k, {}, _Budget(budget))
     if status != "sat":
         return status, None
@@ -329,7 +330,7 @@ class CliqueStats:
     maximum_count: int
 
 
-def maximal_cliques(G: Graph) -> CliqueStats:
+def maximal_cliques(G: Graph, budget: Optional[SearchBudget] = None) -> CliqueStats:
     """All maximal cliques via pivoting enumeration (E. Tomita, A. Tanaka
     and H. Takahashi, "The worst-case time complexity for generating all
     maximal cliques and computational experiments", Theoret. Comput. Sci.
@@ -339,14 +340,19 @@ def maximal_cliques(G: Graph) -> CliqueStats:
     of candidates | excluded has the most candidates in N(u), the least u
     on a tie, and the candidates outside N(u) are branched on in ascending
     order.  The enumeration runs on an explicit stack, so no clique size
-    reaches Python's recursion limit."""
+    reaches Python's recursion limit.  With a budget, each expanded node
+    costs one tick, and BudgetExhausted is raised when it runs out."""
     out: list = []
     rows = G.rows
+    tracker = _Budget(budget) if budget else None
     # A frame: [clique, candidates, excluded, the branch vertices left (the
     # candidates outside the pivot's neighborhood)], the last three as masks.
     stack: list = []
 
     def expand(clique, candidates, excluded):
+        if tracker and not tracker.tick():
+            raise BudgetExhausted("clique enumeration budget exhausted after %d nodes"
+                                  % (tracker.nodes - 1))
         if not candidates and not excluded:
             out.append(tuple(sorted(clique)))
             return
@@ -435,6 +441,8 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     taking back one vertex) costs one budget tick; BudgetExhausted is raised
     when the budget runs out.
     """
+    if q < 1:
+        raise OracleError("class count q must be positive, got %d" % q)
     if G.regular_degree is None:
         raise OracleError("conformable check requires a regular graph")
     return _conformable(G, q, _Budget(budget or SearchBudget()), math.inf)

@@ -490,6 +490,32 @@ def test_oracle_inconclusive_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_oracle_conformable_class_count_below_1_exits_4(tmp_path, monkeypatch, capsys, q):
+    run(["gen", "unitary", "8"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    code = run(["oracle", "unitary_8.col", "--what", "conformable", "--q", q],
+               tmp_path, monkeypatch)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err == "input error: class count q must be positive, got %s\n" % q
+    assert out == ""
+
+
+def test_oracle_cliques_out_of_budget_exits_3_without_traceback(tmp_path, monkeypatch):
+    # Moon-Moser K_{3,3,3} has 27 maximal cliques; one node is not enough
+    run(["gen", "circulant", "9", "1", "2", "4", "5", "7", "8", "-o", "mm9.col"],
+        tmp_path, monkeypatch)
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    proc = subprocess.run([sys.executable, "-m", "totcol.cli", "oracle", "mm9.col",
+                           "--what", "cliques", "--node-limit", "1"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "inconclusive: clique enumeration budget exhausted after 1 nodes\n"
+    assert proc.stdout == ""
+
+
 def test_classify_out_of_budget_exits_3_without_traceback(tmp_path, monkeypatch):
     run(["gen", "unitary", "9"], tmp_path, monkeypatch)
     src = os.path.dirname(os.path.dirname(totcol.__file__))

@@ -11,10 +11,10 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from totcol import graphs
-from totcol.cli import main
+from totcol.cli import main, unitary_even_parts
 from totcol.coloring import (
     TotalColoring,
     matrix_to_csv,
@@ -388,3 +388,50 @@ def test_writers_bytes_are_pinned(tmp_path, build, digests):
     matrix_to_csv(render_matrix(G, c), tmp_path / "g.csv")
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("g.col", "g.tc", "g.csv")) == digests
+
+
+def reference_write_coloring(c, path):
+    """write_coloring as it was before its number-text table: one "%d"
+    format per line."""
+    es = sorted(c.edge_color)
+    us, ws = zip(*es) if es else ((), ())
+    with open(path, "w") as fh:
+        fh.write("t %d %d\n" % (c.n, c.colors_used())
+                 + "".join(map("v %d %d\n".__mod__, sorted(c.vertex_color.items())))
+                 + "".join(map("e %d %d %d\n".__mod__,
+                               zip(us, ws, map(c.edge_color.__getitem__, es)))))
+
+
+@st.composite
+def colorings_to_write(draw):
+    """A coloring as write_coloring may get one: a part of thm2.2's
+    coloring of U_n (vertex and edge colors, or edge colors only), or
+    arbitrary vertex and edge colors, vertex-only or edge-only, with vertex
+    numbers up to 20 000 and colors up to 30 000 for n up to 12."""
+    if draw(st.booleans()):
+        c = color_unitary_even(build_unitary(draw(st.sampled_from([6, 10, 12, 24])))).coloring
+        return draw(st.sampled_from(unitary_even_parts(c) + (c,)))
+    n = draw(st.integers(0, 12))
+    vertex = st.integers(0, 20_000)
+    color = st.integers(1, 30_000)
+    kinds = draw(st.sampled_from(["both", "vertices", "edges"]))
+    vertices = draw(st.dictionaries(vertex, color)) if kinds != "edges" else {}
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]).map(sorted).map(tuple)
+    edges = draw(st.dictionaries(pairs, color)) if kinds != "vertices" else {}
+    return TotalColoring(n, vertices, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(c=colorings_to_write())
+@example(c=TotalColoring(0))
+@example(c=TotalColoring(1, {0: 1}))
+@example(c=TotalColoring(3, {}, {(0, 2): 7}))
+@example(c=TotalColoring(20_001, {20_000: 1, 10_000: 30_000}))
+@example(c=TotalColoring(2, {0: True, 1: 2.0}, {(0, 1): 3}))  # "%d" % each number
+def test_write_coloring_matches_the_per_line_reference(c):
+    with tempfile.TemporaryDirectory() as d:
+        mine, reference = os.path.join(d, "a.tc"), os.path.join(d, "b.tc")
+        write_coloring(c, mine)
+        reference_write_coloring(c, reference)
+        with open(mine, "rb") as a, open(reference, "rb") as b:
+            assert a.read() == b.read()

@@ -142,6 +142,32 @@ def test_maximal_cliques_match_the_set_reference():
     assert maximal_cliques(graphs[9 + 3]).maximal_count == 3 ** 4
 
 
+def test_maximal_cliques_honours_its_budget():
+    # Moon-Moser K_{3,3,3}: the root, 3 + 9 inner nodes and 27 leaves
+    G = build_circulant(CirculantSpec(9, {1, 2, 4, 5, 7, 8}))
+    unbounded = maximal_cliques(G)
+    assert unbounded.maximal_count == 27
+    assert maximal_cliques(G, SearchBudget(node_limit=40)) == unbounded
+    with pytest.raises(BudgetExhausted, match="after 39 nodes"):
+        maximal_cliques(G, SearchBudget(node_limit=39))
+    with pytest.raises(BudgetExhausted, match="after 1 nodes"):
+        maximal_cliques(G, SearchBudget(node_limit=1))
+
+
+def test_total_items_asks_for_each_neighbour_list_once(monkeypatch):
+    G = build_unitary(9)
+    calls = []
+    neighbors = type(G).neighbors
+
+    def counted(self, u):
+        calls.append(u)
+        return neighbors(self, u)
+
+    monkeypatch.setattr(type(G), "neighbors", counted)
+    total_items(G)
+    assert sorted(calls) == list(range(G.n))
+
+
 def test_maximal_cliques_of_k600_is_one_clique():
     # one pivot scan per level over bitmasks, not set intersections
     stats = maximal_cliques(build_circulant(CirculantSpec(600, range(1, 600))))
@@ -202,6 +228,12 @@ def test_conformable_honours_its_budget():
     with pytest.raises(BudgetExhausted):
         conformable_exists(complete(3), 3, SearchBudget(node_limit=3))
     assert conformable_exists(complete(3), 3, SearchBudget(node_limit=4))[0]
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_conformable_rejects_a_class_count_below_1(q):
+    with pytest.raises(OracleError, match="class count q must be positive"):
+        conformable_exists(build_unitary(8), q)
 
 
 def test_conformable_requires_regular():
