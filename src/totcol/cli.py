@@ -122,11 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def _budget_from(args) -> oracles.SearchBudget:
-    return oracles.SearchBudget(
-        max_colors=args.max_colors,
-        node_limit=args.node_limit,
-        time_limit_secs=args.time_limit_secs,
-    )
+    return oracles.SearchBudget(node_limit=args.node_limit, time_limit_secs=args.time_limit_secs)
 
 
 def cmd_oracle(args) -> int:
@@ -277,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     def add_budget(p):
-        p.add_argument("--max-colors", type=int, default=64)
-        p.add_argument("--node-limit", type=int, default=50_000_000)
-        p.add_argument("--time-limit-secs", type=float, default=600.0)
+        default = oracles.SearchBudget()
+        p.add_argument("--node-limit", type=int, default=default.node_limit)
+        p.add_argument("--time-limit-secs", type=float, default=default.time_limit_secs)
 
     p_oracle = sub.add_parser("oracle", help="run an exact solver")
     p_oracle.add_argument("graph")

@@ -422,8 +422,8 @@ def complete_type_two(G: Graph) -> Optional[Tuple[str, TotalColoring]]:
     """(construction, coloring) when G is exactly K_n with n even
     ("complete-even") or exactly K_{m,m} with n = 2m ("complete-bipartite"),
     in any labelling, else None.  The coloring has Delta+2 colors and
-    verify_total has accepted it; oracles.classify_type takes it as the
-    upper bound of a type II graph, because chi''(K_n) = n+1 for even n and
+    verify_total has accepted it; certificate takes it as the upper bound
+    of a type II graph, because chi''(K_n) = n+1 for even n and
     chi''(K_{m,m}) = m+2 (M. Behzad, G. Chartrand and J. K. Cooper, "The
     colour numbers of complete graphs", J. London Math. Soc. 42, 1967).
 
@@ -486,11 +486,10 @@ def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
         if colors is not None:
             return _edge_result(colors, delta, "construction")
     if G.edge_count <= delta * (G.n // 2):
-        status, exact = exact_edge_coloring(G, delta,
-                                            SearchBudget(node_limit=_EXACT_EDGE_NODES))
+        status, exact = exact_edge_coloring(G, SearchBudget(node_limit=_EXACT_EDGE_NODES))
         if status == "sat":
             return _edge_result({e: offset + c for e, c in exact.items()}, delta, "search")
-    return _edge_result(_misra_gries(G, delta, offset), delta, "misra-gries")
+    return _edge_result(_misra_gries(G, offset), delta, "misra-gries")
 
 
 def _edge_result(colors: Dict[tuple, int], delta: int, route: str) -> EdgeColoringResult:
@@ -541,7 +540,7 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[
     palette = layer.max_degree + 1
     missing = [palette * (2 * offset + palette + 1) // 2] * m  # palette sum minus colors met
     color: Dict[tuple, int] = {}
-    for (i, j), c in _misra_gries(layer, palette - 1, offset).items():
+    for (i, j), c in _misra_gries(layer, offset).items():
         missing[i] -= c
         missing[j] -= c
         color[(2 * i, 2 * j)] = c
@@ -564,9 +563,9 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[
     return color
 
 
-def _misra_gries(G: Graph, delta: int, offset: int = 0) -> Dict[tuple, int]:
+def _misra_gries(G: Graph, offset: int = 0) -> Dict[tuple, int]:
     """Misra-Gries fan recoloring with palette offset+1..offset+Delta+1."""
-    palette = range(offset + 1, offset + delta + 2)
+    palette = range(offset + 1, offset + G.max_degree + 2)
     at = [dict() for _ in range(G.n)]  # at[v][color] = neighbor
     color: Dict[tuple, int] = {}
 
@@ -576,13 +575,8 @@ def _misra_gries(G: Graph, delta: int, offset: int = 0) -> Dict[tuple, int]:
                 return c
         raise AssertionError("no free color at %d" % v)
 
-    def set_color(x, y, c):
-        e = ekey(x, y)
-        old = color.get(e)
-        if old is not None:
-            del at[x][old]
-            del at[y][old]
-        color[e] = c
+    def set_color(x, y, c):  # the edge {x, y} is uncolored: both callers clear it
+        color[ekey(x, y)] = c
         at[x][c] = y
         at[y][c] = x
 
@@ -855,14 +849,31 @@ METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
 }
 
 # The methods whose theorem gives Delta+1 colors, so that their verified
-# coloring proves the graph type I; oracles.classify_type tries them, in this
-# order, before any search.  thm2.2: U_n with n even and not a power of two
-# takes phi(n)+1 colors (Theorem 2.2).  thm2.3: an odd circulant whose
-# generators avoid and distinguish the residues mod Delta+1, with Delta+1
-# dividing n (Theorem 2.3).  thm2.5: a circulant with n = 2 mod 4,
-# n/2 <= Delta < n-1 and no generator n/2 (Theorem 2.5).  thm2.1, thm2.7
-# and complete give Delta+2 colors.
+# coloring proves the graph type I; certificate tries them, in this order.
+# thm2.2: U_n with n even and not a power of two takes phi(n)+1 colors
+# (Theorem 2.2).  thm2.3: an odd circulant whose generators avoid and
+# distinguish the residues mod Delta+1, with Delta+1 dividing n (Theorem
+# 2.3).  thm2.5: a circulant with n = 2 mod 4, n/2 <= Delta < n-1 and no
+# generator n/2 (Theorem 2.5).  thm2.1, thm2.7 and complete give Delta+2
+# colors.
 TYPE_ONE = ("thm2.2", "thm2.3", "thm2.5")
+
+
+def certificate(G: Graph) -> Optional[Tuple[str, str, str, TotalColoring]]:
+    """(kind, lower evidence, method, coloring) when a theorem settles G's
+    type with no search, else None: ("type1", "clique", the first TYPE_ONE
+    method whose coloring has Delta+1 colors, it), or ("type2", "complete",
+    complete_type_two's construction and coloring).  Every coloring is
+    verified; a VerificationFailure propagates."""
+    for name in TYPE_ONE:
+        try:
+            coloring = METHODS[name](G).coloring
+        except ConstructionError:
+            continue
+        if coloring.colors_used() == G.max_degree + 1:
+            return "type1", "clique", name, coloring
+    found = complete_type_two(G)
+    return None if found is None else ("type2", "complete") + found
 
 
 def color_auto(G: Graph):

@@ -7,6 +7,7 @@ budget; the solvers never silently overclaim.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -29,13 +30,12 @@ class SearchBudget:
     """Limits for the exact searches; exhaustion yields an explicit
     inconclusive outcome."""
 
-    max_colors: int = 64
     node_limit: int = 50_000_000
     time_limit_secs: float = 600.0
 
     def __post_init__(self):
         # not x > 0, so that NaN, which compares false, is refused too
-        if not (self.max_colors > 0 and self.node_limit > 0 and self.time_limit_secs > 0):
+        if not (self.node_limit > 0 and self.time_limit_secs > 0):
             raise OracleError("budget limits must be positive")
 
 
@@ -58,16 +58,17 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
                          budget: _Budget, *, busiest_first: bool = False):
     """Feasibility of a proper k-coloring of a conflict graph.
 
-    adj: neighbor index lists.  Returns ("sat", colors), ("unsat", None), or
-    ("budget", None).  Deterministic: MRV, ascending colors, and the classic
-    cap that a fresh color may only be the smallest unused one.  An item
-    with at most one color left is taken at once, the first in index order.
-    Otherwise the next item has the fewest colors left; a tie goes to the
-    lowest index, or with busiest_first first to the most unassigned
-    neighbours (the degree tie-break of Brelaz's DSATUR, CACM 22, 1979).
-    That count is kept per item, updated by every assign and undo.  Each
-    search node costs one budget tick.  The search keeps its path on an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
+    adj: neighbor index lists; precolor fixes some items to colors in 1..k.
+    Returns ("sat", colors), ("unsat", None), or ("budget", None).
+    Deterministic: MRV, ascending colors, and the classic cap that a fresh
+    color may only be the smallest unused one.  An item with at most one
+    color left is taken at once, the first in index order.  Otherwise the
+    next item has the fewest colors left; a tie goes to the lowest index,
+    or with busiest_first first to the most unassigned neighbours (the
+    degree tie-break of Brelaz's DSATUR, CACM 22, 1979).  That count is
+    kept per item, updated by every assign and undo.  Each search node
+    costs one budget tick.  The search keeps its path on an explicit stack,
+    so its depth is not bounded by Python's recursion limit.
     """
     n = len(adj)
     full = (1 << (k + 1)) - 2  # bits 1..k
@@ -77,8 +78,6 @@ def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
     # busiest_first
     free = [len(a) for a in adj] if busiest_first else [0] * n
     for item, c in precolor.items():
-        if c > k:
-            return "unsat", None
         domain[item] = 1 << c
 
     def assign(item: int, c: int, trail: list) -> bool:
@@ -224,9 +223,16 @@ class TotalChromaticResult:
     lower_evidence: str  # a key of LOWER_EVIDENCE
 
 
-def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> TotalChromaticResult:
+def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None,
+                          ceiling: Optional[int] = None) -> TotalChromaticResult:
     """Least c admitting a proper total coloring, by exhaustive backtracking
-    per candidate c from a certified lower bound.
+    per candidate c from a certified lower bound up to ceiling colors.
+
+    Without a ceiling the loop ends by 2*Delta+1 colors at the latest: an
+    item meets at most 2*Delta others (a vertex its Delta neighbours and
+    Delta edges, an edge its 2 ends and 2*(Delta-1) edges), so a greedy
+    extension of the precolored star never needs more.  Only the node and
+    time budget make the result inconclusive then.
 
     The star of a maximum-degree vertex is a clique of Delta+1 items, so
     chi'' >= Delta+1.  A regular graph may do better (Chetwynd-Hilton,
@@ -264,7 +270,8 @@ def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> To
     steps = tracker.nodes
     edges, stars, adj = total_items(G)
     pre = _star_clique(G, stars)
-    for c in range(lower, budget.max_colors + 1):
+    top = 2 * delta + 1 if ceiling is None else ceiling
+    for c in range(lower, top + 1):
         status, colors = _solve_list_coloring(adj, c, pre, tracker, busiest_first=True)
         if status == "sat":
             tc = TotalColoring(G.n, dict(enumerate(colors[:G.n])), dict(zip(edges, colors[G.n:])))
@@ -280,7 +287,10 @@ def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None) -> To
 
 
 def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
-    """Exact chromatic number with a proper-coloring certificate."""
+    """Exact chromatic number with a proper-coloring certificate, counting
+    colors up from a greedy clique.  The loop ends by Delta+1 colors at the
+    latest, which a greedy coloring never exceeds, unless the node or time
+    budget runs out first (BudgetExhausted)."""
     budget = budget or SearchBudget()
     adj = [G.neighbors(v) for v in range(G.n)]
     # greedy clique from a max-degree vertex, for the lower bound + precolor
@@ -292,8 +302,8 @@ def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
             if u != v0 and all(G.has_edge(u, w) for w in clique):
                 clique.append(u)
     tracker = _Budget(budget)
-    for k in range(max(1, len(clique)), budget.max_colors + 1):
-        pre = {v: i + 1 for i, v in enumerate(clique)}
+    pre = {v: i + 1 for i, v in enumerate(clique)}
+    for k in itertools.count(max(1, len(clique))):
         status, colors = _solve_list_coloring(adj, k, pre, tracker)
         if status == "sat":
             assignment = {v: colors[v] for v in range(G.n)}
@@ -303,16 +313,15 @@ def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
             return k, assignment
         if status == "budget":
             raise BudgetExhausted("chromatic search budget exhausted")
-    raise BudgetExhausted("no coloring within max_colors")
 
 
-def exact_edge_coloring(G: Graph, k: int, budget: SearchBudget):
-    """A proper k-edge-coloring, as a k-coloring of the line graph.
+def exact_edge_coloring(G: Graph, budget: SearchBudget):
+    """A proper Delta-edge-coloring, as a Delta-coloring of the line graph.
 
     Returns ("sat", {edge: color}), ("unsat", None), or ("budget", None).
     """
     edges, _, _, adj = _line_graph(G)
-    status, colors = _solve_list_coloring(adj, k, {}, _Budget(budget))
+    status, colors = _solve_list_coloring(adj, G.max_degree, {}, _Budget(budget))
     if status != "sat":
         return status, None
     return status, dict(zip(edges, colors))
@@ -513,78 +522,48 @@ class Classification:
     detail: str
 
 
-def _type_one_certificate(G: Graph):
-    """(method, coloring) from the first constructions.TYPE_ONE method that
-    gives G a Delta+1 total coloring, or None when none does.  The method has
-    verified the coloring; a VerificationFailure propagates."""
-    # constructions imports this module at module level, so a module-level
-    # import of it here would be circular
-    from . import constructions
-
-    for name in constructions.TYPE_ONE:
-        try:
-            coloring = constructions.METHODS[name](G).coloring
-        except constructions.ConstructionError:
-            continue
-        if coloring.colors_used() == G.max_degree + 1:
-            return name, coloring
-    return None
-
-
 def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classification:
     """Type I (a Delta+1 certificate), type II (chi'' >= Delta+2 plus a
     Delta+2 certificate), or inconclusive with the spent budget.
 
-    The upper bound comes first from the paper's Delta+1 theorems
-    (constructions.TYPE_ONE): when Delta+1 is within max_colors, a verified
-    Delta+1 coloring proves type I against the star clique, with no search.
-    Next, when Delta+2 is within max_colors, a graph that is exactly K_n
-    with n even or K_{m,m}, in any labelling, is type II by a theorem
-    (lower evidence "complete"), and constructions.complete_type_two's
-    verified Delta+2 coloring is the certificate, with no conformability
-    check and no search.  The constructions run outside the budget: they
-    spend no node and do not watch the time limit.  Otherwise this is
-    exact_total_chromatic capped at Delta+2 colors, so the lower bound
-    Delta+2 of a type II graph comes from conformability when the graph is
-    regular and not conformable with Delta+1 classes (Chetwynd-Hilton: a
-    type I regular graph is conformable), and from an exhausted Delta+1
-    search otherwise.  Irregular graphs always take the search.
-    `lower_evidence`, `upper_evidence` and `detail` say which evidence
-    closed each bound.
+    constructions.certificate settles the type first when a theorem
+    covers G: a verified Delta+1 coloring from the paper's Delta+1 methods
+    (constructions.TYPE_ONE) proves type I against the star clique, and a
+    graph that is exactly K_n with n even or K_{m,m}, in any labelling, is
+    type II by a theorem (lower evidence "complete") with
+    constructions.complete_type_two's verified Delta+2 coloring.  The
+    constructions run outside the budget: they spend no node and do not
+    watch the time limit.  Otherwise this is exact_total_chromatic with the
+    ceiling Delta+2, so the lower bound Delta+2 of a type II graph comes
+    from conformability when the graph is regular and not conformable with
+    Delta+1 classes (Chetwynd-Hilton: a type I regular graph is
+    conformable), and from an exhausted Delta+1 search otherwise.
+    Irregular graphs always take the search.  `lower_evidence`,
+    `upper_evidence` and `detail` say which evidence closed each bound.
     """
-    budget = budget or SearchBudget()
-    delta = G.max_degree
-    found = _type_one_certificate(G) if delta + 1 <= budget.max_colors else None
-    if found is not None:
-        method, coloring = found
-        detail = "lower bound by clique: %s; Delta+1 certificate by construction %s" % (
-            LOWER_EVIDENCE["clique"], method)
-        return Classification("type1", delta, coloring, delta + 1, 0, 0, "clique",
-                              method, detail)
-    if delta + 2 <= budget.max_colors:
-        from . import constructions  # circular at module level
+    # constructions imports this module at module level, so a module-level
+    # import of it here would be circular
+    from . import constructions
 
-        found = constructions.complete_type_two(G)
-        if found is not None:
-            method, coloring = found
-            detail = "lower bound by complete: %s; Delta+2 certificate by construction %s" % (
-                LOWER_EVIDENCE["complete"], method)
-            return Classification("type2", delta, coloring, delta + 2, 0, 0, "complete",
-                                  method, detail)
-    capped = SearchBudget(
-        max_colors=min(budget.max_colors, delta + 2),
-        node_limit=budget.node_limit,
-        time_limit_secs=budget.time_limit_secs,
-    )
-    res = exact_total_chromatic(G, capped)
-    why = "%s: %s" % (res.lower_evidence, LOWER_EVIDENCE[res.lower_evidence])
-    if res.status == "exact":
-        kind = "type1" if res.value == delta + 1 else "type2"
-        upper = "search"
-        detail = "lower bound by %s; Delta+%d certificate found by search" % (
-            why, res.value - delta)
+    delta = G.max_degree
+    found = constructions.certificate(G)
+    if found is not None:
+        kind, evidence, upper, coloring = found
+        value = delta + (1 if kind == "type1" else 2)
+        nodes = steps = 0
+        how = "by construction %s" % upper
     else:
-        kind, upper = "inconclusive", None
+        res = exact_total_chromatic(G, budget, ceiling=delta + 2)
+        evidence, coloring, value = res.lower_evidence, res.coloring, res.value
+        nodes, steps = res.nodes, res.conformability_steps
+        if res.status == "exact":
+            kind, upper = "type1" if value == delta + 1 else "type2", "search"
+        else:
+            kind, upper = "inconclusive", None
+        how = "found by search"
+    why = "%s: %s" % (evidence, LOWER_EVIDENCE[evidence])
+    if kind == "inconclusive":
         detail = "budget exhausted; lower bound Delta+%d by %s" % (res.lower_bound - delta, why)
-    return Classification(kind, delta, res.coloring, res.value, res.nodes,
-                          res.conformability_steps, res.lower_evidence, upper, detail)
+    else:
+        detail = "lower bound by %s; Delta+%d certificate %s" % (why, value - delta, how)
+    return Classification(kind, delta, coloring, value, nodes, steps, evidence, upper, detail)

@@ -24,7 +24,6 @@ from totcol.graphs import (
     write_dimacs,
 )
 from totcol.oracles import (
-    SearchBudget,
     classify_type,
     conformable_exists,
     exact_chromatic,
@@ -73,7 +72,7 @@ def test_criterion_03_u8_exact():
     G = build_unitary(8)
     c = color_complete_bipartite(G).coloring
     assert verify_total(G, c).ok and c.colors_used() == 6
-    res, elapsed = timed(300.0, exact_total_chromatic, G, SearchBudget(max_colors=8))
+    res, elapsed = timed(300.0, exact_total_chromatic, G)
     ok = res.status == "exact" and res.value == 6 == 2 ** (3 - 1) + 2
     report(3, ok, "U_8 construction gives 6 colors and exhaustive search "
            "rules out 5 (%.1fs)" % elapsed)
@@ -81,7 +80,7 @@ def test_criterion_03_u8_exact():
 
 def test_criterion_04_u9_type1():
     G = build_unitary(9)
-    res, elapsed = timed(600.0, exact_total_chromatic, G, SearchBudget(max_colors=10))
+    res, elapsed = timed(600.0, exact_total_chromatic, G)
     ok = (res.status == "exact" and res.value == G.max_degree + 1 == 7
           and verify_total(G, res.coloring).ok)
     report(4, ok, "U_9 has an exact 7-color (Delta+1) total coloring, "
@@ -134,9 +133,9 @@ def test_criterion_08_dense_z9_chain():
     ok = stats.omega == 4 and stats.omega > G.n / 3 and stats.maximum_count == 9
     conf, _ = conformable_exists(G, 7)
     ok = ok and not conf
-    res = exact_total_chromatic(G, SearchBudget(max_colors=10))
+    res = exact_total_chromatic(G)
     ok = ok and res.status == "exact" and res.value == 8 == G.max_degree + 2
-    cls = classify_type(G, SearchBudget(max_colors=10))
+    cls = classify_type(G)
     ok = ok and cls.kind == "type2"
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -254,7 +253,7 @@ def test_criterion_10c_oracle_vs_construction():
          True),
     ]
     for G, constructed, expect_equal in cases:
-        res = exact_total_chromatic(G, SearchBudget(max_colors=constructed + 1))
+        res = exact_total_chromatic(G)
         assert res.status == "exact"
         assert res.value <= constructed
         if expect_equal:

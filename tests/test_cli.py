@@ -39,6 +39,22 @@ def test_tables_without_the_golden_data_exits_4(tmp_path, monkeypatch, capsys):
         "input error: golden table table1_adjacency.csv is not installed\n")
 
 
+def test_tables_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    regenerate = cli.regenerate_tables
+
+    def altered(outdir):
+        paths = regenerate(outdir)
+        with open(paths[2], "a") as fh:
+            fh.write("\n")
+        return paths
+
+    monkeypatch.setattr(cli, "regenerate_tables", altered)
+    assert run(["tables", "--outdir", tmp_path], tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "table1_adjacency.csv: ok (zero diff)", "table2_part1.csv: ok (zero diff)",
+        "table3_part2.csv: MISMATCH", "table4_final.csv: ok (zero diff)"]
+
+
 def test_color_verify_cycle(tmp_path, monkeypatch):
     run(["gen", "unitary", "24"], tmp_path, monkeypatch)
     assert run(["color", "unitary_24.col", "-o", "u24.tc"], tmp_path, monkeypatch) == 0
@@ -253,6 +269,27 @@ def test_color_complete_gives_delta_plus_2(tmp_path, monkeypatch, capsys, gen, c
     assert "colors used: %d" % colors in out
     assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == 0
     assert "verification: clean" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("graph, method, reason", [
+    (["circulant", 15, 1, 6, 9, 14], "thm2.3",
+     "half-set generators not pairwise distinct mod Delta+1 = 5"),
+    # the paw: triangle 1-2-3 and the edge 3-4
+    ("p edge 4 4\ne 1 2\ne 2 3\ne 1 3\ne 3 4\n", "thm2.7",
+     "chromatic number 3 does not divide n = 4"),
+    # a bowtie (triangles 1-2-3 and 3-4-5) and the isolated vertex 6
+    ("p edge 6 6\ne 1 2\ne 2 3\ne 1 3\ne 3 4\ne 4 5\ne 3 5\n", "thm2.7",
+     "no disjoint cover by maximum cliques"),
+], ids=["C_15", "paw", "bowtie"])
+def test_color_rejection_exits_2_with_its_reason(tmp_path, monkeypatch, capsys, graph,
+                                                 method, reason):
+    if isinstance(graph, list):
+        run(["gen"] + graph + ["-o", "g.col"], tmp_path, monkeypatch)
+    else:
+        (tmp_path / "g.col").write_text(graph)
+    capsys.readouterr()
+    assert run(["color", "g.col", "--method", method], tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err == "precondition error: %s\n" % reason
 
 
 def test_color_complete_rejects_other_graphs(tmp_path, monkeypatch, capsys):
@@ -547,6 +584,35 @@ def test_classify_by_construction_spends_no_budget(tmp_path, monkeypatch, capsys
     assert "total chromatic number: 7 (lower bound 7, 6096 nodes)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gen, label, how", [
+    (["unitary", 128], "TypeII", "Delta+2 certificate by construction complete-bipartite"),
+    (["circulant", 64, *range(1, 64)], "TypeII", "Delta+2 certificate by construction complete-even"),
+    (["unitary", 134], "TypeI", "Delta+1 certificate by construction thm2.2"),
+], ids=["U_128", "K_64", "U_134"])
+def test_classify_decides_graphs_that_need_more_than_64_colors(tmp_path, monkeypatch, capsys,
+                                                               gen, label, how):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["classify", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "classification: %s" % label
+    assert out[2].endswith("; %s (0 nodes, 0 conformability steps)" % how)
+    assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == 0
+
+
+def test_oracles_answer_above_64_colors(tmp_path, monkeypatch, capsys):
+    # the star K_{1,64} and K_65
+    (tmp_path / "star.col").write_text(
+        "p edge 65 64\n" + "".join("e 1 %d\n" % v for v in range(2, 66)))
+    run(["gen", "circulant", 65, *range(1, 65), "-o", "k65.col"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run(["oracle", "star.col"], tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "total chromatic number: 65 (lower bound 65, 65 nodes)")
+    assert run(["oracle", "k65.col", "--what", "chromatic"], tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out == "chromatic number: 65\n"
+
+
 def test_z9_lower_bound_comes_from_conformability(tmp_path, monkeypatch, capsys):
     run(["gen", "circulant", "9", "1", "2", "3", "6", "7", "8", "-o", "z9.col"],
         tmp_path, monkeypatch)
@@ -570,8 +636,7 @@ def test_io_error_exit_4(tmp_path, monkeypatch):
 
 def test_oracle_and_classify(tmp_path, monkeypatch, capsys):
     run(["gen", "unitary", "8"], tmp_path, monkeypatch)
-    code = run(["classify", "unitary_8.col", "--max-colors", "8",
-                "-o", "cert.tc"], tmp_path, monkeypatch)
+    code = run(["classify", "unitary_8.col", "-o", "cert.tc"], tmp_path, monkeypatch)
     out = capsys.readouterr().out
     assert code == 0
     assert "TypeII" in out

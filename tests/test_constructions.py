@@ -59,9 +59,9 @@ def spy_on_search(monkeypatch):
     calls = []
     search = constructions.exact_edge_coloring
 
-    def spy(G, k, budget):
+    def spy(G, budget):
         calls.append(G.n)
-        return search(G, k, budget)
+        return search(G, budget)
 
     monkeypatch.setattr(constructions, "exact_edge_coloring", spy)
     return calls
@@ -163,6 +163,8 @@ def test_starter_search_absence_is_none():
     # impossible orientation set: q=5, three pairs needed but only two fit
     with pytest.raises(ConstructionError):
         starter_search(5, [1, 1, 2])
+    # difference 3 keeps the residue mod 3, and 1, 4, 7 cannot be paired
+    assert starter_search(9, [3, 3, 3, 3]) is None
 
 
 def test_starter_search_deterministic():
@@ -506,7 +508,7 @@ def test_edge_color_vizing_skips_the_search_on_overfull_graphs(monkeypatch):
     for G in overfull:
         assert G.edge_count > G.max_degree * (G.n // 2)
         res = edge_color_vizing(G)
-        assert res.edge_color == constructions._misra_gries(G, G.max_degree)
+        assert res.edge_color == constructions._misra_gries(G)
         assert_proper_edge_coloring(G, res.edge_color, G.max_degree + 1)
         assert not res.delta_achieved
     assert calls == []

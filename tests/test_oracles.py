@@ -57,14 +57,14 @@ def test_total_chromatic_k3():
 
 def test_total_chromatic_u9():
     G = build_unitary(9)
-    res = exact_total_chromatic(G, SearchBudget(max_colors=10))
+    res = exact_total_chromatic(G)
     assert res.value == 7  # Delta + 1: type I
     assert verify_total(G, res.coloring).ok
 
 
 def test_total_chromatic_budget_is_explicit():
     G = build_unitary(9)
-    res = exact_total_chromatic(G, SearchBudget(max_colors=10, node_limit=5))
+    res = exact_total_chromatic(G, SearchBudget(node_limit=5))
     assert res.status == "inconclusive"
     assert res.value is None
 
@@ -243,7 +243,7 @@ def test_conformable_requires_regular():
 
 
 def test_classify_u8_type2():
-    res = classify_type(build_unitary(8), SearchBudget(max_colors=8))
+    res = classify_type(build_unitary(8))
     assert res.kind == "type2"
     assert res.value == 6  # 2^(k-1) + 2
 
@@ -280,8 +280,8 @@ def test_edge_search_keeps_the_index_tie_break():
     # only the total-coloring search breaks ties by unassigned neighbours;
     # on spec-less K_16 that order takes 102 591 nodes instead of 146
     G = subgraph_of_edges(16, build_circulant(CirculantSpec(16, set(range(1, 16)))).edges())
-    assert oracles.exact_edge_coloring(G, 15, SearchBudget(node_limit=146))[0] == "sat"
-    assert oracles.exact_edge_coloring(G, 15, SearchBudget(node_limit=145))[0] == "budget"
+    assert oracles.exact_edge_coloring(G, SearchBudget(node_limit=146))[0] == "sat"
+    assert oracles.exact_edge_coloring(G, SearchBudget(node_limit=145))[0] == "budget"
 
 
 @pytest.mark.parametrize("half", [(1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 6), (1, 3, 5, 6)],
@@ -293,6 +293,19 @@ def test_classify_decides_order_12_circulants_by_search(half):
     assert res.kind == "type1" and res.upper_evidence == "search"
     report = verify_total(G, res.certificate)
     assert report.ok and report.colors_used == G.max_degree + 1
+
+
+@pytest.mark.parametrize("G, kind, method", [
+    (build_unitary(128), "type2", "complete-bipartite"),  # K_{64,64}: 66 colors
+    (complete(64), "type2", "complete-even"),  # 65 colors
+    (build_unitary(134), "type1", "thm2.2"),  # 67 colors
+], ids=["U_128", "K_64", "U_134"])
+def test_classify_decides_graphs_that_need_more_than_64_colors(G, kind, method):
+    res = classify_type(G)
+    assert (res.kind, res.upper_evidence, res.nodes, res.conformability_steps) == (
+        kind, method, 0, 0)
+    report = verify_total(G, res.certificate)
+    assert report.ok and report.colors_used == res.value
 
 
 def test_classify_takes_the_upper_bound_from_a_construction():
@@ -334,17 +347,11 @@ def test_classify_lets_a_construction_verification_failure_through(monkeypatch):
         classify_type(C_21)
 
 
-def test_classify_keeps_the_color_cap_on_the_construction_path():
-    res = classify_type(C_21, SearchBudget(max_colors=6))
-    assert res.kind == "inconclusive" and res.upper_evidence is None
-
-
 @pytest.mark.parametrize("limits", [
     {"time_limit_secs": float("nan")},
     {"time_limit_secs": 0.0},
     {"node_limit": 0},
-    {"max_colors": -1},
-], ids=["nan-time", "zero-time", "zero-nodes", "negative-colors"])
+], ids=["nan-time", "zero-time", "zero-nodes"])
 def test_search_budget_rejects_limits_that_are_not_positive(limits):
     with pytest.raises(OracleError, match="budget limits must be positive"):
         SearchBudget(**limits)
@@ -464,16 +471,6 @@ def test_classify_does_not_take_a_near_miss_as_a_complete_family(G):
     res = classify_type(G, SearchBudget(node_limit=2_000))
     assert res.lower_evidence != "complete"
     assert res.certificate is None or verify_total(G, res.certificate).ok
-
-
-@pytest.mark.parametrize("G", [build_unitary(8), complete(6)], ids=["U_8", "K_6"])
-def test_classify_below_delta_plus_2_colors_keeps_the_old_path(G, monkeypatch):
-    def spy(G):
-        raise AssertionError("took the complete-family step")
-
-    monkeypatch.setattr(constructions, "complete_type_two", spy)
-    res = classify_type(G, SearchBudget(max_colors=G.max_degree + 1))
-    assert res.kind == "inconclusive" and res.conformability_steps > 0
 
 
 # chi'' as classify_type decided it before the complete-family step, by
@@ -718,7 +715,7 @@ def test_dense_odd_cayley_family_not_conformable():
 
 def test_certificates_reverify_after_file_round_trip(tmp_path):
     G = build_unitary(9)
-    res = exact_total_chromatic(G, SearchBudget(max_colors=10))
+    res = exact_total_chromatic(G)
     path = tmp_path / "cert.tc"
     write_coloring(res.coloring, path)
     back = read_coloring(path)
