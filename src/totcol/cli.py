@@ -10,16 +10,18 @@ construction whose coloring fails verification) or golden-table mismatch;
 method, one reason each) or no admissible choice past them; 3 a search
 budget ran out, and nothing else; 4 bad input: I/O errors, malformed files
 (with the line number), invalid budgets, or a graph an oracle cannot take.
+
+Each command imports only the modules it runs: `gen` and `verify` load
+`graphs` and `coloring`; `color`, `oracle`, `classify` and `tables` load
+`constructions` and `oracles` too, when they start.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import pathlib
 import sys
-from importlib import resources
 
-from . import constructions, coloring, graphs, oracles
+from . import coloring, graphs
 from .coloring import (
     TotalColoring,
     adjacency_matrix_csv,
@@ -71,6 +73,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import constructions
+
     G = graphs.read_dimacs(args.graph)
     if args.method == "auto":
         method, result_coloring, notes, rejected = constructions.color_auto(G)
@@ -121,11 +125,18 @@ def cmd_verify(args) -> int:
     return EXIT_CONFLICTS
 
 
-def _budget_from(args) -> oracles.SearchBudget:
-    return oracles.SearchBudget(node_limit=args.node_limit, time_limit_secs=args.time_limit_secs)
+def _budget_from(args):
+    """The SearchBudget of --node-limit and --time-limit-secs; an option left
+    out takes SearchBudget's default."""
+    from .oracles import SearchBudget
+
+    given = {"node_limit": args.node_limit, "time_limit_secs": args.time_limit_secs}
+    return SearchBudget(**{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_oracle(args) -> int:
+    from . import oracles
+
     G = graphs.read_dimacs(args.graph)
     if args.what == "total-chromatic":
         res = oracles.exact_total_chromatic(G, _budget_from(args))
@@ -169,6 +180,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import oracles
+
     G = graphs.read_dimacs(args.graph)
     res = oracles.classify_type(G, _budget_from(args))
     label = {"type1": "TypeI", "type2": "TypeII", "inconclusive": "inconclusive"}
@@ -204,6 +217,8 @@ def regenerate_tables(outdir) -> list:
     """Regenerate the four U_24 tables into outdir; returns the paths."""
     import os
 
+    from . import constructions
+
     G = build_unitary(24)
     c = constructions.color_unitary_even(G).coloring
     part1, part2 = unitary_even_parts(c)
@@ -217,6 +232,8 @@ def regenerate_tables(outdir) -> list:
 
 def cmd_tables(args) -> int:
     import os
+    import pathlib
+    from importlib import resources
 
     os.makedirs(args.outdir, exist_ok=True)
     paths = regenerate_tables(args.outdir)
@@ -233,6 +250,18 @@ def cmd_tables(args) -> int:
             print("%s: MISMATCH" % name)
             status = EXIT_CONFLICTS
     return status
+
+
+class _MethodChoices:
+    """The values of `color --method`: auto and the keys of
+    constructions.METHODS, read only when a value is checked (`in` iterates)
+    or help is printed, so that building the parser does not import
+    constructions."""
+
+    def __iter__(self):
+        from .constructions import METHODS
+
+        return iter(["auto", *METHODS])
 
 
 # built once per process: parse_args does not change the parser
@@ -260,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("color", help="run a constructive coloring")
     p_color.add_argument("graph")
-    p_color.add_argument("--method", default="auto",
-                         choices=["auto", *constructions.METHODS])
+    # a metavar keeps argparse from iterating the choices while it builds
+    p_color.add_argument("--method", default="auto", choices=_MethodChoices(),
+                         metavar="METHOD", help="one of %(choices)s (default: %(default)s)")
     p_color.add_argument("--format", default="coloring",
                          choices=["coloring", "csv-matrix"])
     p_color.add_argument("-o", "--output")
@@ -273,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     def add_budget(p):
-        default = oracles.SearchBudget()
-        p.add_argument("--node-limit", type=int, default=default.node_limit)
-        p.add_argument("--time-limit-secs", type=float, default=default.time_limit_secs)
+        # None: _budget_from takes SearchBudget's default
+        p.add_argument("--node-limit", type=int)
+        p.add_argument("--time-limit-secs", type=float)
 
     p_oracle = sub.add_parser("oracle", help="run an exact solver")
     p_oracle.add_argument("graph")
@@ -306,18 +336,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except constructions.ConstructionError as exc:
-        print("precondition error: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
-    except constructions.VerificationFailure as exc:
-        print("verification: FAILED: %s" % exc, file=sys.stderr)
-        return EXIT_CONFLICTS
-    except oracles.BudgetExhausted as exc:
-        print("inconclusive: %s" % exc, file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (graphs.GraphError, coloring.ColoringError, oracles.OracleError, OSError) as exc:
+    except (graphs.GraphError, coloring.ColoringError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_IO
+    except (ValueError, RuntimeError) as exc:
+        # the bases of the errors below, which only the commands that load
+        # constructions and oracles raise
+        from .constructions import ConstructionError, VerificationFailure
+        from .oracles import BudgetExhausted, OracleError
+
+        for kind, code, prefix in (
+                (ConstructionError, EXIT_PRECONDITION, "precondition error"),
+                (VerificationFailure, EXIT_CONFLICTS, "verification: FAILED"),
+                (BudgetExhausted, EXIT_INCONCLUSIVE, "inconclusive"),
+                (OracleError, EXIT_IO, "input error")):
+            if isinstance(exc, kind):
+                print("%s: %s" % (prefix, exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

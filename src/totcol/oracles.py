@@ -448,10 +448,13 @@ def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
     vertices in index order, with parity pruning and first-empty-class
     symmetry breaking, kept on an explicit stack.  Each step (placing or
     taking back one vertex) costs one budget tick; BudgetExhausted is raised
-    when the budget runs out.
+    when the budget runs out.  A q outside 1..n raises OracleError.
     """
     if q < 1:
         raise OracleError("class count q must be positive, got %d" % q)
+    if q > G.n:
+        # every class past the n-th would be empty
+        raise OracleError("class count q must be at most n = %d, got %d" % (G.n, q))
     if G.regular_degree is None:
         raise OracleError("conformable check requires a regular graph")
     return _conformable(G, q, _Budget(budget or SearchBudget()), math.inf)

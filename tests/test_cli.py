@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import functools
+import importlib.resources
 import io
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totcol
-from totcol import cli, coloring, constructions, oracles
+from totcol import cli, coloring, constructions, graphs, oracles
 from totcol.cli import main
 from totcol.coloring import matrix_from_csv, matrix_to_csv, read_coloring
 from totcol.graphs import CirculantSpec, build_unitary, write_dimacs
@@ -33,7 +35,7 @@ def test_tables_without_the_golden_data_exits_4(tmp_path, monkeypatch, capsys):
     def missing(package):
         raise ModuleNotFoundError("No module named %r" % package)
 
-    monkeypatch.setattr(cli.resources, "files", missing)
+    monkeypatch.setattr(importlib.resources, "files", missing)
     assert run(["tables", "--outdir", tmp_path], tmp_path, monkeypatch) == 4
     assert capsys.readouterr().err == (
         "input error: golden table table1_adjacency.csv is not installed\n")
@@ -187,6 +189,53 @@ def test_color_help_has_no_strategy_option(capsys):
     out = capsys.readouterr().out
     assert "--method" in out
     assert "--strategy" not in out
+    # argparse wraps the help text; every registry method is listed
+    assert "one of %s (default: auto)" % ", ".join(["auto", *constructions.METHODS]) \
+        in " ".join(out.split())
+
+
+def test_color_unknown_method_exits_2_naming_every_method(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "g.col", "--method", "nope"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    prefix = "totcol color: error: argument --method: invalid choice: 'nope' (choose from "
+    assert last.startswith(prefix) and last.endswith(")")
+    # quoted or not, depending on the Python version
+    names = [name.strip("'") for name in last[len(prefix):-1].split(", ")]
+    assert names == ["auto", *constructions.METHODS]
+
+
+_ERRORS = [
+    (constructions.ConstructionError("boom"), 2, "precondition error: boom\n"),
+    (constructions.PreconditionError("boom"), 2, "precondition error: boom\n"),
+    (constructions.VerificationFailure("boom", None), 1, "verification: FAILED: boom\n"),
+    (oracles.BudgetExhausted("boom"), 3, "inconclusive: boom\n"),
+    (oracles.OracleError("boom"), 4, "input error: boom\n"),
+    (graphs.GraphError("boom"), 4, "input error: boom\n"),
+    (coloring.ColoringError("boom"), 4, "input error: boom\n"),
+    (OSError("boom"), 4, "input error: boom\n"),
+]
+
+
+@pytest.mark.parametrize("error, code, err", _ERRORS,
+                         ids=[type(error).__name__ for error, _, _ in _ERRORS])
+def test_main_maps_each_error_to_its_exit_code(tmp_path, monkeypatch, capsys, error, code, err):
+    def failing(n):
+        raise error
+
+    monkeypatch.setattr(cli, "build_unitary", failing)
+    assert run(["gen", "unitary", "8"], tmp_path, monkeypatch) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_main_lets_other_errors_through(tmp_path, monkeypatch):
+    def failing(n):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "build_unitary", failing)
+    with pytest.raises(ValueError, match="^boom$"):
+        run(["gen", "unitary", "8"], tmp_path, monkeypatch)
 
 
 def test_verify_corrupted_csv_exits_1(tmp_path, monkeypatch, capsys):
@@ -501,6 +550,39 @@ def test_import_leaves_networkx_unloaded():
     assert proc.returncode == 0
 
 
+def _totcol_modules_after(code, argv=(), cwd=None):
+    """The totcol modules loaded in a fresh interpreter after `code`."""
+    src = os.path.dirname(os.path.dirname(totcol.__file__))
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'totcol'))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert _totcol_modules_after("import sys, totcol") == ["totcol"]
+
+
+_BASE = ["totcol", "totcol.cli", "totcol.coloring", "totcol.graphs"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["gen", "unitary", "8", "-o", "g.col"], _BASE),
+    (["verify", "u8.col", "u8.tc"], _BASE),
+    (["verify", "u8.col", "u8.csv"], _BASE),
+    (["color", "u8.col", "-o", "g.tc"],
+     sorted(_BASE + ["totcol.constructions", "totcol.oracles"])),
+], ids=["gen", "verify", "verify-csv", "color"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, monkeypatch, argv, loaded):
+    run(["gen", "unitary", "8", "-o", "u8.col"], tmp_path, monkeypatch)
+    run(["color", "u8.col", "-o", "u8.tc"], tmp_path, monkeypatch)
+    run(["color", "u8.col", "--format", "csv-matrix", "-o", "u8.csv"], tmp_path, monkeypatch)
+    code = "import sys; from totcol import cli; assert cli.main(sys.argv[1:]) == 0"
+    assert _totcol_modules_after(code, argv, tmp_path) == loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "circulant_1500.col", "--what", "conformable", "--q", "3"],
     ["oracle", "circulant_1500.col", "--what", "chromatic"],
@@ -537,6 +619,16 @@ def test_oracle_conformable_class_count_below_1_exits_4(tmp_path, monkeypatch, c
     assert code == 4
     assert err == "input error: class count q must be positive, got %s\n" % q
     assert out == ""
+
+
+def test_oracle_conformable_class_count_above_n_exits_4(tmp_path, monkeypatch, capsys):
+    # a list of q classes would not fit in memory
+    (tmp_path / "k3.col").write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    code = run(["oracle", "k3.col", "--what", "conformable", "--q", "100000000000"],
+               tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", "input error: class count q must be at most n = 3, got 100000000000\n")
 
 
 def test_oracle_cliques_out_of_budget_exits_3_without_traceback(tmp_path, monkeypatch):

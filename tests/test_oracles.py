@@ -236,6 +236,13 @@ def test_conformable_rejects_a_class_count_below_1(q):
         conformable_exists(build_unitary(8), q)
 
 
+def test_conformable_rejects_a_class_count_above_n():
+    assert conformable_exists(complete(3), 3)[0]
+    for q in (4, 10 ** 11):
+        with pytest.raises(OracleError, match=r"^class count q must be at most n = 3, got %d$" % q):
+            conformable_exists(complete(3), q)
+
+
 def test_conformable_requires_regular():
     path = subgraph_of_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(OracleError):
