@@ -13,7 +13,10 @@ budget ran out, and nothing else; 4 bad input: I/O errors, malformed files
 
 Each command imports only the modules it runs: `gen` and `verify` load
 `graphs` and `coloring`; `color`, `oracle`, `classify` and `tables` load
-`constructions` and `oracles` too, when they start.
+`constructions` and `oracles` too, when they start.  `graphs` and `coloring`
+import neither `dataclasses`, which loads `inspect`, nor `typing`, and they
+import `csv` only when a CSV file is read or written, so `gen` and `verify`
+of a `.tc` start without any of the four.
 """
 from __future__ import annotations
 

@@ -3,15 +3,15 @@
 Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
 (u, v) tuples with u < v.
+
+The csv module is imported inside the three CSV functions, so a command
+that reads or writes no CSV file does not load it.
 """
 from __future__ import annotations
 
-import csv
 import operator
-from dataclasses import dataclass, field
-from typing import Dict
 
-from .graphs import Graph, read_in_chunks
+from .graphs import Graph, Record, read_in_chunks
 
 
 def ekey(u: int, v: int) -> tuple:
@@ -23,14 +23,17 @@ class ColoringError(ValueError):
     """Raised for malformed coloring inputs or file formats."""
 
 
-@dataclass
-class TotalColoring:
+class TotalColoring(Record):
     """Vertex and edge color assignment (possibly partial, e.g. one part of a
-    split construction)."""
+    split construction).  Each coloring made without dicts gets new ones."""
 
-    n: int
-    vertex_color: Dict[int, int] = field(default_factory=dict)
-    edge_color: Dict[tuple, int] = field(default_factory=dict)
+    _fields = ("n", "vertex_color", "edge_color")
+
+    def __init__(self, n: int, vertex_color: dict[int, int] | None = None,
+                 edge_color: dict[tuple, int] | None = None) -> None:
+        self.n = n
+        self.vertex_color = {} if vertex_color is None else vertex_color
+        self.edge_color = {} if edge_color is None else edge_color
 
     def colors_used(self) -> int:
         return len(set(self.vertex_color.values()) | set(self.edge_color.values()))
@@ -39,8 +42,7 @@ class TotalColoring:
         self.edge_color[ekey(u, v)] = c
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Exhaustive conflict and coverage diagnostics for a total coloring.
 
     Conflicts are tagged tuples, sorted lexicographically:
@@ -50,9 +52,12 @@ class VerificationReport:
     Coverage errors (missing / extra assignments) are reported separately.
     """
 
-    conflicts: list
-    coverage_errors: list
-    colors_used: int
+    _fields = ("conflicts", "coverage_errors", "colors_used")
+
+    def __init__(self, conflicts: list, coverage_errors: list, colors_used: int) -> None:
+        self.conflicts = conflicts
+        self.coverage_errors = coverage_errors
+        self.colors_used = colors_used
 
     @property
     def ok(self) -> bool:
@@ -301,6 +306,8 @@ def read_coloring(path) -> TotalColoring:
 def matrix_to_csv(grid, path) -> None:
     """CSV of a render_matrix grid with a header row/column of vertex
     labels; empty cell = blank, matching the printed table layout."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(range(len(grid))))
@@ -319,6 +326,8 @@ class _CellValues(dict):
 
 def matrix_from_csv(path) -> list:
     """Inverse of matrix_to_csv: the grid of rows, blanks as None."""
+    import csv
+
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -342,6 +351,8 @@ def matrix_from_csv(path) -> list:
 def adjacency_matrix_csv(G: Graph, path) -> None:
     """Adjacency table in the same layout: 0 on the diagonal, 1 on edges,
     blank elsewhere."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(range(G.n)))

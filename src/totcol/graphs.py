@@ -2,8 +2,9 @@
 
 Vertices are always labeled 0..n-1.  Adjacency is stored densely, one
 bitmask row per vertex, so membership tests are O(1) and the verifier /
-exact solvers can hammer them freely.  All constructors are pure; Graph
-objects are immutable after construction.
+exact solvers can hammer them freely.  All constructors are pure.  The
+records are FrozenRecord classes, read-only after construction and compared
+and hashed by value; dataclasses would import inspect at every CLI start.
 
 A circulant is built one generator at a time rather than one edge at a
 time: its rows are the connection mask rotated by each vertex
@@ -19,13 +20,49 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph inputs."""
+
+
+class Record:
+    """A value record: the attributes named in _fields are shown by repr
+    and compared by ==, in that order, as a dataclass shows and compares
+    them.  A mutable record is not hashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class FrozenRecord(Record):
+    """A Record whose attributes cannot be assigned or deleted, hashed by
+    its fields.  __init__ sets the fields through _set."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def totient(n: int) -> int:
@@ -58,16 +95,13 @@ def least_prime_factor(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(FrozenRecord):
     """Vertex count n plus a symmetric, identity-free connection set in 1..n-1."""
 
-    n: int
-    connection: frozenset
+    _fields = ("n", "connection")
 
     def __init__(self, n: int, connection) -> None:
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "connection", frozenset(int(s) for s in connection))
+        self._set(n=int(n), connection=frozenset(int(s) for s in connection))
         if self.n < 1:
             raise GraphError("vertex count must be >= 1")
         for s in self.connection:
@@ -88,18 +122,14 @@ class CirculantSpec:
         return sorted(s for s in self.connection if s <= self.n // 2)
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(FrozenRecord):
     """A finite group given by its multiplication table of element indices."""
 
-    n: int
-    product: tuple
-    identity: int
+    _fields = ("n", "product", "identity")
 
     def __init__(self, n: int, product, identity: int) -> None:
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "product", tuple(tuple(row) for row in product))
-        object.__setattr__(self, "identity", int(identity))
+        self._set(n=int(n), product=tuple(tuple(row) for row in product),
+                  identity=int(identity))
         self._validate()
 
     def _validate(self) -> None:
@@ -135,13 +165,13 @@ class GroupTable:
         return self.product[g].index(self.identity)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """Simple undirected graph with dense bitmask adjacency rows."""
 
-    n: int
-    rows: tuple
-    circulant: Optional[CirculantSpec] = None
+    _fields = ("n", "rows", "circulant")
+
+    def __init__(self, n: int, rows: tuple, circulant: CirculantSpec | None = None) -> None:
+        self._set(n=n, rows=rows, circulant=circulant)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -171,8 +201,8 @@ class Graph:
         return out
 
     # The degree sums popcount every row, with no Python step per vertex,
-    # and each is computed once per Graph: cached_property stores it in the
-    # instance __dict__, which a frozen dataclass without slots still has.
+    # and each is computed once per Graph: cached_property writes it into
+    # the instance __dict__ directly, past FrozenRecord's __setattr__.
     @cached_property
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.rows)) // 2
@@ -182,7 +212,7 @@ class Graph:
         return max(map(int.bit_count, self.rows), default=0)
 
     @cached_property
-    def regular_degree(self) -> Optional[int]:
+    def regular_degree(self) -> int | None:
         degs = set(map(int.bit_count, self.rows))
         return degs.pop() if len(degs) == 1 else None
 
@@ -275,22 +305,24 @@ def connected(G: Graph) -> bool:
     return seen == (1 << G.n) - 1
 
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(FrozenRecord):
     """One factor of a circulant 2-factor decomposition.
 
     generators is the inverse pair (s, n-s), or the singleton (n/2,) whose
     factor degenerates to a perfect matching (cycles of length 2).
     """
 
-    generators: tuple
-    cycles: tuple
+    _fields = ("generators", "cycles")
+
+    def __init__(self, generators: tuple, cycles: tuple) -> None:
+        self._set(generators=generators, cycles=cycles)
 
 
-@dataclass(frozen=True)
-class TwoFactorDecomposition:
-    n: int
-    factors: tuple
+class TwoFactorDecomposition(FrozenRecord):
+    _fields = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple) -> None:
+        self._set(n=n, factors=factors)
 
 
 def two_factors(spec: CirculantSpec) -> TwoFactorDecomposition:
@@ -431,7 +463,7 @@ def read_dimacs(path) -> Graph:
     return G
 
 
-def _read_circulant(fh) -> Optional[Graph]:
+def _read_circulant(fh) -> Graph | None:
     """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
     if the text of the open file fh is write_dimacs's text for it
     (_circulant_text's pieces, then the end), else None: that text reads as

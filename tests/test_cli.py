@@ -550,37 +550,54 @@ def test_import_leaves_networkx_unloaded():
     assert proc.returncode == 0
 
 
-def _totcol_modules_after(code, argv=(), cwd=None):
-    """The totcol modules loaded in a fresh interpreter after `code`."""
+def _modules_after(code, argv=(), cwd=None):
+    """The modules loaded in a fresh interpreter after `code`."""
     src = os.path.dirname(os.path.dirname(totcol.__file__))
-    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'totcol'))"
+    code += "; print(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout.splitlines()[-1])
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _totcol(modules):
+    """The totcol modules among `modules`, sorted."""
+    return sorted(m for m in modules if m.split(".")[0] == "totcol")
 
 
 def test_import_loads_no_submodule():
-    assert _totcol_modules_after("import sys, totcol") == ["totcol"]
+    assert _totcol(_modules_after("import sys, totcol")) == ["totcol"]
 
 
 _BASE = ["totcol", "totcol.cli", "totcol.coloring", "totcol.graphs"]
 
+# Standard-library modules that slow a command's start and that only some
+# commands need: dataclasses (which imports inspect) and typing for the
+# constructions and oracles, csv for CSV files.
+_WATCHED = {"dataclasses", "inspect", "typing", "csv"}
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["gen", "unitary", "8", "-o", "g.col"], _BASE),
-    (["verify", "u8.col", "u8.tc"], _BASE),
-    (["verify", "u8.col", "u8.csv"], _BASE),
+
+@pytest.mark.parametrize("argv, loaded, stdlib", [
+    (["gen", "unitary", "8", "-o", "g.col"], _BASE, set()),
+    (["verify", "u8.col", "u8.tc"], _BASE, set()),
+    (["verify", "u8.col", "u8.csv"], _BASE, {"csv"}),
     (["color", "u8.col", "-o", "g.tc"],
-     sorted(_BASE + ["totcol.constructions", "totcol.oracles"])),
+     sorted(_BASE + ["totcol.constructions", "totcol.oracles"]),
+     {"dataclasses", "inspect", "typing"}),
 ], ids=["gen", "verify", "verify-csv", "color"])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, monkeypatch, argv, loaded):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, monkeypatch, argv, loaded,
+                                                     stdlib):
     run(["gen", "unitary", "8", "-o", "u8.col"], tmp_path, monkeypatch)
     run(["color", "u8.col", "-o", "u8.tc"], tmp_path, monkeypatch)
     run(["color", "u8.col", "--format", "csv-matrix", "-o", "u8.csv"], tmp_path, monkeypatch)
     code = "import sys; from totcol import cli; assert cli.main(sys.argv[1:]) == 0"
-    assert _totcol_modules_after(code, argv, tmp_path) == loaded
+    modules = _modules_after(code, argv, tmp_path)
+    assert _totcol(modules) == loaded
+    # a module that a bare interpreter has loaded (a site hook may import
+    # typing) costs the command nothing
+    bare = _modules_after("import sys")
+    assert (modules - bare) & _WATCHED == stdlib - bare
 
 
 @pytest.mark.parametrize("argv", [

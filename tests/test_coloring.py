@@ -6,6 +6,7 @@ import pytest
 from totcol.coloring import (
     ColoringError,
     TotalColoring,
+    VerificationReport,
     ekey,
     matrix_from_csv,
     matrix_to_csv,
@@ -16,7 +17,14 @@ from totcol.coloring import (
     write_coloring,
 )
 from totcol.constructions import color_unitary_even
-from totcol.graphs import CirculantSpec, build_circulant, build_unitary, subgraph_of_edges
+from totcol.graphs import (
+    CirculantSpec,
+    Graph,
+    GroupTable,
+    build_circulant,
+    build_unitary,
+    subgraph_of_edges,
+)
 
 
 def brute_force_conflicts(G, c):
@@ -248,6 +256,37 @@ def test_color_count_examples():
     assert TotalColoring(1, {0: 1}, {}).colors_used() == 1
     k3 = TotalColoring(3, {0: 1, 1: 2, 2: 3}, {(0, 1): 3, (1, 2): 1, (0, 2): 2})
     assert k3.colors_used() == 3
+
+
+def test_records_compare_by_value_and_keep_their_fields():
+    spec = CirculantSpec(5, [1, 4])
+    # a ConstructionError text embeds this repr
+    assert repr(spec) == "CirculantSpec(n=5, connection=frozenset({1, 4}))"
+    G = build_circulant(spec)
+    table = GroupTable(2, [[0, 1], [1, 0]], 0)
+    triples = [
+        (spec, CirculantSpec(5, {4, 1}), CirculantSpec(5, [2, 3])),
+        (G, build_circulant(CirculantSpec(5, (4, 1))), Graph(G.n, G.rows)),
+        (table, GroupTable(2, ((0, 1), (1, 0)), 0), GroupTable(1, [[0]], 0)),
+    ]
+    for a, same, other in triples:
+        assert a is not same and a == same and hash(a) == hash(same)
+        assert a != other and hash(a) != hash(other)
+    for record, field in [(spec, "n"), (G, "rows"), (table, "identity")]:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is before
+
+    a, b = TotalColoring(3), TotalColoring(3)
+    a.vertex_color[0] = 1
+    a.set_edge(1, 0, 2)
+    assert (b.vertex_color, b.edge_color) == ({}, {})
+    assert TotalColoring(n=3, edge_color={(0, 1): 2}) == TotalColoring(3, {}, {(0, 1): 2})
+    assert a == TotalColoring(3, {0: 1}, {(0, 1): 2}) != b
+    assert VerificationReport([], [], 3).ok
+    assert not VerificationReport([("vertex-vertex", 0, 1)], [], 3).ok
+    assert not VerificationReport([], [("missing-vertex", 2)], 3).ok
 
 
 def test_residue_classes_independent_iff_no_generator_divisible():
