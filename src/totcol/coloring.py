@@ -9,6 +9,7 @@ that reads or writes no CSV file does not load it.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 
 from .graphs import Graph, Record, read_in_chunks
@@ -69,23 +70,26 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     pass over its edge colors and one over its vertices.
 
     A key of `c.edge_color` is an edge of G exactly when it is a pair
-    (u, v) with 0 <= u < v < n and bit v of `G.rows[u]` set; any other key
+    (u, v) with 0 <= u < v < n and v - u in the connection set of a
+    circulant G, or bit v of `G.rows[u]` set for any other G; any other key
     is a non-edge.  Each edge's ends are compared, and its color joins the
-    color lists of u and v.  Only when fewer than `G.edge_count` edges are
-    seen are the edges of G walked, once, to report the missing ones.  A
-    vertex w passes when its color list has no repeat and lacks w's own
-    color, one set per vertex; only a vertex that fails has the edges of
+    color lists of u and v, each seeded with its vertex's own color.  Only
+    when fewer than `G.edge_count` edges are seen are the edges of G
+    walked, once, to report the missing ones.  A vertex passes when its
+    list has no repeat; the lists are compared with their sets by map, with
+    no Python step per vertex.  Only a vertex that fails has the edges of
     its star grouped by color, which names each conflict at w.
 
-    The cost is O(n + m) dict and list work, plus a shift of an n-bit row
-    for each edge.  `G.edge_count` popcounts every row on its first access
-    only, as it is cached on the Graph: on C_21007{1,2,3} (Python 3.11,
-    2 vCPUs) that first access took about 17 ms and the check itself about
-    29 ms, most of both in the popcounts and the shifts of 21007-bit rows.
-    Those go once adjacency is stored as neighbor tuples instead of bitmask
-    rows.
+    The cost is O(n + m) dict and list work.  A circulant's test and counts
+    read only its connection set, so checking one builds no n-bit rows;
+    any other graph shifts a row for each edge.
     """
-    n, rows, vertex_color = G.n, G.rows, c.vertex_color
+    n, vertex_color = G.n, c.vertex_color
+    conn = rows = None
+    if G.circulant is not None:
+        conn = G.circulant.connection
+    else:
+        rows = G.rows
     coverage = []
     if c.n != n:
         coverage.append(("size-mismatch", c.n, n))
@@ -98,20 +102,21 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
 
     conflicts = []
     vcol = [vertex_color.get(v) for v in range(n)]
-    at = [[] for _ in range(n)]  # the colors of the edges at each vertex
+    at = [[col] for col in vcol]  # the color of each vertex, then of its edges
     non_edges = 0
     for e, ce in c.edge_color.items():
         try:
             u, v = e
-            is_edge = 0 <= u < v < n and rows[u] >> v & 1
+            is_edge = 0 <= u < v < n and (v - u in conn if rows is None else rows[u] >> v & 1)
+            if is_edge:
+                cu, cv = vcol[u], vcol[v]
         except (TypeError, ValueError):  # not a pair of vertex indices
             is_edge = False
         if not is_edge:
             coverage.append(("non-edge", tuple(e)))
             non_edges += 1
             continue
-        cu = vcol[u]
-        if cu is not None and cu == vcol[v]:
+        if cu is not None and cu == cv:
             conflicts.append(("vertex-vertex", u, v))
         if ce is not None:
             at[u].append(ce)
@@ -123,15 +128,11 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
                 if vcol[u] is not None and vcol[u] == vcol[v]:
                     conflicts.append(("vertex-vertex", u, v))
     coverage.sort(key=repr)
-    # An edge at w conflicts with w's color or with another edge at w.
-    # Where either happens, group the edges of w's star by color and report
-    # the pairs in a group.  Neighbors ascend, so each group, and each pair
-    # in it, is sorted.
-    for w in range(n):
-        present = at[w]
-        distinct = set(present)
-        if len(distinct) == len(present) and vcol[w] not in distinct:
-            continue
+    # An edge at w conflicts with w's color or with another edge at w: then
+    # w's list has a repeat.  Group the edges of such a star by color and
+    # report the pairs in a group.  Neighbors ascend, so each group, and
+    # each pair in it, is sorted.
+    for w in itertools.compress(range(n), map(operator.ne, map(len, at), map(len, map(set, at)))):
         by_color: dict = {}
         for u in G.neighbors(w):
             e = ekey(w, u)
@@ -231,15 +232,23 @@ class _NumberTexts(dict):
 
 _FIELDS = {"t": 3, "v": 3, "e": 4}
 
-# write_coloring's vertex lines, then its edge lines
-_COLORING_LINES = r"(?:v [0-9]+ [0-9]+\n)*(?:e [0-9]+ [0-9]+ [0-9]+\n)*"
+# write_coloring's vertex lines, then its edge lines: the colors are positive
+_COLORING_LINES = r"(?:v [0-9]+ [1-9][0-9]*\n)*(?:e [0-9]+ [0-9]+ [1-9][0-9]*\n)*"
+
+
+def _color(text) -> int:
+    """The color id that the field text names, refused below 1."""
+    color = int(text)
+    if color < 1:
+        raise ColoringError("color %d below 1" % color)
+    return color
 
 
 def read_coloring(path) -> TotalColoring:
     """Inverse of write_coloring; errors name the offending line.  A second
     `t` header, or a vertex or an edge (in either orientation) given twice,
-    is an error, as a repeated edge is in `read_dimacs`.  Text that is not
-    UTF-8 raises ColoringError."""
+    is an error, as a repeated edge is in `read_dimacs`, and so is a color
+    below 1.  Text that is not UTF-8 raises ColoringError."""
     c = None
     number = _CellValues().__getitem__
 
@@ -264,12 +273,12 @@ def read_coloring(path) -> TotalColoring:
                     v = int(tok[1])
                     if v in c.vertex_color:
                         raise ColoringError("repeated vertex %d" % v)
-                    c.vertex_color[v] = int(tok[2])
+                    c.vertex_color[v] = _color(tok[2])
                 else:
                     e = ekey(int(tok[1]), int(tok[2]))
                     if e in c.edge_color:
                         raise ColoringError("repeated edge %r" % (e,))
-                    c.edge_color[e] = int(tok[3])
+                    c.edge_color[e] = _color(tok[3])
             except ValueError as exc:
                 raise ColoringError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
 
@@ -325,7 +334,8 @@ class _CellValues(dict):
 
 
 def matrix_from_csv(path) -> list:
-    """Inverse of matrix_to_csv: the grid of rows, blanks as None."""
+    """Inverse of matrix_to_csv: the grid of rows, blanks as None.  A cell
+    that is no integer, or a color below 1, is an error naming its line."""
     import csv
 
     with open(path, newline="") as fh:
@@ -338,13 +348,19 @@ def matrix_from_csv(path) -> list:
     n = len(rows[0]) - 1
     if len(rows) != n + 1:
         raise ColoringError("CSV not square")
-    value = _CellValues({"": None}).__getitem__
+    cells = _CellValues({"": None})
     grid = []
     for lineno, raw in enumerate(rows[1:], 2):
         try:
-            grid.append(list(map(value, raw[1:])))
+            grid.append(list(map(cells.__getitem__, raw[1:])))
         except ValueError as exc:
             raise ColoringError("line %d: %s" % (lineno, exc)) from None
+    # each distinct cell text is checked once; only a bad one is looked for
+    bad = {text for text, color in cells.items() if color is not None and color < 1}
+    if bad:
+        lineno, text = next((k, text) for k, raw in enumerate(rows[1:], 2)
+                            for text in raw[1:] if text in bad)
+        raise ColoringError("line %d: color %d below 1" % (lineno, cells[text]))
     return grid
 
 

@@ -1,16 +1,18 @@
 """Circulant, unitary Cayley, and table-defined Cayley graphs.
 
-Vertices are always labeled 0..n-1.  Adjacency is stored densely, one
-bitmask row per vertex, so membership tests are O(1) and the verifier /
-exact solvers can hammer them freely.  All constructors are pure.  The
-records are FrozenRecord classes, read-only after construction and compared
-and hashed by value; dataclasses would import inspect at every CLI start.
+Vertices are always labeled 0..n-1.  A circulant C_n(S) is stored as its
+spec, n and S, and answers every adjacency query from S: u ~ v iff
+(v - u) mod n lies in S.  Any other graph is stored densely, one bitmask
+row per vertex, so membership tests are O(1) and the exact solvers can
+hammer them freely; a circulant builds its rows, the connection mask
+rotated by each vertex (circulant_rows), only when such a solver reads
+them.  All constructors are pure.  The records are FrozenRecord classes,
+read-only after construction and compared and hashed by value;
+dataclasses would import inspect at every CLI start.
 
-A circulant is built one generator at a time rather than one edge at a
-time: its rows are the connection mask rotated by each vertex
-(circulant_rows).  read_dimacs takes those rows for a file whose text is
-write_dimacs's text for the circulant its first line names; it reads every
-other file by the line grammar, one edge at a time.
+read_dimacs takes the spec of a file whose text is write_dimacs's text for
+the circulant its first line names; it reads every other file by the line
+grammar, one edge at a time.
 """
 from __future__ import annotations
 
@@ -166,18 +168,46 @@ class GroupTable(FrozenRecord):
 
 
 class Graph(FrozenRecord):
-    """Simple undirected graph with dense bitmask adjacency rows."""
+    """Simple undirected graph on 0..n-1.
+
+    A circulant, with its CirculantSpec as circulant, answers has_edge,
+    degree, neighbors, edges and the degree sums from the connection set
+    and is given rows None; its rows are built from the spec on their
+    first read.  Any other graph is given its bitmask rows: bit v of
+    rows[u] is set iff u ~ v."""
 
     _fields = ("n", "rows", "circulant")
 
-    def __init__(self, n: int, rows: tuple, circulant: CirculantSpec | None = None) -> None:
-        self._set(n=n, rows=rows, circulant=circulant)
+    def __init__(self, n: int, rows: tuple | None, circulant: CirculantSpec | None = None) -> None:
+        self._set(n=n, circulant=circulant)
+        if rows is not None:
+            self._set(rows=rows)
+
+    # cached_property writes each value into the instance __dict__ directly,
+    # past FrozenRecord's __setattr__, on its first access; rows given to
+    # __init__ are there already.
+    @cached_property
+    def rows(self) -> tuple:
+        return circulant_rows(self.circulant)
+
+    @cached_property
+    def _gens(self) -> list:
+        """The connection set, ascending."""
+        return sorted(self.circulant.connection)
 
     def has_edge(self, u: int, v: int) -> bool:
+        if self.circulant is not None:
+            return (v - u) % self.n in self.circulant.connection
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, u: int) -> list:
-        """Ascending neighbors of u, in O(deg(u)) steps over the set bits."""
+        """Ascending neighbors of u: of a circulant, u + s - n for the s in
+        S with u + s >= n, then u + s for the others; of any other graph,
+        the set bits of its row, in O(deg(u)) steps."""
+        if self.circulant is not None:
+            n, gens = self.n, self._gens
+            k = bisect.bisect_left(gens, n - u)
+            return [u + s - n for s in gens[k:]] + [u + s for s in gens[:k]]
         out = []
         row = self.rows[u]
         while row:
@@ -187,12 +217,19 @@ class Graph(FrozenRecord):
         return out
 
     def degree(self, u: int) -> int:
+        if self.circulant is not None:
+            return self.circulant.degree
         return self.rows[u].bit_count()
 
     def edges(self) -> list:
         """All edges as sorted (u, v) pairs with u < v."""
-        out = []
-        for u in range(self.n):
+        n, out = self.n, []
+        if self.circulant is not None:
+            gens = self._gens
+            for u in range(n):
+                out += [(u, u + s) for s in gens[:bisect.bisect_left(gens, n - u)]]
+            return out
+        for u in range(n):
             row = (self.rows[u] >> (u + 1)) << (u + 1)
             while row:
                 low = row & -row
@@ -200,19 +237,24 @@ class Graph(FrozenRecord):
                 row ^= low
         return out
 
-    # The degree sums popcount every row, with no Python step per vertex,
-    # and each is computed once per Graph: cached_property writes it into
-    # the instance __dict__ directly, past FrozenRecord's __setattr__.
+    # A circulant's degree sums come from |S|.  Any other graph's popcount
+    # every row, with no Python step per vertex, once per Graph.
     @cached_property
     def edge_count(self) -> int:
+        if self.circulant is not None:
+            return self.n * self.circulant.degree // 2
         return sum(map(int.bit_count, self.rows)) // 2
 
     @cached_property
     def max_degree(self) -> int:
+        if self.circulant is not None:
+            return self.circulant.degree
         return max(map(int.bit_count, self.rows), default=0)
 
     @cached_property
     def regular_degree(self) -> int | None:
+        if self.circulant is not None:
+            return self.circulant.degree
         degs = set(map(int.bit_count, self.rows))
         return degs.pop() if len(degs) == 1 else None
 
@@ -228,11 +270,12 @@ def _graph_from_edges(n: int, edges) -> Graph:
 
 
 def circulant_rows(spec: CirculantSpec) -> tuple:
-    """Adjacency rows of the circulant: row u is the connection mask rotated
-    left by u within n bits, the bits s < n - u moved up by u and the rest
-    wrapped down by n - u.  The | comes last so that each row is allocated
-    at its own length: an & last would keep n bits for every row, twice
-    the memory of a sparse circulant."""
+    """Adjacency rows of the circulant, which its Graph builds when they are
+    first read: row u is the connection mask rotated left by u within n
+    bits, the bits s < n - u moved up by u and the rest wrapped down by
+    n - u.  The | comes last so that each row is allocated at its own
+    length: an & last would keep n bits for every row, twice the memory of
+    a sparse circulant."""
     n = spec.n
     mask = sum(1 << s for s in spec.connection)
     full = (1 << n) - 1
@@ -241,7 +284,7 @@ def circulant_rows(spec: CirculantSpec) -> tuple:
 
 def build_circulant(spec: CirculantSpec) -> Graph:
     """Circulant graph: u ~ v iff (v - u) mod n lies in the connection set."""
-    return Graph(spec.n, circulant_rows(spec), spec)
+    return Graph(spec.n, None, spec)
 
 
 def units(n: int) -> frozenset:
@@ -277,15 +320,13 @@ def build_cayley(table: GroupTable, S) -> Graph:
 
 
 def complement(G: Graph) -> Graph:
-    """Complement graph; circulant provenance is carried along."""
-    full = (1 << G.n) - 1
-    rows = tuple((full & ~G.rows[u]) & ~(1 << u) for u in range(G.n))
-    circ = None
+    """Complement graph; a circulant's is the circulant on the other
+    differences."""
     if G.circulant is not None:
-        circ = CirculantSpec(
-            G.n, frozenset(range(1, G.n)) - G.circulant.connection
-        )
-    return Graph(G.n, rows, circ)
+        return Graph(G.n, None, CirculantSpec(
+            G.n, frozenset(range(1, G.n)) - G.circulant.connection))
+    full = (1 << G.n) - 1
+    return Graph(G.n, tuple((full & ~G.rows[u]) & ~(1 << u) for u in range(G.n)))
 
 
 def connected(G: Graph) -> bool:
@@ -445,10 +486,10 @@ def read_dimacs(path) -> Graph:
     must describe the same graph.
 
     The file is opened once, and its text takes one of two routes.  A file
-    with write_dimacs's text for the circulant its first line names takes
-    its rows from circulant_rows (_read_circulant).  Every other file is
-    read again from its start by the line grammar (_read_edge_list), which
-    defines every error text.  Input that cannot seek, such as a pipe, is
+    with write_dimacs's text for the circulant its first line names reads
+    as the Graph of that spec, with no rows (_read_circulant).  Every other
+    file is read again from its start by the line grammar
+    (_read_edge_list), which defines every error text.  Input that cannot seek, such as a pipe, is
     read into memory first, so that both see all of it.  Text that is not
     UTF-8 raises GraphError."""
     with open(path) as raw:
@@ -467,9 +508,9 @@ def _read_circulant(fh) -> Graph | None:
     """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
     if the text of the open file fh is write_dimacs's text for it
     (_circulant_text's pieces, then the end), else None: that text reads as
-    C_n(S).  fh must be seekable.  The O(n) names are built only when the
-    file has room for n|S|/2 edge lines of 6 or more characters, so a short
-    file claiming a large n costs little."""
+    C_n(S), a Graph of the spec alone.  fh must be seekable.  The O(n)
+    names are built only when the file has room for n|S|/2 edge lines of 6
+    or more characters, so a short file claiming a large n costs little."""
     try:
         size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
@@ -486,7 +527,7 @@ def _read_circulant(fh) -> Graph | None:
             return None
     except ValueError:  # int's, CirculantSpec's GraphError, or a decoding error
         return None
-    return Graph(spec.n, circulant_rows(spec), spec)
+    return Graph(spec.n, None, spec)
 
 
 def _read_edge_list(fh) -> Graph:

@@ -182,6 +182,28 @@ def test_color_builds_nothing_for_the_input_graph(tmp_path, monkeypatch, capsys,
     assert built == builds
 
 
+@pytest.mark.parametrize("gen", [
+    ["circulant", 21, 1, 2, 3, 18, 19, 20],
+    ["circulant", 21, 1, 3, 4, 17, 18, 20],
+    ["unitary", 30],
+], ids=["C_21-thm2.3-literal", "C_21-thm2.3-starter-fallback", "U_30-thm2.2"])
+def test_gen_color_and_verify_build_no_rows_for_a_circulant(tmp_path, monkeypatch, capsys, gen):
+    def no_rows(spec):
+        raise AssertionError("circulant_rows(%r)" % (spec,))
+
+    monkeypatch.setattr(graphs, "circulant_rows", no_rows)
+    assert run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch) == 0
+    assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == 0
+    # edge {0, 1} takes vertex 0's color
+    c = read_coloring(tmp_path / "g.tc")
+    c.edge_color[(0, 1)] = c.vertex_color[0]
+    coloring.write_coloring(c, tmp_path / "bad.tc")
+    capsys.readouterr()
+    assert run(["verify", "g.col", "bad.tc"], tmp_path, monkeypatch) == 1
+    assert "conflict: ('vertex-edge', 0, (0, 1))" in capsys.readouterr().out
+
+
 def test_color_help_has_no_strategy_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["color", "--help"])
@@ -488,6 +510,29 @@ def test_malformed_input_exit_4_names_the_line(tmp_path, monkeypatch, capsys,
     (tmp_path / name).write_text(text if isinstance(text, str) else text())
     capsys.readouterr()
     assert run(argv, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err.startswith("input error: " + message)
+
+
+# color ids are positive; the reader refuses 0 and negative ones by line
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.tc", "t 3 3\nv 0 1\nv 1 2\nv 2 3\ne 0 1 0\ne 1 2 1\ne 0 2 2\n",
+     "line 5: color 0 below 1: 'e 0 1 0'"),
+    ("bad.tc", "t 3 3\nv 0 0\nv 1 2\nv 2 3\ne 0 1 3\ne 1 2 1\ne 0 2 2\n",
+     "line 2: color 0 below 1: 'v 0 0'"),
+    ("bad.tc", "t 3 3\nv 0 1\nv 1 2\nv 2 3\ne 0 1 -3\ne 1 2 1\ne 0 2 2\n",
+     "line 5: color -3 below 1: 'e 0 1 -3'"),
+    # in a chunk that would otherwise be read at once
+    ("bad.tc", _u420(".tc", {10241: lambda lines: lines[10240].rsplit(" ", 1)[0] + " 0"}),
+     "line 10241: color 0 below 1"),
+    ("bad.csv", ",0,1,2\n0,1,3,2\n1,3,2,0\n2,2,0,3\n", "line 3: color 0 below 1\n"),
+    ("bad.csv", ",0,1,2\n0,1,3,2\n1,3,2,1\n2,2,1,-1\n", "line 4: color -1 below 1\n"),
+], ids=["tc-edge-0", "tc-vertex-0", "tc-edge-negative", "tc-deep-edge-0", "csv-0",
+        "csv-negative"])
+def test_verify_refuses_a_color_below_1(tmp_path, monkeypatch, capsys, name, text, message):
+    run(["gen", "circulant", "3", "1", "2", "-o", "k3.col"], tmp_path, monkeypatch)
+    (tmp_path / name).write_text(text if isinstance(text, str) else text())
+    capsys.readouterr()
+    assert run(["verify", "k3.col", name], tmp_path, monkeypatch) == 4
     assert capsys.readouterr().err.startswith("input error: " + message)
 
 

@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from totcol import graphs
 from totcol.graphs import (
     CirculantSpec,
     Graph,
@@ -21,6 +23,7 @@ from totcol.graphs import (
     subgraph_of_edges,
     totient,
     two_factors,
+    units,
     write_dimacs,
 )
 
@@ -284,7 +287,8 @@ def test_clique_translates_are_cliques():
 
 
 def test_degree_sums_are_computed_once_per_graph():
-    # each sum reads the rows in one pass on its first access, then never
+    # a graph given rows and no spec: each sum reads the rows in one pass on
+    # its first access, then never
     passes = []
 
     class Rows(tuple):
@@ -292,13 +296,56 @@ def test_degree_sums_are_computed_once_per_graph():
             passes.append(1)
             return super().__iter__()
 
-    U = build_unitary(24)
-    G = Graph(U.n, Rows(U.rows), U.circulant)
+    G = Graph(24, Rows(circulant_rows(CirculantSpec(24, units(24)))))
     first = (G.edge_count, G.max_degree, G.regular_degree)
     assert first == (96, 8, 8) and len(passes) == 3
     passes.clear()
     assert (G.edge_count, G.max_degree, G.regular_degree) == first
     assert passes == []
+
+
+def test_a_circulant_answers_from_its_spec_and_reads_no_rows(monkeypatch):
+    def no_rows(spec):
+        raise AssertionError("circulant_rows(%r)" % (spec,))
+
+    monkeypatch.setattr(graphs, "circulant_rows", no_rows)
+    for G in (build_unitary(24), complement(build_unitary(24)),
+              build_circulant(CirculantSpec(21, {1, 3, 4, 17, 18, 20}))):
+        d = G.circulant.degree
+        assert (G.edge_count, G.max_degree, G.regular_degree) == (G.n * d // 2, d, d)
+        assert [G.degree(u) for u in range(G.n)] == [d] * G.n
+        assert len(G.edges()) == G.edge_count
+        assert all(G.has_edge(u, v) for u in range(G.n) for v in G.neighbors(u))
+        assert "rows" not in vars(G)
+    with pytest.raises(AssertionError, match="circulant_rows"):
+        G.rows
+
+
+@st.composite
+def circulant_specs(draw):
+    """A symmetric connection set on Z_n, n from 1 on, with or without the
+    generator n/2."""
+    n = draw(st.integers(1, 40))
+    half = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=n // 2))
+    return CirculantSpec(n, half | {n - s for s in half})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=circulant_specs())
+@example(spec=CirculantSpec(1, set()))
+@example(spec=CirculantSpec(2, {1}))
+@example(spec=CirculantSpec(8, {4}))
+@example(spec=CirculantSpec(8, {1, 3, 4, 5, 7}))
+def test_a_circulants_answers_are_its_rows_answers(spec):
+    G = build_circulant(spec)
+    R = Graph(spec.n, circulant_rows(spec))  # the same graph, asked by its rows
+    assert [G.neighbors(u) for u in range(G.n)] == [R.neighbors(u) for u in range(R.n)]
+    assert G.edges() == R.edges()
+    assert [G.degree(u) for u in range(G.n)] == [R.degree(u) for u in range(R.n)]
+    assert all(G.has_edge(u, v) == R.has_edge(u, v) for u in range(G.n) for v in range(G.n))
+    assert ((G.edge_count, G.max_degree, G.regular_degree)
+            == (R.edge_count, R.max_degree, R.regular_degree))
+    assert "rows" not in vars(G)
 
 
 def test_dimacs_round_trip(tmp_path):
