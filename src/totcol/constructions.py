@@ -427,22 +427,39 @@ def complete_type_two(G: Graph) -> Optional[Tuple[str, TotalColoring]]:
     chi''(K_{m,m}) = m+2 (M. Behzad, G. Chartrand and J. K. Cooper, "The
     colour numbers of complete graphs", J. London Math. Soc. 42, 1967).
 
-    The test compares each bitmask row once.  K_n: row v is every vertex
-    but v.  K_{m,m}: B, the neighbours of vertex 0, has m vertices, and
-    each row is A = the rest (vertex 0 included) for a vertex of B, and B
-    for a vertex of A."""
-    n, rows = G.n, G.rows
+    A circulant C_n(S) is decided from S alone in O(|S|), with no rows
+    built: it is K_n iff |S| = n-1, and K_{m,m} iff S is the odd residues
+    (n/2 elements, all odd), with the evens and the odds as its sides.
+    Proof of the second: let A be vertex 0's side, so 0 is in A and B = S.
+    Every a in A has the neighbourhood a + S = B = S, and any h with
+    h + S = S is in A, because h in S would put 0 = h - h in S.  So
+    A = {h : h + S = S}, a subgroup of Z_n with n/2 elements, and the only
+    one of index 2 is the evens.
+
+    Any other graph compares each bitmask row once.  K_n: row v is every
+    vertex but v.  K_{m,m}: B, the neighbours of vertex 0, has m vertices,
+    and each row is A = the rest (vertex 0 included) for a vertex of B,
+    and B for a vertex of A."""
+    n, spec = G.n, G.circulant
     if n < 2 or n % 2:
         return None
-    full = (1 << n) - 1
-    if all(row == full ^ (1 << v) for v, row in enumerate(rows)):
+    if spec is not None:
+        complete = spec.degree == n - 1
+        odd = spec.degree == n // 2 and all(s % 2 for s in spec.connection)
+        sides = (range(0, n, 2), range(1, n, 2)) if odd else None
+    else:
+        rows, full = G.rows, (1 << n) - 1
+        complete = all(row == full ^ (1 << v) for v, row in enumerate(rows))
+        B = rows[0]
+        A = full ^ B
+        sides = None
+        if not complete and B.bit_count() == n // 2 and all(
+                row == (A if B >> v & 1 else B) for v, row in enumerate(rows)):
+            sides = ([v for v in range(n) if A >> v & 1], [v for v in range(n) if B >> v & 1])
+    if complete:
         return "complete-even", _checked(G, color_complete_even(n), "color_complete_even(%d)" % n)
-    B = rows[0]
-    A = full ^ B
-    if B.bit_count() != n // 2 or any(row != (A if B >> v & 1 else B)
-                                      for v, row in enumerate(rows)):
+    if sides is None:
         return None
-    sides = ([v for v in range(n) if A >> v & 1], [v for v in range(n) if B >> v & 1])
     return "complete-bipartite", _checked(G, fill_complete_bipartite(n, *sides),
                                           "fill_complete_bipartite(%d)" % (n // 2))
 

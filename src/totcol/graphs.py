@@ -456,26 +456,66 @@ def read_in_chunks(path, pattern, bulk, walk) -> None:
                 first += len(lines)
 
 
+def _heads(lo: int, hi: int) -> list:
+    """The line heads `e u+1 ` of the vertices u in [lo, hi), by one format
+    and one split."""
+    return ("e %d \n" * (hi - lo) % tuple(range(lo + 1, hi + 1))).splitlines()
+
+
 def _circulant_text(spec: CirculantSpec):
     """write_dimacs's text for C_n(S) in pieces: the two header lines, then
     runs of about CHUNK_LINES edge lines.  Vertex u's lines are
     `e u+1 u+s+1` for s in S ascending with u + s < n, the order of
-    Graph.edges.  The names are built once the header lines are taken."""
+    Graph.edges; a piece ends after the first vertex that takes it to
+    CHUNK_LINES lines or more, so it holds at most CHUNK_LINES + |S| - 1.
+
+    The text is built by columns.  Once the header lines are taken, one
+    table is made: tails[v] = `v+1` and a newline.  A head `e u+1 ` serves
+    vertex u's lines only, so the heads are made a run of vertices at a
+    time.  With S = s_0 < s_1 < ... and s_|S| taken as n, the vertices u in
+    [n - s_k, n - s_(k-1)) take exactly s_0..s_(k-1), so over that band
+    the text is head u, tails[u + s_0], head u, tails[u + s_1], ... for u
+    ascending: each piece of it is one zip of 2k columns, joined with no
+    Python step per vertex or line.  Setting up 2k columns costs more than
+    joining a few vertices one at a time, so a band at most k + 1 vertices
+    wide, as most are in a dense circulant, is joined vertex by vertex with
+    its generators found by bisect, as are the vertices between two such
+    bands."""
     n, conn = spec.n, sorted(spec.connection)
     yield "c circulant %d %s\n" % (n, " ".join(map(str, conn)))
     yield "p edge %d %d\n" % (n, n * len(conn) // 2)
     if not conn:
         return
-    names = list(map(str, range(1, n + 1)))  # names[u] is vertex u's decimal name
+    tails = ("%d\n" * n % tuple(range(1, n + 1))).splitlines(True)
+    # (lo, hi, k): the band [lo, hi) of k generators, or with k = 0 vertices
+    # that are joined one at a time
+    ends, runs, lo = conn + [n], [], 0
+    for k in range(len(conn), 0, -1):
+        if ends[k] - ends[k - 1] > k + 1:
+            runs += [(lo, n - ends[k], 0), (n - ends[k], n - ends[k - 1], k)]
+            lo = n - ends[k - 1]
+    runs.append((lo, n - conn[0], 0))
     piece, count = [], 0
-    for u in range(n - conn[0]):
-        head = "e " + names[u] + " "
-        gens = conn[:bisect.bisect_left(conn, n - u)]
-        piece.append(head + ("\n" + head).join([names[u + s] for s in gens]) + "\n")
-        count += len(gens)
-        if count >= CHUNK_LINES:
-            yield "".join(piece)
-            piece, count = [], 0
+    for lo, hi, k in runs:
+        heads = None if k else _heads(lo, hi)
+        u = lo
+        while u < hi:
+            if k:  # the vertices u..b-1, b - 1 the first to reach CHUNK_LINES
+                b = min(hi, u - (count - CHUNK_LINES) // k)
+                col = _heads(u, b)
+                piece.append("".join(itertools.chain.from_iterable(zip(
+                    *[c for s in conn[:k] for c in (iter(col), tails[u + s:b + s])]))))
+                count += k * (b - u)
+                u = b
+            else:
+                head = heads[u - lo]
+                gens = conn[:bisect.bisect_left(conn, n - u)]
+                piece.append(head + head.join([tails[u + s] for s in gens]))
+                count += len(gens)
+                u += 1
+            if count >= CHUNK_LINES:
+                yield "".join(piece)
+                piece, count = [], 0
     yield "".join(piece)
 
 
@@ -508,9 +548,10 @@ def _read_circulant(fh) -> Graph | None:
     """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
     if the text of the open file fh is write_dimacs's text for it
     (_circulant_text's pieces, then the end), else None: that text reads as
-    C_n(S), a Graph of the spec alone.  fh must be seekable.  The O(n)
-    names are built only when the file has room for n|S|/2 edge lines of 6
-    or more characters, so a short file claiming a large n costs little."""
+    C_n(S), a Graph of the spec alone.  fh must be seekable.  The text's
+    O(n) table of vertex numbers is built only when the file has room for
+    n|S|/2 edge lines of 6 or more characters, so a short file claiming a
+    large n costs little."""
     try:
         size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
@@ -532,12 +573,14 @@ def _read_circulant(fh) -> Graph | None:
 
 def _read_edge_list(fh) -> Graph:
     """read_dimacs for the text of any open file fh, one line at a time: the
-    grammar and its error texts.  The rows are kept in a dict of the
-    vertices with an edge until the edge count holds, so that a short file
-    whose `p` line claims many vertices allocates nothing in proportion."""
+    grammar and its error texts.  The edges are kept as a set of codes
+    u*n + v with u < v, which catches a repeated edge in O(m) memory.  A
+    file whose circulant comment describes its edges reads as the Graph of
+    that spec, with no rows; any other graph's rows are built from the
+    codes once the edge count holds, so that a short file whose `p` line
+    claims many vertices allocates nothing in proportion to n."""
     n = m = p_line = None
-    rows: dict = {}
-    count = 0
+    edges = set()
     circ = None
     diffs = set()  # (v - u) mod n over the edges
     for lineno, raw in enumerate(fh, 1):
@@ -555,12 +598,11 @@ def _read_edge_list(fh) -> Graph:
                     raise GraphError("edge endpoint out of range")
                 if u == v:
                     raise GraphError("self-loop")
-                if (rows.get(u, 0) >> v) & 1:
+                code = u * n + v if u < v else v * n + u
+                if code in edges:
                     raise GraphError("repeated edge")
-                rows[u] = rows.get(u, 0) | 1 << v
-                rows[v] = rows.get(v, 0) | 1 << u
+                edges.add(code)
                 diffs.add((v - u) % n)
-                count += 1
             elif tok[0] == "c":
                 if len(tok) >= 3 and tok[1] == "circulant":
                     circ = CirculantSpec(int(tok[2]), [int(x) for x in tok[3:]])
@@ -579,12 +621,13 @@ def _read_edge_list(fh) -> Graph:
             raise GraphError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
     if n is None:
         raise GraphError("missing problem line")
-    if count != m:
+    if len(edges) != m:
         raise GraphError("line %d: problem line declares %d edges, the file lists %d"
-                         % (p_line, m, count))
+                         % (p_line, m, len(edges)))
+    if circ is None:
+        return _graph_from_edges(n, map(divmod, edges, itertools.repeat(n)))
     # The edges are distinct, so if each difference lies in the connection
     # set and there are as many as the circulant has, the edge sets are equal.
-    if circ is not None and (circ.n != n or not diffs <= circ.connection
-                             or 2 * count != n * circ.degree):
+    if circ.n != n or not diffs <= circ.connection or 2 * m != n * circ.degree:
         raise GraphError("circulant comment inconsistent with edge list")
-    return Graph(n, tuple(rows.get(u, 0) for u in range(n)), circ)
+    return Graph(n, None, circ)

@@ -204,6 +204,25 @@ def test_gen_color_and_verify_build_no_rows_for_a_circulant(tmp_path, monkeypatc
     assert "conflict: ('vertex-edge', 0, (0, 1))" in capsys.readouterr().out
 
 
+def test_the_complete_method_answers_a_circulant_from_its_spec(tmp_path, monkeypatch, capsys):
+    # no theorem takes C_70008{±1,±2,±3}: `color` tries the complete method
+    # last and exits 2, with no n-bit rows built; classify still decides
+    # U_8 = K_4,4 and K_6 by theorem
+    def no_rows(spec):
+        raise AssertionError("circulant_rows(%r)" % (spec,))
+
+    monkeypatch.setattr(graphs, "circulant_rows", no_rows)
+    assert run(["gen", "circulant", 70008, 1, 2, 3, 70005, 70006, 70007, "-o", "c.col"],
+               tmp_path, monkeypatch) == 0
+    assert run(["color", "c.col", "-o", "c.tc"], tmp_path, monkeypatch) == 2
+    assert "complete: not K_n with n even nor K_{m,m}" in capsys.readouterr().err
+    for gen in (["unitary", 8], ["circulant", 6, 1, 2, 3, 4, 5]):
+        assert run(["gen", *gen, "-o", "g.col"], tmp_path, monkeypatch) == 0
+        capsys.readouterr()
+        assert run(["classify", "g.col"], tmp_path, monkeypatch) == 0
+        assert "classification: TypeII" in capsys.readouterr().out.splitlines()
+
+
 def test_color_help_has_no_strategy_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["color", "--help"])

@@ -27,6 +27,7 @@ from totcol.constructions import (
 )
 from totcol.graphs import (
     CirculantSpec,
+    Graph,
     build_circulant,
     build_unitary,
     subgraph_of_edges,
@@ -805,3 +806,28 @@ def test_method_rejection_reason_is_the_constructions_error():
                 color_auto(G)
             assert str(err.value) == str(outcome[picked])
     assert rejections > 100
+
+
+def _in_order(found):
+    """complete_type_two's answer with its coloring's items in order."""
+    if found is None:
+        return None
+    name, c = found
+    return name, list(c.vertex_color.items()), list(c.edge_color.items())
+
+
+def test_complete_type_two_answers_a_circulant_as_its_rows_do():
+    # every circulant with n <= 16, by its spec and as the same rows with no
+    # spec: the same construction, and the same coloring in the same order
+    found = []
+    for n in range(1, 17):
+        for size in range(n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), size):
+                G = build_circulant(CirculantSpec(n, set(half) | {n - s for s in half}))
+                by_spec, by_rows = (_in_order(constructions.complete_type_two(H))
+                                    for H in (G, Graph(n, G.rows)))
+                assert by_spec == by_rows, (n, half)
+                if by_spec is not None:
+                    found.append((n, by_spec[0]))
+    assert found == [(2, "complete-even")] + [
+        (n, kind) for n in range(4, 17, 2) for kind in ("complete-bipartite", "complete-even")]

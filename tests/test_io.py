@@ -2,10 +2,13 @@
 lines at a time, the graph reader compares a circulant's file with the
 writer's text, and both read every accepted form as the line-by-line grammar
 does; the writers' bytes are pinned."""
+import bisect
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import random
 import tempfile
 import threading
 import tracemalloc
@@ -435,3 +438,85 @@ def test_write_coloring_matches_the_per_line_reference(c):
         reference_write_coloring(c, reference)
         with open(mine, "rb") as a, open(reference, "rb") as b:
             assert a.read() == b.read()
+
+
+def reference_circulant_text(spec):
+    """_circulant_text as it was before it built the text by columns: one
+    bisect, comprehension and join per vertex."""
+    n, conn = spec.n, sorted(spec.connection)
+    yield "c circulant %d %s\n" % (n, " ".join(map(str, conn)))
+    yield "p edge %d %d\n" % (n, n * len(conn) // 2)
+    if not conn:
+        return
+    names = list(map(str, range(1, n + 1)))
+    piece, count = [], 0
+    for u in range(n - conn[0]):
+        head = "e " + names[u] + " "
+        gens = conn[:bisect.bisect_left(conn, n - u)]
+        piece.append(head + ("\n" + head).join([names[u + s] for s in gens]) + "\n")
+        count += len(gens)
+        if count >= graphs.CHUNK_LINES:
+            yield "".join(piece)
+            piece, count = [], 0
+    yield "".join(piece)
+
+
+def _same_pieces_as_the_reference(spec):
+    """True when _circulant_text yields the reference's pieces, each after
+    the header holding at most CHUNK_LINES + |S| - 1 lines."""
+    pieces = list(graphs._circulant_text(spec))
+    return (pieces == list(reference_circulant_text(spec))
+            and all(piece.count("\n") <= graphs.CHUNK_LINES + spec.degree - 1
+                    for piece in pieces[2:]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_circulant_text_is_the_per_vertex_text_for_every_small_circulant(chunk):
+    # every symmetric connection set with n <= 16, n/2 included where n is
+    # even: n = 1 and n = 2 and the empty sets are among them
+    specs = [CirculantSpec(n, set(half) | {n - s for s in half})
+             for n in range(1, 17)
+             for size in range(n // 2 + 1)
+             for half in itertools.combinations(range(1, n // 2 + 1), size)]
+    assert len(specs) == 765
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "CHUNK_LINES", chunk)
+        assert [spec for spec in specs if not _same_pieces_as_the_reference(spec)] == []
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), density=st.floats(0, 1),
+       rnd=st.randoms(use_true_random=False), chunk=st.sampled_from([1, 2, 3, 1024]))
+@example(n=300, density=1.0, rnd=random.Random(0), chunk=1024)  # K_300
+@example(n=297, density=0.02, rnd=random.Random(1), chunk=3)
+def test_circulant_text_is_the_per_vertex_text(n, density, rnd, chunk):
+    half = {s for s in range(1, n // 2 + 1) if rnd.random() < density}
+    spec = CirculantSpec(n, half | {n - s for s in half})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "CHUNK_LINES", chunk)
+        assert _same_pieces_as_the_reference(spec)
+
+
+def test_a_refused_circulant_file_reads_as_its_spec_in_memory_linear_in_m(tmp_path, monkeypatch):
+    # two edge lines swapped: the line reader reads the file, catches
+    # repeated edges with one code per edge, not an n-bit mask per vertex,
+    # and returns the circulant of the comment with no rows
+    n = 10007
+    spec = CirculantSpec(n, {1, 3, 4, n - 4, n - 3, n - 1})
+    write_dimacs(build_circulant(spec), tmp_path / "g.col")
+    lines = (tmp_path / "g.col").read_text().splitlines(keepends=True)
+    lines[100], lines[101] = lines[101], lines[100]
+    (tmp_path / "swapped.col").write_text("".join(lines))
+
+    def no_rows(spec):
+        raise AssertionError("circulant_rows(%r)" % (spec,))
+
+    monkeypatch.setattr(graphs, "circulant_rows", no_rows)
+    tracemalloc.start()
+    try:
+        G = read_dimacs(tmp_path / "swapped.col")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (G.n, G.circulant) == (n, spec) and "rows" not in vars(G)
+    assert peak < n * n // 16  # what the masks of the upper triangle alone take
