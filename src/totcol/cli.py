@@ -12,11 +12,12 @@ budget ran out, and nothing else; 4 bad input: I/O errors, malformed files
 (with the line number), invalid budgets, or a graph an oracle cannot take.
 
 Each command imports only the modules it runs: `gen` and `verify` load
-`graphs` and `coloring`; `color`, `oracle`, `classify` and `tables` load
-`constructions` and `oracles` too, when they start.  `graphs` and `coloring`
-import neither `dataclasses`, which loads `inspect`, nor `typing`, and they
-import `csv` only when a CSV file is read or written, so `gen` and `verify`
-of a `.tc` start without any of the four.
+`graphs` and `coloring`; `oracle` loads `oracles` too, and `color`,
+`classify` and `tables` load `constructions` and `oracles`, when they start.
+Every record is a `graphs.Record`, so no command loads `dataclasses`, which
+loads `inspect`, or `typing`; `coloring` imports `csv` only when a CSV file
+is read or written, so `gen` and `verify` of a `.tc` start without any of
+the four.
 """
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ def _read_group_table(path) -> GroupTable:
 
 
 def cmd_gen(args) -> int:
+    # refused before anything is built: no reader takes a larger file back
+    if args.kind != "cayley" and args.n > graphs.MAX_VERTICES:
+        raise graphs.GraphError("vertex count %d above %d, the most a graph file holds"
+                                % (args.n, graphs.MAX_VERTICES))
     if args.kind == "unitary":
         G = build_unitary(args.n)
     elif args.kind == "circulant":

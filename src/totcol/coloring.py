@@ -55,11 +55,6 @@ class VerificationReport(Record):
 
     _fields = ("conflicts", "coverage_errors", "colors_used")
 
-    def __init__(self, conflicts: list, coverage_errors: list, colors_used: int) -> None:
-        self.conflicts = conflicts
-        self.coverage_errors = coverage_errors
-        self.colors_used = colors_used
-
     @property
     def ok(self) -> bool:
         return not self.conflicts and not self.coverage_errors

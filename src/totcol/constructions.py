@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
 
 # build_unitary, complement, connected, two_factors and factor_edges have no
 # caller here: every construction takes the graph it is given.  They stay
 # imported because perfbench/spans.py patches them on this module by name.
 from .graphs import (
     CirculantSpec,
+    FrozenRecord,
     Graph,
+    Record,
     build_circulant,
     build_unitary,
     complement,
@@ -75,7 +75,7 @@ def _checked(G: Graph, c: TotalColoring, what: str) -> TotalColoring:
 # Start values and starter pairings
 
 
-def patterned_starts(q: int, gens) -> Dict[int, int]:
+def patterned_starts(q: int, gens) -> dict[int, int]:
     """Start values of the patterned starter: generator s starts at
     1 + s/2 mod q, in 1..q, where s/2 = s(q+1)/2 mod q (q odd).
 
@@ -98,8 +98,7 @@ def patterned_starts(q: int, gens) -> Dict[int, int]:
     return {s: s * half % q + 1 for s in gens}
 
 
-@dataclass(frozen=True)
-class StarterPairing:
+class StarterPairing(FrozenRecord):
     """Disjoint pairs of nonzero residues mod q, one per requested difference.
 
     entries[i] = (diff, (x, y)) with x - y = diff (mod q), aligned with the
@@ -107,8 +106,7 @@ class StarterPairing:
     difference class because difference classes may repeat.
     """
 
-    q: int
-    entries: tuple
+    _fields = ("q", "entries")
 
     def validate(self) -> None:
         seen = set()
@@ -123,7 +121,7 @@ class StarterPairing:
                 seen.add(m)
 
 
-def starter_search(q: int, diffs) -> Optional[StarterPairing]:
+def starter_search(q: int, diffs) -> StarterPairing | None:
     """Exhaustive backtracking for a starter pairing.
 
     diffs is a sequence of required differences (taken mod q; each request d
@@ -167,7 +165,7 @@ def starter_search(q: int, diffs) -> Optional[StarterPairing]:
     return pairing
 
 
-def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
+def fill_diagonals(n: int, q: int, starts: dict[int, int]) -> TotalColoring:
     """Diagonal-pattern fragment: vertex v gets (v mod q)+1; the edge
     {i, i+s} of generator s gets ((start_s - 1 + i) mod q) + 1.
 
@@ -189,7 +187,7 @@ def fill_diagonals(n: int, q: int, starts: Dict[int, int]) -> TotalColoring:
     return c
 
 
-def _fill_diagonal(edge_color: Dict[tuple, int], n: int, s: int, pattern) -> None:
+def _fill_diagonal(edge_color: dict[tuple, int], n: int, s: int, pattern) -> None:
     """Give the edge {i, i+s mod n} of generator s (1 <= s < n/2) the color
     pattern[i mod len(pattern)], in one update, in the order of i = 0..n-1:
     the keys are (i, i+s) for i < n-s, then (i+s-n, i)."""
@@ -198,7 +196,7 @@ def _fill_diagonal(edge_color: Dict[tuple, int], n: int, s: int, pattern) -> Non
                           itertools.islice(itertools.cycle(pattern), n)))
 
 
-def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
+def _star_conflicts(q: int, starts: dict[int, int]) -> int:
     """Conflicts at vertex 0 of fill_diagonals(n, q, starts), for q
     dividing n and no generator 0 mod q or n/2.
 
@@ -224,7 +222,7 @@ def _star_conflicts(q: int, starts: Dict[int, int]) -> int:
     return colors.count(1) + sum(k * (k - 1) // 2 for k in Counter(colors).values())
 
 
-def _diagonal_starts(q: int, gens) -> Tuple[Optional[Dict[int, int]], int]:
+def _diagonal_starts(q: int, gens) -> tuple[dict[int, int] | None, int]:
     """(starts, conflicts) for fill_diagonals(n, q, starts) with q | n, where
     conflicts is _star_conflicts of the patterned starts.  starts are the
     patterned starts when that is 0; otherwise the starts x + 1 of
@@ -239,7 +237,7 @@ def _diagonal_starts(q: int, gens) -> Tuple[Optional[Dict[int, int]], int]:
     return starts, conflicts
 
 
-def _layered(G: Graph, q: int, starts: Dict[int, int], rest, what: str):
+def _layered(G: Graph, q: int, starts: dict[int, int], rest, what: str):
     """The Delta+1 fill of thm2.2, thm2.3 and thm2.5 on a circulant G with
     q | n, verified: (coloring, remainder).  fill_diagonals colors the
     vertices and the generators of starts with 1..q; edge_color_vizing
@@ -258,13 +256,11 @@ def _layered(G: Graph, q: int, starts: Dict[int, int], rest, what: str):
 # Theorem pipelines
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(Record):
     """A coloring that verify_total has accepted, with the notes that
     `totcol color` prints for it."""
 
-    coloring: TotalColoring
-    notes: list
+    _fields = ("coloring", "notes")
 
 
 def color_complete_bipartite(G: Graph) -> ConstructionResult:
@@ -314,9 +310,10 @@ def color_unitary_even(G: Graph) -> ConstructionResult:
     return ConstructionResult(c, notes)
 
 
-@dataclass
 class OddCirculantResult(ConstructionResult):
-    strategy: str  # "literal" or "starter"
+    """thm2.3's result; strategy is "literal" or "starter"."""
+
+    _fields = ConstructionResult._fields + ("strategy",)
 
 
 def color_odd_circulant(G: Graph) -> OddCirculantResult:
@@ -348,9 +345,10 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
         c, ["strategy used: starter", "starter fallback used", failed], "starter")
 
 
-@dataclass
 class EvenDenseResult(ConstructionResult):
-    chosen_generators: tuple
+    """thm2.5's result; chosen_generators is the subset H filled diagonally."""
+
+    _fields = ConstructionResult._fields + ("chosen_generators",)
 
 
 def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
@@ -418,7 +416,7 @@ def color_complete_even(n: int) -> TotalColoring:
                          {e: col for e, col in big.edge_color.items() if e[1] < n})
 
 
-def complete_type_two(G: Graph) -> Optional[Tuple[str, TotalColoring]]:
+def complete_type_two(G: Graph) -> tuple[str, TotalColoring] | None:
     """(construction, coloring) when G is exactly K_n with n even
     ("complete-even") or exactly K_{m,m} with n = 2m ("complete-bipartite"),
     in any labelling, else None.  The coloring has Delta+2 colors and
@@ -468,13 +466,11 @@ def complete_type_two(G: Graph) -> Optional[Tuple[str, TotalColoring]]:
 # Edge coloring subroutines
 
 
-@dataclass
-class EdgeColoringResult:
-    edge_color: Dict[tuple, int]
-    colors_used: int
-    delta: int
-    delta_achieved: bool
-    route: str  # "construction", "search" or "misra-gries"
+class EdgeColoringResult(Record):
+    """edge_color_vizing's coloring; route is "construction", "search" or
+    "misra-gries"."""
+
+    _fields = ("edge_color", "colors_used", "delta", "delta_achieved", "route")
 
 
 _EXACT_EDGE_NODES = 200_000
@@ -509,12 +505,12 @@ def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
     return _edge_result(_misra_gries(G, offset), delta, "misra-gries")
 
 
-def _edge_result(colors: Dict[tuple, int], delta: int, route: str) -> EdgeColoringResult:
+def _edge_result(colors: dict[tuple, int], delta: int, route: str) -> EdgeColoringResult:
     used = len(set(colors.values()))
     return EdgeColoringResult(colors, used, delta, used <= delta, route)
 
 
-def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[Dict[tuple, int]]:
+def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> dict[tuple, int] | None:
     """Delta-edge-coloring of a circulant of even order n with an odd
     generator, built from its parity layers, in the colors offset+1 ..
     offset+Delta; None for any other circulant.
@@ -556,7 +552,7 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[
     layer = build_circulant(CirculantSpec(m, {s // 2 for s in spec.connection if s % 2 == 0}))
     palette = layer.max_degree + 1
     missing = [palette * (2 * offset + palette + 1) // 2] * m  # palette sum minus colors met
-    color: Dict[tuple, int] = {}
+    color: dict[tuple, int] = {}
     for (i, j), c in _misra_gries(layer, offset).items():
         missing[i] -= c
         missing[j] -= c
@@ -580,11 +576,11 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> Optional[
     return color
 
 
-def _misra_gries(G: Graph, offset: int = 0) -> Dict[tuple, int]:
+def _misra_gries(G: Graph, offset: int = 0) -> dict[tuple, int]:
     """Misra-Gries fan recoloring with palette offset+1..offset+Delta+1."""
     palette = range(offset + 1, offset + G.max_degree + 2)
     at = [dict() for _ in range(G.n)]  # at[v][color] = neighbor
-    color: Dict[tuple, int] = {}
+    color: dict[tuple, int] = {}
 
     def free(v):
         for c in palette:
@@ -663,15 +659,13 @@ def _misra_gries(G: Graph, offset: int = 0) -> Dict[tuple, int]:
 # Clique covers
 
 
-@dataclass
-class CliqueCover:
+class CliqueCover(Record):
     """Vertex-disjoint cliques of equal size omega covering all vertices."""
 
-    omega: int
-    cliques: tuple
+    _fields = ("omega", "cliques")
 
 
-def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
+def clique_cover_disjoint(G: Graph) -> CliqueCover | None:
     """Partition of the vertices into n/omega maximum cliques by exact-cover
     backtracking; None if no such partition exists."""
     stats = maximal_cliques(G)
@@ -681,7 +675,7 @@ def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
             "clique number %d does not divide n = %d" % (omega, G.n)
         )
     maximum = [tuple(sorted(c)) for c in stats.cliques if len(c) == omega]
-    by_vertex: Dict[int, list] = {v: [] for v in range(G.n)}
+    by_vertex: dict[int, list] = {v: [] for v in range(G.n)}
     for cl in maximum:
         for v in cl:
             by_vertex[v].append(cl)
@@ -711,13 +705,12 @@ def clique_cover_disjoint(G: Graph) -> Optional[CliqueCover]:
     return CliqueCover(omega, tuple(sorted(chosen)))
 
 
-@dataclass
 class PerfectCayleyResult(ConstructionResult):
-    chi: int
-    cover: Optional[CliqueCover]
-    remainder_colors: int
-    total_colors: int
-    type_one: bool  # remainder achieved a class-I edge coloring
+    """thm2.7's result; cover is None for a complete graph, and type_one
+    says whether the remainder achieved a class-I edge coloring."""
+
+    _fields = ConstructionResult._fields + (
+        "chi", "cover", "remainder_colors", "total_colors", "type_one")
 
 
 def color_perfect_cayley(G: Graph) -> PerfectCayleyResult:
@@ -795,7 +788,7 @@ def _require_unitary_even(G: Graph) -> None:
         raise PreconditionError("n = %d is a power of two (thm2.1)" % n)
 
 
-def _require_odd_circulant(spec: Optional[CirculantSpec]) -> None:
+def _require_odd_circulant(spec: CirculantSpec | None) -> None:
     if spec is None:
         raise PreconditionError("no circulant provenance")
     n, q = spec.n, spec.degree + 1
@@ -814,7 +807,7 @@ def _require_odd_circulant(spec: Optional[CirculantSpec]) -> None:
             "half-set generators not pairwise distinct mod Delta+1 = %d" % q)
 
 
-def _require_even_dense(spec: Optional[CirculantSpec]) -> None:
+def _require_even_dense(spec: CirculantSpec | None) -> None:
     if spec is None:
         raise PreconditionError("no circulant provenance")
     n = spec.n
@@ -856,7 +849,7 @@ def color_complete(G: Graph) -> ConstructionResult:
 # preconditions once (PreconditionError) and returns a ConstructionResult
 # whose coloring verify_total has accepted.  The lambdas name the
 # constructions, so a call uses whatever the module attribute holds then.
-METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
+METHODS = {
     "thm2.1": lambda G: color_complete_bipartite(G),
     "thm2.2": lambda G: color_unitary_even(G),
     "thm2.3": lambda G: color_odd_circulant(G),
@@ -876,7 +869,7 @@ METHODS: Dict[str, Callable[[Graph], ConstructionResult]] = {
 TYPE_ONE = ("thm2.2", "thm2.3", "thm2.5")
 
 
-def certificate(G: Graph) -> Optional[Tuple[str, str, str, TotalColoring]]:
+def certificate(G: Graph) -> tuple[str, str, str, TotalColoring] | None:
     """(kind, lower evidence, method, coloring) when a theorem settles G's
     type with no search, else None: ("type1", "clique", the first TYPE_ONE
     method whose coloring has Delta+1 colors, it), or ("type2", "complete",

@@ -6,9 +6,10 @@ spec, n and S, and answers every adjacency query from S: u ~ v iff
 row per vertex, so membership tests are O(1) and the exact solvers can
 hammer them freely; a circulant builds its rows, the connection mask
 rotated by each vertex (circulant_rows), only when such a solver reads
-them.  All constructors are pure.  The records are FrozenRecord classes,
-read-only after construction and compared and hashed by value;
-dataclasses would import inspect at every CLI start.
+them.  All constructors are pure.  Every record of the package is a
+Record, set by position and compared by value; the ones here are
+FrozenRecord classes, read-only after construction and hashed by value.
+None is a dataclass, which would import inspect at every CLI start.
 
 read_dimacs takes the spec of a file whose text is write_dimacs's text for
 the circulant its first line names; it reads every other file by the line
@@ -30,12 +31,21 @@ class GraphError(ValueError):
 
 
 class Record:
-    """A value record: the attributes named in _fields are shown by repr
-    and compared by ==, in that order, as a dataclass shows and compares
-    them.  A mutable record is not hashable."""
+    """A value record: the attributes named in _fields are set by the
+    positional __init__ and shown by repr and compared by ==, in that
+    order.  A mutable record is not hashable.  A subclass declares its
+    fields by _fields alone, or writes its own __init__ when it converts,
+    checks or defaults them."""
 
     _fields = ()
     __hash__ = None
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields, got %d" % (
+                type(self).__qualname__, len(self._fields), len(values)))
+        # through __dict__, so that a FrozenRecord is set the same way
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -52,7 +62,7 @@ class Record:
 
 class FrozenRecord(Record):
     """A Record whose attributes cannot be assigned or deleted, hashed by
-    its fields.  __init__ sets the fields through _set."""
+    its fields.  An __init__ of its own sets the fields through _set."""
 
     def _set(self, **fields) -> None:
         self.__dict__.update(fields)
@@ -355,15 +365,9 @@ class TwoFactor(FrozenRecord):
 
     _fields = ("generators", "cycles")
 
-    def __init__(self, generators: tuple, cycles: tuple) -> None:
-        self._set(generators=generators, cycles=cycles)
-
 
 class TwoFactorDecomposition(FrozenRecord):
     _fields = ("n", "factors")
-
-    def __init__(self, n: int, factors: tuple) -> None:
-        self._set(n=n, factors=factors)
 
 
 def two_factors(spec: CirculantSpec) -> TwoFactorDecomposition:

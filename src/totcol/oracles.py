@@ -10,10 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
 
-from .graphs import Graph, complement
+from .graphs import Graph, Record, complement
 from .coloring import TotalColoring, ekey, verify_total
 
 
@@ -25,18 +23,17 @@ class BudgetExhausted(OracleError):
     """A search used up its SearchBudget without an answer."""
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(Record):
     """Limits for the exact searches; exhaustion yields an explicit
     inconclusive outcome."""
 
-    node_limit: int = 50_000_000
-    time_limit_secs: float = 600.0
+    _fields = ("node_limit", "time_limit_secs")
 
-    def __post_init__(self):
+    def __init__(self, node_limit: int = 50_000_000, time_limit_secs: float = 600.0) -> None:
         # not x > 0, so that NaN, which compares false, is refused too
-        if not (self.node_limit > 0 and self.time_limit_secs > 0):
+        if not (node_limit > 0 and time_limit_secs > 0):
             raise OracleError("budget limits must be positive")
+        super().__init__(node_limit, time_limit_secs)
 
 
 class _Budget:
@@ -54,7 +51,7 @@ class _Budget:
         return True
 
 
-def _solve_list_coloring(adj: List[List[int]], k: int, precolor: Dict[int, int],
+def _solve_list_coloring(adj: list[list[int]], k: int, precolor: dict[int, int],
                          budget: _Budget, *, busiest_first: bool = False):
     """Feasibility of a proper k-coloring of a conflict graph.
 
@@ -164,7 +161,7 @@ def _line_graph(G: Graph):
     index = {e: i for i, e in enumerate(edges)}
     nbrs = [G.neighbors(w) for w in range(G.n)]
     stars = [[index[ekey(w, u)] for u in nbr] for w, nbr in enumerate(nbrs)]
-    adj: List[list] = [[] for _ in edges]
+    adj: list[list] = [[] for _ in edges]
     for star in stars:
         for i in star:
             adj[i].extend(j for j in star if j != i)
@@ -182,7 +179,7 @@ def total_items(G: Graph):
     return edges, stars, adj
 
 
-def _star_clique(G: Graph, stars) -> Dict[int, int]:
+def _star_clique(G: Graph, stars) -> dict[int, int]:
     """Precolor the star of a maximum-degree vertex (a clique of size
     Delta+1 in the total graph) with colors 1..Delta+1."""
     if G.n == 0:
@@ -212,19 +209,18 @@ LOWER_EVIDENCE = {
 }
 
 
-@dataclass
-class TotalChromaticResult:
-    status: str  # "exact" or "inconclusive"
-    value: Optional[int]
-    coloring: Optional[TotalColoring]
-    lower_bound: int  # the certified bound the color loop starts at
-    nodes: int  # search nodes only
-    conformability_steps: int
-    lower_evidence: str  # a key of LOWER_EVIDENCE
+class TotalChromaticResult(Record):
+    """exact_total_chromatic's answer.  status is "exact" or "inconclusive"
+    (value and coloring None); lower_bound is the certified bound the color
+    loop starts at; nodes counts search nodes only; lower_evidence is a key
+    of LOWER_EVIDENCE."""
+
+    _fields = ("status", "value", "coloring", "lower_bound", "nodes",
+               "conformability_steps", "lower_evidence")
 
 
-def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None,
-                          ceiling: Optional[int] = None) -> TotalChromaticResult:
+def exact_total_chromatic(G: Graph, budget: SearchBudget | None = None,
+                          ceiling: int | None = None) -> TotalChromaticResult:
     """Least c admitting a proper total coloring, by exhaustive backtracking
     per candidate c from a certified lower bound up to ceiling colors.
 
@@ -286,7 +282,7 @@ def exact_total_chromatic(G: Graph, budget: Optional[SearchBudget] = None,
                                 steps, evidence)
 
 
-def exact_chromatic(G: Graph, budget: Optional[SearchBudget] = None):
+def exact_chromatic(G: Graph, budget: SearchBudget | None = None):
     """Exact chromatic number with a proper-coloring certificate, counting
     colors up from a greedy clique.  The loop ends by Delta+1 colors at the
     latest, which a greedy coloring never exceeds, unless the node or time
@@ -331,15 +327,13 @@ def exact_edge_coloring(G: Graph, budget: SearchBudget):
 # Cliques
 
 
-@dataclass
-class CliqueStats:
-    cliques: list  # all maximal cliques, sorted
-    omega: int
-    maximal_count: int
-    maximum_count: int
+class CliqueStats(Record):
+    """maximal_cliques' answer; cliques is all maximal cliques, sorted."""
+
+    _fields = ("cliques", "omega", "maximal_count", "maximum_count")
 
 
-def maximal_cliques(G: Graph, budget: Optional[SearchBudget] = None) -> CliqueStats:
+def maximal_cliques(G: Graph, budget: SearchBudget | None = None) -> CliqueStats:
     """All maximal cliques via pivoting enumeration (E. Tomita, A. Tanaka
     and H. Takahashi, "The worst-case time complexity for generating all
     maximal cliques and computational experiments", Theoret. Comput. Sci.
@@ -440,7 +434,7 @@ def is_perfect(G: Graph) -> bool:
 # Conformability
 
 
-def conformable_exists(G: Graph, q: int, budget: Optional[SearchBudget] = None):
+def conformable_exists(G: Graph, q: int, budget: SearchBudget | None = None):
     """Does V partition into exactly q independent classes whose sizes all
     share n's parity (empty classes count as size 0)?
 
@@ -470,7 +464,7 @@ def _conformable(G: Graph, q: int, tracker: _Budget, max_steps):
     sizes = [0] * q
     deficits = q * parity  # classes whose size parity differs from n's
     opened = 0  # nonempty classes; they fill in index order, so form a prefix
-    choice: List[int] = []  # choice[v]: the class of vertex v
+    choice: list[int] = []  # choice[v]: the class of vertex v
     start = 0  # first class to try for the next vertex
     while True:
         if tracker.nodes == stop:
@@ -511,21 +505,17 @@ def _conformable(G: Graph, q: int, tracker: _Budget, max_steps):
 # Classification
 
 
-@dataclass
-class Classification:
-    kind: str  # "type1" | "type2" | "inconclusive"
-    delta: int
-    certificate: Optional[TotalColoring]
-    value: Optional[int]
-    nodes: int  # search nodes only
-    conformability_steps: int
-    lower_evidence: str  # a key of LOWER_EVIDENCE
-    # a TYPE_ONE method, a complete_type_two construction, "search", or None
-    upper_evidence: Optional[str]
-    detail: str
+class Classification(Record):
+    """classify_type's answer.  kind is "type1", "type2" or "inconclusive";
+    nodes counts search nodes only; lower_evidence is a key of
+    LOWER_EVIDENCE; upper_evidence is a TYPE_ONE method, a
+    complete_type_two construction, "search", or None."""
+
+    _fields = ("kind", "delta", "certificate", "value", "nodes", "conformability_steps",
+               "lower_evidence", "upper_evidence", "detail")
 
 
-def classify_type(G: Graph, budget: Optional[SearchBudget] = None) -> Classification:
+def classify_type(G: Graph, budget: SearchBudget | None = None) -> Classification:
     """Type I (a Delta+1 certificate), type II (chi'' >= Delta+2 plus a
     Delta+2 certificate), or inconclusive with the spent budget.
 

@@ -636,20 +636,22 @@ def test_import_loads_no_submodule():
 
 _BASE = ["totcol", "totcol.cli", "totcol.coloring", "totcol.graphs"]
 
-# Standard-library modules that slow a command's start and that only some
-# commands need: dataclasses (which imports inspect) and typing for the
-# constructions and oracles, csv for CSV files.
+# Standard-library modules that slow a command's start: dataclasses (which
+# imports inspect) and typing, which no command needs, and csv, which only
+# the commands that read or write a CSV file need.
 _WATCHED = {"dataclasses", "inspect", "typing", "csv"}
+
+_SOLVERS = sorted(_BASE + ["totcol.constructions", "totcol.oracles"])
 
 
 @pytest.mark.parametrize("argv, loaded, stdlib", [
     (["gen", "unitary", "8", "-o", "g.col"], _BASE, set()),
     (["verify", "u8.col", "u8.tc"], _BASE, set()),
     (["verify", "u8.col", "u8.csv"], _BASE, {"csv"}),
-    (["color", "u8.col", "-o", "g.tc"],
-     sorted(_BASE + ["totcol.constructions", "totcol.oracles"]),
-     {"dataclasses", "inspect", "typing"}),
-], ids=["gen", "verify", "verify-csv", "color"])
+    (["color", "u8.col", "-o", "g.tc"], _SOLVERS, set()),
+    (["classify", "u8.col"], _SOLVERS, set()),
+    (["oracle", "u8.col"], sorted(_BASE + ["totcol.oracles"]), set()),
+], ids=["gen", "verify", "verify-csv", "color", "classify", "oracle"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, monkeypatch, argv, loaded,
                                                      stdlib):
     run(["gen", "unitary", "8", "-o", "u8.col"], tmp_path, monkeypatch)
@@ -830,6 +832,25 @@ def test_oracle_conformable(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "conformable(7): False" in out
+
+
+@pytest.mark.parametrize("kind, extra", [("unitary", []), ("circulant", ["1", "1048576"])],
+                         ids=["unitary", "circulant"])
+def test_gen_refuses_more_vertices_than_a_reader_takes(tmp_path, monkeypatch, capsys, kind,
+                                                        extra):
+    def built(*args):
+        raise AssertionError("built %r" % (args,))
+
+    for module, name in ((cli, "build_unitary"), (cli, "build_circulant"),
+                         (graphs, "units"), (graphs, "write_dimacs")):
+        monkeypatch.setattr(module, name, built)
+    n = graphs.MAX_VERTICES + 1
+    code = run(["gen", kind, n] + extra + ["-o", "huge.col"], tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", "input error: vertex count %d above %d, the most a graph file holds\n"
+        % (n, n - 1))
+    assert not (tmp_path / "huge.col").exists()
 
 
 def test_gen_cayley_from_table(tmp_path, monkeypatch):

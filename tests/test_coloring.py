@@ -16,7 +16,12 @@ from totcol.coloring import (
     verify_total,
     write_coloring,
 )
-from totcol.constructions import color_unitary_even
+from totcol.constructions import (
+    ConstructionResult,
+    OddCirculantResult,
+    StarterPairing,
+    color_unitary_even,
+)
 from totcol.graphs import (
     CirculantSpec,
     Graph,
@@ -25,6 +30,7 @@ from totcol.graphs import (
     build_unitary,
     subgraph_of_edges,
 )
+from totcol.oracles import Classification, SearchBudget
 
 
 def brute_force_conflicts(G, c):
@@ -287,6 +293,41 @@ def test_records_compare_by_value_and_keep_their_fields():
     assert VerificationReport([], [], 3).ok
     assert not VerificationReport([("vertex-vertex", 0, 1)], [], 3).ok
     assert not VerificationReport([], [("missing-vertex", 2)], 3).ok
+
+    res = ConstructionResult(a, ["note"])
+    assert repr(res) == "ConstructionResult(coloring=%r, notes=['note'])" % (a,)
+    assert res == ConstructionResult(TotalColoring(3, {0: 1}, {(0, 1): 2}), ["note"])
+    assert res != ConstructionResult(a, []) and res != OddCirculantResult(a, ["note"], "literal")
+    cls = Classification("type2", 4, None, 6, 0, 0, "complete", "complete-bipartite", "d")
+    assert repr(cls) == (
+        "Classification(kind='type2', delta=4, certificate=None, value=6, nodes=0, "
+        "conformability_steps=0, lower_evidence='complete', "
+        "upper_evidence='complete-bipartite', detail='d')")
+    assert cls == Classification("type2", 4, None, 6, 0, 0, "complete",
+                                 "complete-bipartite", "d")
+    assert cls != Classification("type2", 4, None, 6, 1, 0, "complete",
+                                 "complete-bipartite", "d")
+    for mutable in (a, VerificationReport([], [], 3), res, cls, SearchBudget()):
+        with pytest.raises(TypeError):
+            hash(mutable)
+    res.notes = ["changed"]
+    assert res.notes == ["changed"]
+
+    pairing = StarterPairing(5, ((1, (2, 1)),))
+    assert pairing == StarterPairing(5, ((1, (2, 1)),)) != StarterPairing(7, ((1, (2, 1)),))
+    assert hash(pairing) == hash(StarterPairing(5, ((1, (2, 1)),)))
+    with pytest.raises(AttributeError):
+        pairing.q = 7
+    assert pairing.q == 5
+
+    for make in (lambda: ConstructionResult(a), lambda: StarterPairing(5, (), 1),
+                 lambda: VerificationReport([], []), lambda: OddCirculantResult(a, [])):
+        with pytest.raises(TypeError):
+            make()
+
+    assert SearchBudget() == SearchBudget(50_000_000, 600.0)
+    assert SearchBudget(node_limit=5) == SearchBudget(5, 600.0)
+    assert SearchBudget(time_limit_secs=1.5).time_limit_secs == 1.5
 
 
 def test_residue_classes_independent_iff_no_generator_divisible():
