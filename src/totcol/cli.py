@@ -63,17 +63,25 @@ def _read_group_table(path) -> GroupTable:
 
 
 def cmd_gen(args) -> int:
-    # refused before anything is built: no reader takes a larger file back
-    if args.kind != "cayley" and args.n > graphs.MAX_VERTICES:
-        raise graphs.GraphError("vertex count %d above %d, the most a graph file holds"
-                                % (args.n, graphs.MAX_VERTICES))
-    if args.kind == "unitary":
-        G = build_unitary(args.n)
-    elif args.kind == "circulant":
-        G = build_circulant(CirculantSpec(args.n, args.generators))
-    else:  # cayley
-        table = _read_group_table(args.table)
-        G = build_cayley(table, args.generators)
+    if args.kind == "cayley":
+        G = build_cayley(_read_group_table(args.table), args.generators)
+    else:
+        # refused before anything is built: no reader takes a larger file back
+        n = args.n
+        if n > graphs.MAX_VERTICES:
+            raise graphs.GraphError("vertex count %d above %d, the most a graph file holds"
+                                    % (n, graphs.MAX_VERTICES))
+        if args.kind == "unitary":
+            # phi(n) takes O(sqrt n) steps, units(n) n gcds; build_unitary
+            # refuses n < 2
+            spec, degree = None, graphs.totient(n) if n >= 2 else 0
+        else:
+            spec = CirculantSpec(n, args.generators)
+            degree = spec.degree
+        if n * degree // 2 > graphs.MAX_EDGES:
+            raise graphs.GraphError("edge count %d above %d, the most a graph file holds"
+                                    % (n * degree // 2, graphs.MAX_EDGES))
+        G = build_unitary(n) if spec is None else build_circulant(spec)
     out = args.output or ("%s_%d.col" % (args.kind, G.n))
     graphs.write_dimacs(G, out)
     print("wrote %s (n=%d, m=%d)" % (out, G.n, G.edge_count))

@@ -4,8 +4,9 @@ Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
 (u, v) tuples with u < v.
 
-The csv module is imported inside the three CSV functions, so a command
-that reads or writes no CSV file does not load it.
+The csv module is imported inside matrix_to_csv, which writes every CSV
+table, and matrix_from_csv, so a command that reads or writes no CSV file
+does not load it.
 """
 from __future__ import annotations
 
@@ -360,12 +361,7 @@ def matrix_from_csv(path) -> list:
 
 
 def adjacency_matrix_csv(G: Graph, path) -> None:
-    """Adjacency table in the same layout: 0 on the diagonal, 1 on edges,
-    blank elsewhere."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(range(G.n)))
-        writer.writerows([i] + [0 if i == j else 1 if G.has_edge(i, j) else None
-                                for j in range(G.n)] for i in range(G.n))
+    """Adjacency table in matrix_to_csv's layout: 0 on the diagonal, 1 on
+    edges, blank elsewhere."""
+    matrix_to_csv([[0 if i == j else 1 if G.has_edge(i, j) else None for j in range(G.n)]
+                   for i in range(G.n)], path)

@@ -425,40 +425,26 @@ def complete_type_two(G: Graph) -> tuple[str, TotalColoring] | None:
     chi''(K_{m,m}) = m+2 (M. Behzad, G. Chartrand and J. K. Cooper, "The
     colour numbers of complete graphs", J. London Math. Soc. 42, 1967).
 
-    A circulant C_n(S) is decided from S alone in O(|S|), with no rows
-    built: it is K_n iff |S| = n-1, and K_{m,m} iff S is the odd residues
-    (n/2 elements, all odd), with the evens and the odds as its sides.
-    Proof of the second: let A be vertex 0's side, so 0 is in A and B = S.
-    Every a in A has the neighbourhood a + S = B = S, and any h with
-    h + S = S is in A, because h in S would put 0 = h - h in S.  So
-    A = {h : h + S = S}, a subgroup of Z_n with n/2 elements, and the only
-    one of index 2 is the evens.
-
-    Any other graph compares each bitmask row once.  K_n: row v is every
-    vertex but v.  K_{m,m}: B, the neighbours of vertex 0, has m vertices,
-    and each row is A = the rest (vertex 0 included) for a vertex of B,
-    and B for a vertex of A."""
-    n, spec = G.n, G.circulant
+    It reads only n, the edge count and neighbour lists, so a circulant
+    builds no rows.  G is K_n iff it has n(n-1)/2 edges.  Otherwise let B
+    be N(0) and A the other vertices, ascending.  G is K_{m,m} with sides
+    A and B iff |B| = n/2, G has |B|^2 edges and every b in B has the
+    neighbour list A.  "Only if": vertex 0 lies on one side, and B is the
+    other.  "If": |A| = n - |B| = |B|, and each b in B is adjacent to
+    exactly A, so the edges at B are the |B|^2 pairs {a, b}; they are all
+    of G's edges, so none lies inside A."""
+    n = G.n
     if n < 2 or n % 2:
         return None
-    if spec is not None:
-        complete = spec.degree == n - 1
-        odd = spec.degree == n // 2 and all(s % 2 for s in spec.connection)
-        sides = (range(0, n, 2), range(1, n, 2)) if odd else None
-    else:
-        rows, full = G.rows, (1 << n) - 1
-        complete = all(row == full ^ (1 << v) for v, row in enumerate(rows))
-        B = rows[0]
-        A = full ^ B
-        sides = None
-        if not complete and B.bit_count() == n // 2 and all(
-                row == (A if B >> v & 1 else B) for v, row in enumerate(rows)):
-            sides = ([v for v in range(n) if A >> v & 1], [v for v in range(n) if B >> v & 1])
-    if complete:
+    if G.edge_count == n * (n - 1) // 2:
         return "complete-even", _checked(G, color_complete_even(n), "color_complete_even(%d)" % n)
-    if sides is None:
+    B = G.neighbors(0)
+    if len(B) != n // 2 or G.edge_count != len(B) ** 2:
         return None
-    return "complete-bipartite", _checked(G, fill_complete_bipartite(n, *sides),
+    A = sorted(set(range(n)).difference(B))
+    if any(G.neighbors(b) != A for b in B):
+        return None
+    return "complete-bipartite", _checked(G, fill_complete_bipartite(n, A, B),
                                           "fill_complete_bipartite(%d)" % (n // 2))
 
 

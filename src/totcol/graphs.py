@@ -184,14 +184,22 @@ class Graph(FrozenRecord):
     degree, neighbors, edges and the degree sums from the connection set
     and is given rows None; its rows are built from the spec on their
     first read.  Any other graph is given its bitmask rows: bit v of
-    rows[u] is set iff u ~ v."""
-
-    _fields = ("n", "rows", "circulant")
+    rows[u] is set iff u ~ v.  A graph is (n, its spec) if it is a
+    circulant and (n, its rows) if not, for ==, hash and repr alike, so
+    that none of them builds a circulant's rows."""
 
     def __init__(self, n: int, rows: tuple | None, circulant: CirculantSpec | None = None) -> None:
         self._set(n=n, circulant=circulant)
         if rows is not None:
             self._set(rows=rows)
+
+    def _values(self) -> tuple:
+        return (self.n, self.rows if self.circulant is None else self.circulant)
+
+    def __repr__(self) -> str:
+        if self.circulant is not None:
+            return "Graph(n=%d, circulant=%r)" % (self.n, self.circulant)
+        return "Graph(n=%d, edge_count=%d)" % (self.n, self.edge_count)
 
     # cached_property writes each value into the instance __dict__ directly,
     # past FrozenRecord's __setattr__, on its first access; rows given to
@@ -233,19 +241,7 @@ class Graph(FrozenRecord):
 
     def edges(self) -> list:
         """All edges as sorted (u, v) pairs with u < v."""
-        n, out = self.n, []
-        if self.circulant is not None:
-            gens = self._gens
-            for u in range(n):
-                out += [(u, u + s) for s in gens[:bisect.bisect_left(gens, n - u)]]
-            return out
-        for u in range(n):
-            row = (self.rows[u] >> (u + 1)) << (u + 1)
-            while row:
-                low = row & -row
-                out.append((u, low.bit_length() - 1))
-                row ^= low
-        return out
+        return [(u, v) for u in range(self.n) for v in self.neighbors(u) if v > u]
 
     # A circulant's degree sums come from |S|.  Any other graph's popcount
     # every row, with no Python step per vertex, once per Graph.
@@ -427,9 +423,11 @@ def write_dimacs(G: Graph, path) -> None:
                      + "".join("e %d %d\n" % (u + 1, v + 1) for (u, v) in edges))
 
 
-# The most vertices a `p edge n m` line may declare, so that a short header
-# cannot make the reader allocate unbounded rows.
+# The most vertices and edges a `p edge n m` line may declare, so that a
+# short header cannot make the reader allocate unbounded rows, and `gen`
+# writes no file that the reader refuses.
 MAX_VERTICES = 1 << 20
+MAX_EDGES = 1 << 24
 
 # read_in_chunks takes this many lines at a time, and _circulant_text yields
 # about this many edge lines per piece.  A whole file at once costs memory
@@ -526,8 +524,8 @@ def _circulant_text(spec: CirculantSpec):
 def read_dimacs(path) -> Graph:
     """Inverse of write_dimacs.  The `e` lines must list each of the m edges
     of the `p edge n m` line exactly once, with n <= MAX_VERTICES and m at
-    most n(n-1)/2; errors name the offending line.  A `c circulant` comment
-    must describe the same graph.
+    most n(n-1)/2 and MAX_EDGES; errors name the offending line.  A
+    `c circulant` comment must describe the same graph.
 
     The file is opened once, and its text takes one of two routes.  A file
     with write_dimacs's text for the circulant its first line names reads
@@ -549,13 +547,14 @@ def read_dimacs(path) -> Graph:
 
 
 def _read_circulant(fh) -> Graph | None:
-    """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES,
-    if the text of the open file fh is write_dimacs's text for it
-    (_circulant_text's pieces, then the end), else None: that text reads as
-    C_n(S), a Graph of the spec alone.  fh must be seekable.  The text's
-    O(n) table of vertex numbers is built only when the file has room for
-    n|S|/2 edge lines of 6 or more characters, so a short file claiming a
-    large n costs little."""
+    """C_n(S), named by a `c circulant n S` line 1 with n <= MAX_VERTICES
+    and n|S|/2 <= MAX_EDGES, if the text of the open file fh is
+    write_dimacs's text for it (_circulant_text's pieces, then the end),
+    else None: that text reads as C_n(S), a Graph of the spec alone.  A
+    larger n or n|S|/2 is left to the line reader, which refuses its `p`
+    line.  fh must be seekable.  The text's O(n) table of vertex numbers
+    is built only when the file has room for n|S|/2 edge lines of 6 or
+    more characters, so a short file claiming a large n costs little."""
     try:
         size = fh.seek(0, io.SEEK_END)
         fh.seek(0)
@@ -565,8 +564,8 @@ def _read_circulant(fh) -> Graph | None:
             return None
         spec = CirculantSpec(int(tok[2]), map(int, tok[3:]))
         text = _circulant_text(spec)
-        if (next(text) != first or spec.n > MAX_VERTICES
-                or size < 6 * (spec.n * spec.degree // 2)):
+        m = spec.n * spec.degree // 2
+        if next(text) != first or spec.n > MAX_VERTICES or m > MAX_EDGES or size < 6 * m:
             return None
         if any(fh.read(len(piece)) != piece for piece in text) or fh.read(1):
             return None
@@ -619,6 +618,8 @@ def _read_edge_list(fh) -> Graph:
                 if not 0 <= m <= n * (n - 1) // 2:
                     raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
                                      % (m, n * (n - 1) // 2))
+                if m > MAX_EDGES:
+                    raise GraphError("edge count %d above %d" % (m, MAX_EDGES))
             else:
                 raise GraphError("unrecognized line")
         except ValueError as exc:

@@ -156,10 +156,12 @@ def _solve_list_coloring(adj: list[list[int]], k: int, precolor: dict[int, int],
 def _line_graph(G: Graph):
     """(edges, nbrs, stars, adj): edges is G.edges(), nbrs[w] the list
     G.neighbors(w), stars[w] the indices of w's edges in neighbour order,
-    and adj[i] the other edges at either end of edge i."""
-    edges = G.edges()
-    index = {e: i for i, e in enumerate(edges)}
+    and adj[i] the other edges at either end of edge i.  Each neighbour
+    list is asked for once, and the edges are read from them as
+    Graph.edges reads them."""
     nbrs = [G.neighbors(w) for w in range(G.n)]
+    edges = [(w, u) for w, nbr in enumerate(nbrs) for u in nbr if u > w]
+    index = {e: i for i, e in enumerate(edges)}
     stars = [[index[ekey(w, u)] for u in nbr] for w, nbr in enumerate(nbrs)]
     adj: list[list] = [[] for _ in edges]
     for star in stars:
@@ -343,17 +345,18 @@ def maximal_cliques(G: Graph, budget: SearchBudget | None = None) -> CliqueStats
     of candidates | excluded has the most candidates in N(u), the least u
     on a tie, and the candidates outside N(u) are branched on in ascending
     order.  The enumeration runs on an explicit stack, so no clique size
-    reaches Python's recursion limit.  With a budget, each expanded node
-    costs one tick, and BudgetExhausted is raised when it runs out."""
+    reaches Python's recursion limit.  Each expanded node costs one tick of
+    the budget, SearchBudget() by default, and BudgetExhausted is raised
+    when it runs out."""
     out: list = []
     rows = G.rows
-    tracker = _Budget(budget) if budget else None
+    tracker = _Budget(budget or SearchBudget())
     # A frame: [clique, candidates, excluded, the branch vertices left (the
     # candidates outside the pivot's neighborhood)], the last three as masks.
     stack: list = []
 
     def expand(clique, candidates, excluded):
-        if tracker and not tracker.tick():
+        if not tracker.tick():
             raise BudgetExhausted("clique enumeration budget exhausted after %d nodes"
                                   % (tracker.nodes - 1))
         if not candidates and not excluded:

@@ -853,6 +853,29 @@ def test_gen_refuses_more_vertices_than_a_reader_takes(tmp_path, monkeypatch, ca
     assert not (tmp_path / "huge.col").exists()
 
 
+@pytest.mark.parametrize("argv, m", [
+    # n = 2^20 vertices, the most a reader takes.  U_n has degree 2^19, and
+    # this circulant, of 16 inverse pairs and n/2, degree 33.
+    (["unitary", 1 << 20], 1 << 38),
+    (["circulant", 1 << 20] + [s for d in range(1, 17) for s in (d, (1 << 20) - d)]
+     + [1 << 19], 33 << 19),
+], ids=["unitary", "circulant"])
+def test_gen_refuses_more_edges_than_a_reader_takes(tmp_path, monkeypatch, capsys, argv, m):
+    def built(*args):
+        raise AssertionError("built %r" % (args,))
+
+    for module, name in ((cli, "build_unitary"), (cli, "build_circulant"),
+                         (graphs, "units"), (graphs, "write_dimacs")):
+        monkeypatch.setattr(module, name, built)
+    code = run(["gen"] + argv + ["-o", "huge.col"], tmp_path, monkeypatch)
+    assert code == 4
+    assert m > graphs.MAX_EDGES == 1 << 24
+    assert capsys.readouterr() == (
+        "", "input error: edge count %d above %d, the most a graph file holds\n"
+        % (m, graphs.MAX_EDGES))
+    assert not (tmp_path / "huge.col").exists()
+
+
 def test_gen_cayley_from_table(tmp_path, monkeypatch):
     n = 9
     table = tmp_path / "z9.grp"

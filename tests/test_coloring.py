@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from totcol import graphs
 from totcol.coloring import (
     ColoringError,
     TotalColoring,
@@ -264,7 +265,7 @@ def test_color_count_examples():
     assert k3.colors_used() == 3
 
 
-def test_records_compare_by_value_and_keep_their_fields():
+def test_records_compare_by_value_and_keep_their_fields(monkeypatch):
     spec = CirculantSpec(5, [1, 4])
     # a ConstructionError text embeds this repr
     assert repr(spec) == "CirculantSpec(n=5, connection=frozenset({1, 4}))"
@@ -283,6 +284,19 @@ def test_records_compare_by_value_and_keep_their_fields():
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         assert getattr(record, field) is before
+
+    # a circulant is compared, hashed and shown by its spec, with no rows
+    # built; a graph of rows is shown by its edge count, not its rows
+    def built(spec):
+        raise AssertionError("built the rows of %r" % (spec,))
+
+    monkeypatch.setattr(graphs, "circulant_rows", built)
+    big, same = (build_circulant(CirculantSpec(40001, [1, 40000])) for _ in range(2))
+    assert big == same and hash(big) == hash(same)
+    assert big != build_circulant(CirculantSpec(40001, [2, 39999]))
+    assert repr(big) == "Graph(n=40001, circulant=%r)" % (big.circulant,)
+    path = subgraph_of_edges(20000, [(v, v + 1) for v in range(19999)])
+    assert repr(path) == "Graph(n=20000, edge_count=19999)"
 
     a, b = TotalColoring(3), TotalColoring(3)
     a.vertex_color[0] = 1

@@ -265,7 +265,13 @@ def test_gen_output_never_reaches_the_slow_reread(n, unitary, data):
      "line 2: problem line declares 1048576 edges, the file lists 2"),
     # the writer's text for an edgeless circulant, one vertex too many
     ("c circulant 1048577 \np edge 1048577 0\n", "line 2: vertex count 1048577 outside"),
-], ids=["edges-claimed", "too-many-vertices"])
+    # one edge more than a reader takes, by the `p` line alone
+    ("p edge 1048576 16777217\ne 1 2\n", "line 1: edge count 16777217 above 16777216"),
+    # the header of the writer's text for a circulant of 33 * 2^19 edges
+    ("c circulant 1048576 %s\np edge 1048576 17301504\n" % " ".join(map(str, sorted(
+        {s for d in range(1, 17) for s in (d, 1048576 - d)} | {524288}))),
+     "line 2: edge count 17301504 above 16777216"),
+], ids=["edges-claimed", "too-many-vertices", "too-many-edges", "circulant-too-many-edges"])
 def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
         tmp_path, text, error):
     path = tmp_path / "big.col"
@@ -282,6 +288,17 @@ def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_circulant_above_the_edge_bound_is_left_to_the_line_reader(tmp_path, monkeypatch):
+    # the writer's own text for C_10{±1}, 10 edges, read with a bound of 9:
+    # the text comparison passes it over, and the line reader refuses its
+    # `p` line
+    path = tmp_path / "c10.col"
+    write_dimacs(build_circulant(CirculantSpec(10, [1, 9])), path)
+    monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+    assert _read_circulant(path) is None
+    assert _graph_or_error(path) == "GraphError: line 2: edge count 10 above 9: 'p edge 10 10'"
 
 
 def test_the_line_reader_allocates_no_rows_before_the_edge_count_holds(tmp_path):

@@ -472,7 +472,13 @@ def _minus_edge(G, e):
     subgraph_of_edges(6, [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)]),  # K_2,4
     subgraph_of_edges(4, [(0, 3), (1, 3), (2, 3)]),  # K_1,3 with vertex 0 a leaf
     build_circulant(CirculantSpec(6, {3})),  # three disjoint K_2
-], ids=["K_4,4-0,1", "K_4,4-6,7", "K_6-0,1", "K_6-4,5", "2K_6", "K_2,4", "K_1,3", "3K_2"])
+    # |N(0)| = 2 = n/2 and 4 = 2^2 edges, but the edge 12 lies inside N(0)
+    subgraph_of_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    # each vertex of N(0) = {1, 2, 3} sees exactly the other side, but the
+    # edge 45 lies inside that side: 10 edges, not 3^2
+    subgraph_of_edges(6, [(a, b) for a in (0, 4, 5) for b in (1, 2, 3)] + [(4, 5)]),
+], ids=["K_4,4-0,1", "K_4,4-6,7", "K_6-0,1", "K_6-4,5", "2K_6", "K_2,4", "K_1,3", "3K_2",
+        "paw", "K_3,3+4,5"])
 def test_classify_does_not_take_a_near_miss_as_a_complete_family(G):
     assert constructions.complete_type_two(G) is None
     res = classify_type(G, SearchBudget(node_limit=2_000))
