@@ -2,7 +2,10 @@
 exact oracles, classify, and reproduce the bundled golden tables.
 
 `color` checks each method's preconditions once, runs the method once and
-verifies its coloring once, inside the method.
+verifies its coloring once, inside the method.  `verify` checks a
+circulant's `.tc` that is exactly write_coloring's listing by generator
+columns (coloring.verify_circulant_listing); every other file, and one
+that route declines, is read and checked line by line.
 
 Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
 construction whose coloring fails verification) or golden-table mismatch;
@@ -32,6 +35,7 @@ from .coloring import (
     matrix_to_csv,
     read_coloring,
     render_matrix,
+    verify_circulant_listing,
     verify_total,
     write_coloring,
 )
@@ -117,17 +121,22 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     G = graphs.read_dimacs(args.graph)
-    if args.coloring.endswith(".csv"):
-        from .coloring import matrix_from_csv, parse_matrix
+    csv_file = args.coloring.endswith(".csv")
+    # None unless a circulant's `.tc` is write_coloring's listing of a proper
+    # coloring; the line route below names every fault
+    report = None if csv_file else verify_circulant_listing(G, args.coloring)
+    if report is None:
+        if csv_file:
+            from .coloring import matrix_from_csv, parse_matrix
 
-        c = parse_matrix(matrix_from_csv(args.coloring))
-    else:
-        c = read_coloring(args.coloring)
-    if c.n != G.n:
-        # checked up front: the verifier would report every vertex as missing
-        raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
-                                     % (c.n, G.n))
-    report = verify_total(G, c)
+            c = parse_matrix(matrix_from_csv(args.coloring))
+        else:
+            c = read_coloring(args.coloring)
+        if c.n != G.n:
+            # checked up front: the verifier would report every vertex as missing
+            raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
+                                         % (c.n, G.n))
+        report = verify_total(G, c)
     for err in report.coverage_errors:
         print("coverage: %r" % (err,))
     for conflict in report.conflicts:

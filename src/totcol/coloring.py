@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 
-from .graphs import Graph, Record, read_in_chunks
+from .graphs import Graph, Record, circulant_bands, read_in_chunks
 
 
 def ekey(u: int, v: int) -> tuple:
@@ -244,7 +245,9 @@ def read_coloring(path) -> TotalColoring:
     """Inverse of write_coloring; errors name the offending line.  A second
     `t` header, or a vertex or an edge (in either orientation) given twice,
     is an error, as a repeated edge is in `read_dimacs`, and so is a color
-    below 1.  Text that is not UTF-8 raises ColoringError."""
+    below 1 or a header color count that is no integer >= 0.  The count is
+    not compared with the colors used.  Text that is not UTF-8 raises
+    ColoringError."""
     c = None
     number = _CellValues().__getitem__
 
@@ -262,7 +265,10 @@ def read_coloring(path) -> TotalColoring:
                 if tag == "t":
                     if c is not None:
                         raise ColoringError("repeated `t` header")
-                    c = TotalColoring(int(tok[1]))
+                    n, count = int(tok[1]), int(tok[2])
+                    if count < 0:
+                        raise ColoringError("color count %d below 0" % count)
+                    c = TotalColoring(n)
                 elif c is None:
                     raise ColoringError("%r line before the `t` header" % tag)
                 elif tag == "v":
@@ -306,6 +312,104 @@ def read_coloring(path) -> TotalColoring:
     if c is None:
         raise ColoringError("missing header line")
     return c
+
+
+class _Declined(Exception):
+    """The text is not the listing that verify_circulant_listing takes."""
+
+
+def verify_circulant_listing(G: Graph, path) -> VerificationReport | None:
+    """The clean report of the `.tc` file at path if its text is exactly
+    write_coloring's listing of a proper total coloring of the circulant G;
+    None for any other G or file, whose report read_coloring and
+    verify_total must make.  This route names no fault: it declines, and
+    the line route names every one.
+
+    The listing is a `t n k` line with n = G.n and k >= 0, the vertex lines
+    of 0..n-1, then the edge lines of G in the order of circulant_bands.
+    The body is read in runs of CHUNK_LINES lines (read_in_chunks), each of
+    which must fullmatch the line grammar.  A run's vertex and endpoint
+    texts are compared with slices of one table of vertex-number texts, or
+    with the next texts of two streams made from it, and only the colors
+    are kept, as ints.
+
+    Then the checks run by columns: column s, for s in S, holds the colors
+    of the edges {u, u + s} with u + s < n, u ascending.  Adjacent
+    vertices differ when the vertex colors rotated by s differ from them,
+    for each s of the half set.  The star of w is its vertex color and, for
+    each s in S, the color of {w, w + s mod n}: column s for w < n - s, then
+    column n - s.  Zipped, each star must hold Delta + 1 distinct colors.
+    No Python step runs per edge or per vertex, and what is kept is O(n + m)
+    references beside one run's tokens.  A file that is not a regular
+    file, such as a pipe, is declined before it is read, so that the line
+    route reads all of it."""
+    spec = G.circulant
+    if spec is None or not os.path.isfile(path):
+        return None
+    n, conn = G.n, sorted(spec.connection)
+    flat = itertools.chain.from_iterable
+    names = ("%d\n" * n % tuple(range(n))).split()
+    bands = circulant_bands(n, conn)
+    # The endpoint texts of G's edge lines, in order.  Over a band of k
+    # generators, u comes k times.  The other ends are the rows of the
+    # columns names[s:], less the None that zip_longest pads a short one with.
+    heads = flat(flat(zip(*[names[lo:hi]] * k)) for lo, hi, k in bands)
+    tails = filter(None, flat(itertools.zip_longest(
+        *[itertools.islice(names, s, None) for s in conn])))
+    vcol, colors = [], []
+    number = _CellValues().__getitem__
+
+    def header(first, lines):
+        """The header line alone, as the writer writes it; any other call
+        declines.  int takes every decimal text that isdecimal passes."""
+        tok = lines[0].split() if len(lines) == 1 else []
+        if not (first == 1 and len(tok) == 3 and tok[2].isdecimal()
+                and lines[0] == "t %d %d\n" % (n, int(tok[2]))):
+            raise _Declined
+
+    def body(text):
+        tok = text.split()
+        cut = 3 * text.count("v")
+        if cut:
+            v0 = len(vcol)
+            if colors or tok[1:cut:3] != names[v0:v0 + cut // 3]:
+                raise _Declined
+            vcol.extend(map(number, tok[2:cut:3]))
+        if cut < len(tok):
+            us, ws = tok[cut + 1::4], tok[cut + 2::4]
+            if (len(vcol) != n or us != list(itertools.islice(heads, len(us)))
+                    or ws != list(itertools.islice(tails, len(ws)))):
+                raise _Declined
+            colors.extend(map(number, tok[cut + 3::4]))
+        return True
+
+    try:
+        read_in_chunks(path, _COLORING_LINES, body, header)
+    except (_Declined, OSError, UnicodeDecodeError):
+        return None
+    if len(vcol) != n or len(colors) != G.edge_count:
+        return None
+    for s in spec.half_set():
+        if any(map(operator.eq, vcol, itertools.chain(vcol[s:], vcol))):
+            return None
+    # A band's colors are its rows of k, one per vertex.  A band wider than
+    # k + 1 vertices gives generator j every k-th color from the j-th; a
+    # narrower one, where k slices would cost a step per edge, is transposed
+    # whole.  extend returns None, so any() runs every extend.
+    cols, base = [[] for _ in conn], 0
+    for lo, hi, k in bands:
+        end = base + (hi - lo) * k
+        if hi - lo > k + 1:
+            for j in range(k):
+                cols[j] += colors[base + j:end:k]
+        else:
+            any(map(list.extend, cols, zip(*zip(*[iter(colors[base:end])] * k))))
+        base = end
+    # S is symmetric, so n - s is S's j-th generator from the top
+    stars = zip(vcol, *map(itertools.chain, cols, reversed(cols)))
+    if any(map((len(conn) + 1).__ne__, map(len, map(set, stars)))):
+        return None
+    return VerificationReport([], [], len(set(vcol).union(colors)))
 
 
 def matrix_to_csv(grid, path) -> None:

@@ -464,25 +464,36 @@ def _heads(lo: int, hi: int) -> list:
     return ("e %d \n" * (hi - lo) % tuple(range(lo + 1, hi + 1))).splitlines()
 
 
+def circulant_bands(n: int, conn: list) -> list:
+    """The line order of C_n(S), S given ascending as conn = s_0 < s_1 <
+    ..., in bands: (lo, hi, k) for k = |S| down to 1, where [lo, hi) are
+    the vertices u whose edges {u, u + s} with u + s < n are exactly those
+    of s_0..s_(k-1); with s_|S| taken as n, [lo, hi) = [n - s_k,
+    n - s_(k-1)).  Vertex u lists those edges with s ascending, so a band
+    lists k edges per vertex, u ascending.  The bands ascend, are never
+    empty and cover [0, n - s_0): this is the order of Graph.edges, of
+    write_dimacs and of write_coloring."""
+    ends = conn + [n]
+    return [(n - ends[k], n - ends[k - 1], k) for k in range(len(conn), 0, -1)]
+
+
 def _circulant_text(spec: CirculantSpec):
     """write_dimacs's text for C_n(S) in pieces: the two header lines, then
     runs of about CHUNK_LINES edge lines.  Vertex u's lines are
     `e u+1 u+s+1` for s in S ascending with u + s < n, the order of
-    Graph.edges; a piece ends after the first vertex that takes it to
+    circulant_bands; a piece ends after the first vertex that takes it to
     CHUNK_LINES lines or more, so it holds at most CHUNK_LINES + |S| - 1.
 
     The text is built by columns.  Once the header lines are taken, one
     table is made: tails[v] = `v+1` and a newline.  A head `e u+1 ` serves
     vertex u's lines only, so the heads are made a run of vertices at a
-    time.  With S = s_0 < s_1 < ... and s_|S| taken as n, the vertices u in
-    [n - s_k, n - s_(k-1)) take exactly s_0..s_(k-1), so over that band
-    the text is head u, tails[u + s_0], head u, tails[u + s_1], ... for u
-    ascending: each piece of it is one zip of 2k columns, joined with no
-    Python step per vertex or line.  Setting up 2k columns costs more than
-    joining a few vertices one at a time, so a band at most k + 1 vertices
-    wide, as most are in a dense circulant, is joined vertex by vertex with
-    its generators found by bisect, as are the vertices between two such
-    bands."""
+    time.  Over a band of k generators s_0..s_(k-1) the text is head u,
+    tails[u + s_0], head u, tails[u + s_1], ... for u ascending: each piece
+    of it is one zip of 2k columns, joined with no Python step per vertex
+    or line.  Setting up 2k columns costs more than joining a few vertices
+    one at a time, so a band at most k + 1 vertices wide, as most are in a
+    dense circulant, is joined vertex by vertex with its generators found
+    by bisect, as are the vertices between two such bands."""
     n, conn = spec.n, sorted(spec.connection)
     yield "c circulant %d %s\n" % (n, " ".join(map(str, conn)))
     yield "p edge %d %d\n" % (n, n * len(conn) // 2)
@@ -491,11 +502,11 @@ def _circulant_text(spec: CirculantSpec):
     tails = ("%d\n" * n % tuple(range(1, n + 1))).splitlines(True)
     # (lo, hi, k): the band [lo, hi) of k generators, or with k = 0 vertices
     # that are joined one at a time
-    ends, runs, lo = conn + [n], [], 0
-    for k in range(len(conn), 0, -1):
-        if ends[k] - ends[k - 1] > k + 1:
-            runs += [(lo, n - ends[k], 0), (n - ends[k], n - ends[k - 1], k)]
-            lo = n - ends[k - 1]
+    runs, lo = [], 0
+    for band in circulant_bands(n, conn):
+        if band[1] - band[0] > band[2] + 1:
+            runs += [(lo, band[0], 0), band]
+            lo = band[1]
     runs.append((lo, n - conn[0], 0))
     piece, count = [], 0
     for lo, hi, k in runs:

@@ -4,6 +4,7 @@ import functools
 import importlib.resources
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -478,6 +479,11 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
      ["verify", "k3.col", "bad.tc"], "line 8: repeated edge (0, 1)"),
     ("bad.tc", "t 3 3\nv 0 1\nt 3 3\n", ["verify", "k3.col", "bad.tc"],
      "line 3: repeated `t` header"),
+    # a clean coloring of K_3 under a header whose color count is no integer >= 0
+    ("bad.tc", "t 3 x\nv 0 1\nv 1 2\nv 2 3\ne 0 1 3\ne 1 2 1\ne 0 2 2\n",
+     ["verify", "k3.col", "bad.tc"], "line 1: invalid literal for int() with base 10: 'x'"),
+    ("bad.tc", "t 3 -3\nv 0 1\nv 1 2\nv 2 3\ne 0 1 3\ne 1 2 1\ne 0 2 2\n",
+     ["verify", "k3.col", "bad.tc"], "line 1: color count -3 below 0: 't 3 -3'"),
     ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
      "line 3: "),
     ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
@@ -515,7 +521,7 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
      ["verify", "k3.col", "bad.tc"], "line 10300: repeated edge"),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
         "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
-        "tc-repeated-header", "csv-token", "grp-token", "grp-generator-above",
+        "tc-repeated-header", "tc-count-token", "tc-count-negative", "csv-token", "grp-token", "grp-generator-above",
         "grp-generator-negative",
         "col-deep-token", "col-deep-range-chunk-end", "col-deep-zero-chunk-start",
         "col-deep-self-loop-chunk-start", "col-deep-repeat-across-chunks",
@@ -1001,3 +1007,176 @@ def test_oracle_and_classify_survive_mangled_files(graph_edits, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv[:1] + [g] + argv[1:] + ["--node-limit", "100"]) in (0, 3, 4)
+
+
+def _verify(g, c, decline=False):
+    """verify's exit code, stdout and stderr on (g, c); with decline, the
+    column route of a circulant's `.tc` declines every file."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if decline:
+            mp.setattr(cli, "verify_circulant_listing", lambda G, path: None)
+        code = main(["verify", g, c])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_answer_by_both_routes(g, c):
+    taken = _verify(g, c)
+    assert taken == _verify(g, c, decline=True)
+    return taken
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(graph_edits=_EDITS, coloring_edits=_EDITS)
+def test_both_verify_routes_answer_alike_on_mangled_files(graph_edits, coloring_edits):
+    graph_lines, coloring_lines = _pair_texts()
+    with tempfile.TemporaryDirectory() as d:
+        g, c = os.path.join(d, "g.col"), os.path.join(d, "g.tc")
+        with open(g, "w") as fh:
+            fh.write(_mangle(graph_lines, graph_edits))
+        with open(c, "w") as fh:
+            fh.write(_mangle(coloring_lines, coloring_edits))
+        _same_answer_by_both_routes(g, c)
+
+
+def _variants(lines, rnd):
+    """The lines of a `.tc` file (the `t` header, n vertex lines, then the
+    edge lines) and each of its edits, by name."""
+    n, count = map(int, lines[0].split()[1:])
+    first_edge = n + 1
+
+    def recolored(i):
+        tok = lines[i].split()
+        tok[-1] = str(int(tok[-1]) % 8 + 1)
+        return lines[:i] + [" ".join(tok)] + lines[i + 1:]
+
+    i = rnd.randrange(1, len(lines))
+    out = {"canonical": lines,
+           "recolored-vertex": recolored(rnd.randrange(1, first_edge)),
+           "blank": lines[:i] + [""] + lines[i:],
+           "merged": lines[:i - 1] + [lines[i - 1] + " " + lines[i]] + lines[i + 1:],
+           "crlf": [line + "\r" for line in lines],
+           "wrong-n": ["t %d %d" % (n + rnd.choice([-1, 1]), count)] + lines[1:]}
+    if len(lines) > first_edge:
+        e = rnd.randrange(first_edge, len(lines))
+        out["recolored-edge"] = recolored(e)
+        tok = lines[e].split()
+        tok[2] = "0" + tok[2]
+        out["leading-zero"] = lines[:e] + [" ".join(tok)] + lines[e + 1:]
+        tok[2] = str((int(tok[2]) + 1) % n)
+        out["other-end"] = lines[:e] + [" ".join(tok)] + lines[e + 1:]
+    if len(lines) > first_edge + 1:
+        j = rnd.randrange(first_edge, len(lines) - 1)
+        out["swapped"] = lines[:j] + [lines[j + 1], lines[j]] + lines[j + 2:]
+    return out
+
+
+def _coloring_of(G, rnd):
+    """A total coloring of G: a construction's, an exact one, or random."""
+    try:
+        return constructions.color_auto(G)[1]
+    except constructions.ConstructionError:
+        pass
+    res = oracles.exact_total_chromatic(G, oracles.SearchBudget(node_limit=2000))
+    if res.status == "exact":
+        return res.coloring
+    k = G.max_degree + 2
+    return coloring.TotalColoring(G.n, {v: rnd.randint(1, k) for v in range(G.n)},
+                                  {e: rnd.randint(1, k) for e in G.edges()})
+
+
+def test_both_verify_routes_answer_alike_on_edited_circulant_files(tmp_path):
+    rnd = random.Random(2026)
+    clean = 0
+    for _ in range(40):
+        n = rnd.randint(2, 40)
+        half = [s for s in range(1, n // 2 + 1) if rnd.random() < 0.3] or [1]
+        G = graphs.build_circulant(CirculantSpec(n, half + [n - s for s in half]))
+        g = str(tmp_path / "g.col")
+        write_dimacs(G, g)
+        coloring.write_coloring(_coloring_of(G, rnd), tmp_path / "c.tc")
+        lines = (tmp_path / "c.tc").read_text().splitlines()
+        for name, variant in _variants(lines, rnd).items():
+            c = tmp_path / ("%s.tc" % name)
+            c.write_text("\n".join(variant) + "\n")
+            code, _, _ = _same_answer_by_both_routes(g, str(c))
+            clean += name == "canonical" and code == 0
+    assert clean >= 20
+
+
+# The classify ladder of the benchmark and U_24: each canonical file is clean
+# by both routes.
+@pytest.mark.parametrize("gen, command", [
+    (["circulant", 9, 1, 2, 3, 6, 7, 8], "classify"),
+    (["unitary", 8], "classify"),
+    (["circulant", 6, 1, 2, 3, 4, 5], "classify"),
+    (["unitary", 9], "classify"),
+    (["unitary", 15], "classify"),
+    (["circulant", 7, 1, 2, 3, 4, 5, 6], "classify"),
+    (["circulant", 10, 1, 2, 3, 7, 8, 9], "classify"),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], "classify"),
+    (["circulant", 21, 1, 2, 3, 18, 19, 20], "classify"),
+    (["unitary", 24], "color"),
+], ids=["Z_9", "U_8", "K_6", "U_9", "U_15", "K_7", "C_10", "C_21-134", "C_21-123", "U_24"])
+def test_both_verify_routes_answer_alike_on_canonical_files(tmp_path, monkeypatch, gen,
+                                                             command):
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([command, "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    code, out, err = _same_answer_by_both_routes("g.col", "g.tc")
+    assert (code, out.splitlines()[-1], err) == (0, "verification: clean", "")
+
+
+def _swap_two_edge_lines(path):
+    lines = path.read_text().splitlines(True)
+    i = len(lines) - 5
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    path.write_text("".join(lines))
+
+
+def _recolor_edge_0_1(path):
+    c = read_coloring(path)
+    c.edge_color[(0, 1)] = c.vertex_color[0]
+    coloring.write_coloring(c, path)
+
+
+@pytest.mark.parametrize("gen, edit, code, calls", [
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], None, 0, 0),
+    (["unitary", 24], None, 0, 0),
+    (["circulant", 105, 1, 3, 4, 101, 102, 104], None, 0, 0),
+    (["cayley", "z9.grp", 1, 2, 4, 5, 7, 8], None, 0, 1),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], _swap_two_edge_lines, 0, 1),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], _recolor_edge_0_1, 1, 1),
+], ids=["C_21", "U_24", "C_105", "Z_9-table", "C_21-swapped", "C_21-conflict"])
+def test_verify_reads_a_circulants_listing_by_columns(tmp_path, monkeypatch, gen, edit,
+                                                       code, calls):
+    (tmp_path / "z9.grp").write_text(_Z9)
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
+    if edit:
+        edit(tmp_path / "g.tc")
+    counts = {}
+    for name in ("read_coloring", "verify_total"):
+        _count_calls(monkeypatch, cli, name, counts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == code
+    assert counts == ({"read_coloring": calls, "verify_total": calls} if calls else {})
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_verify_reads_a_listing_from_a_pipe_by_its_lines(tmp_path, monkeypatch, capsys):
+    # the column route declines a pipe before it reads it, so the line
+    # route sees all of it
+    run(["gen", "circulant", 21, 1, 3, 4, 17, 18, 20, "-o", "g.col"], tmp_path, monkeypatch)
+    run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch)
+    capsys.readouterr()
+    r, w = os.pipe()
+    try:
+        os.write(w, (tmp_path / "g.tc").read_bytes())
+        os.close(w)
+        assert run(["verify", "g.col", "/dev/fd/%d" % r], tmp_path, monkeypatch) == 0
+    finally:
+        os.close(r)
+    assert capsys.readouterr().out == "colors used: 7\nverification: clean\n"
