@@ -2,10 +2,10 @@
 exact oracles, classify, and reproduce the bundled golden tables.
 
 `color` checks each method's preconditions once, runs the method once and
-verifies its coloring once, inside the method.  `verify` checks a
+verifies its coloring once, inside the method.  `verify` reads a
 circulant's `.tc` that is exactly write_coloring's listing by generator
-columns (coloring.verify_circulant_listing); every other file, and one
-that route declines, is read and checked line by line.
+columns (coloring.verify_circulant_listing), and every other file line by
+line; verify_total checks either, and names every fault.
 
 Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
 construction whose coloring fails verification) or golden-table mismatch;
@@ -122,10 +122,10 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     G = graphs.read_dimacs(args.graph)
     csv_file = args.coloring.endswith(".csv")
-    # None unless a circulant's `.tc` is write_coloring's listing of a proper
-    # coloring; the line route below names every fault
-    report = None if csv_file else verify_circulant_listing(G, args.coloring)
-    if report is None:
+    # None unless a circulant's `.tc` is write_coloring's listing, which is
+    # then read once, by columns; every other file is read line by line
+    c = None if csv_file else verify_circulant_listing(G, args.coloring)
+    if c is None:
         if csv_file:
             from .coloring import matrix_from_csv, parse_matrix
 
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
             # checked up front: the verifier would report every vertex as missing
             raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
                                          % (c.n, G.n))
-        report = verify_total(G, c)
+    report = verify_total(G, c)
     for err in report.coverage_errors:
         print("coverage: %r" % (err,))
     for conflict in report.conflicts:

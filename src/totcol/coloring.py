@@ -2,7 +2,10 @@
 
 Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
-(u, v) tuples with u < v.
+(u, v) tuples with u < v.  A coloring holds its edge colors as a dict on
+those keys, except a coloring of a circulant held by generator columns
+(ColumnColoring: thm2.3's fill and a `.tc` listing read by columns), whose
+dicts are built only when a caller reads them.
 
 The csv module is imported inside matrix_to_csv, which writes every CSV
 table, and matrix_from_csv, so a command that reads or writes no CSV file
@@ -14,7 +17,7 @@ import itertools
 import operator
 import os
 
-from .graphs import Graph, Record, circulant_bands, read_in_chunks
+from .graphs import CHUNK_LINES, Graph, Record, circulant_bands, read_in_chunks
 
 
 def ekey(u: int, v: int) -> tuple:
@@ -43,6 +46,56 @@ class TotalColoring(Record):
 
     def set_edge(self, u: int, v: int, c: int) -> None:
         self.edge_color[ekey(u, v)] = c
+
+
+class ColumnColoring(TotalColoring):
+    """A total coloring of the circulant C_n(S) by generator columns, with
+    no dicts: conn is S ascending, vcol the colors of the vertices 0..n-1,
+    and cols[j] the colors of the edges {u, u + conn[j]} for u = 0..n -
+    conn[j] - 1.  The edge {w, w + s mod n} with w + s >= n is the edge
+    {u, u + (n - s)} with u = w + s - n, held in column n - s, which is
+    cols[-1 - j] as S is symmetric.
+
+    The first read of vertex_color or edge_color builds both
+    (_column_dicts) and hands the coloring over to them: the object becomes
+    a plain TotalColoring, so an edit of a dict is an edit of the coloring,
+    and every reader after it takes the dicts.  Only this class has the
+    __getattr__ hook, which keeps attribute reads on every other coloring
+    at their plain cost."""
+
+    def __init__(self, n: int, conn: list, vcol: list, cols: list) -> None:
+        self.n, self.conn, self.vcol, self.cols = n, conn, vcol, cols
+
+    def __getattr__(self, name):
+        # Python calls this only for an attribute it did not find
+        if name not in ("vertex_color", "edge_color"):
+            raise AttributeError(name)
+        dicts = _column_dicts(self)
+        del self.conn, self.vcol, self.cols
+        self.vertex_color, self.edge_color = dicts
+        self.__class__ = TotalColoring
+        return self.__dict__[name]
+
+    def __eq__(self, other):
+        self.vertex_color  # hands over, so that == compares two TotalColorings
+        return self == other
+
+    def colors_used(self) -> int:
+        return len(set(self.vcol).union(*self.cols))
+
+
+def _column_dicts(c: ColumnColoring) -> tuple:
+    """(vertex_color, edge_color) of a column coloring, each column one dict
+    update.  The vertices come in order, and the edges in the order in
+    which fill_diagonals once set them one at a time: for each s of the
+    half set ascending, the edges {u, u + s}, then those of n - s."""
+    conn, cols = c.conn, c.cols
+    verts = list(range(c.n))  # one int per vertex, shared by all of its keys
+    edge_color: dict = {}
+    for j in range((len(conn) + 1) // 2):
+        for k in dict.fromkeys((j, len(conn) - 1 - j)):  # once when s = n/2
+            edge_color.update(zip(zip(verts, itertools.islice(verts, conn[k], None)), cols[k]))
+    return dict(zip(verts, c.vcol)), edge_color
 
 
 class VerificationReport(Record):
@@ -80,7 +133,15 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     The cost is O(n + m) dict and list work.  A circulant's test and counts
     read only its connection set, so checking one builds no n-bit rows;
     any other graph shifts a row for each edge.
+
+    A ColumnColoring of the circulant G itself (same n, same S) is first
+    checked by _columns_proper, with no dict and no Python step per edge or
+    per vertex; a proper one gets the clean report at once.  On any fault
+    the dicts are built (the hand-over) and the check above runs, so every
+    conflict and coverage list is the dict path's.
     """
+    if _columns_proper(G, c):
+        return VerificationReport([], [], c.colors_used())
     n, vertex_color = G.n, c.vertex_color
     conn = rows = None
     if G.circulant is not None:
@@ -146,6 +207,25 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     return VerificationReport(conflicts, coverage, c.colors_used())
 
 
+def _columns_proper(G: Graph, c: TotalColoring) -> bool:
+    """True when c is a ColumnColoring that has not handed over, and a
+    proper total coloring of the circulant G, of the same n and S.  Adjacent vertices
+    differ when the vertex colors rotated by s differ from them, for each s
+    of the half set.  The star of w is its vertex color and, for each s in
+    S, the color of {w, w + s mod n}: column s for w < n - s, then column
+    n - s.  Zipped, each star must hold Delta + 1 distinct colors."""
+    spec = G.circulant
+    if (not isinstance(c, ColumnColoring) or spec is None or c.n != G.n
+            or spec.connection != set(c.conn)):
+        return False
+    vcol, cols = c.vcol, c.cols
+    for s in c.conn[:(len(cols) + 1) // 2]:  # the half set: S ascending is symmetric
+        if any(map(operator.eq, vcol, itertools.chain(vcol[s:], vcol))):
+            return False
+    stars = zip(vcol, *map(itertools.chain, cols, reversed(cols)))
+    return not any(map((len(cols) + 1).__ne__, map(len, map(set, stars))))
+
+
 # ---------------------------------------------------------------------------
 # Total color matrix
 
@@ -196,14 +276,32 @@ def parse_matrix(grid) -> TotalColoring:
 
 def write_coloring(c: TotalColoring, path) -> None:
     """Line format: `t <n> <color-count>`, then `v <vertex> <color>` and
-    `e <u> <v> <color>` lines, 0-indexed, deterministic order.  Each
-    distinct number is formatted once per call, by a _NumberTexts table."""
+    `e <u> <v> <color>` lines, 0-indexed, deterministic order: vertices
+    ascending, then edges (u, v) ascending.  Each distinct color is
+    formatted once per call, by a _NumberTexts table.
+
+    A coloring with dicts has its vertices and edges sorted.  A
+    ColumnColoring is written from its columns, and its dicts are not
+    built: the vertex numbers are one table of texts, made once, and the
+    edge lines are in the order of circulant_bands (_edge_ends), which is
+    the sorted order, with the colors of each vertex's edges taken from the
+    columns row by row.  The bytes are those of the dict path."""
     name = _NumberTexts().__getitem__
-    vs = sorted(c.vertex_color)
-    es = sorted(c.edge_color)
-    us, ws = zip(*es) if es else ((), ())
     with open(path, "w") as fh:
         fh.write("t %d %d\n" % (c.n, c.colors_used()))
+        if isinstance(c, ColumnColoring):
+            conn, cols = c.conn, c.cols
+            names = _vertex_names(c.n)
+            _write_lines(fh, "v ", names, map(name, c.vcol))
+            # row u of the columns holds the colors of u's edges, s ascending;
+            # zip_longest pads the columns that end before u with None
+            colors = filter(None, itertools.chain.from_iterable(
+                itertools.zip_longest(*[map(name, col) for col in cols])))
+            _write_lines(fh, "e ", *_edge_ends(names, conn, circulant_bands(c.n, conn)), colors)
+            return
+        vs = sorted(c.vertex_color)
+        es = sorted(c.edge_color)
+        us, ws = zip(*es) if es else ((), ())
         _write_lines(fh, "v ", map(name, vs), map(name, map(c.vertex_color.__getitem__, vs)))
         _write_lines(fh, "e ", map(name, us), map(name, ws),
                      map(name, map(c.edge_color.__getitem__, es)))
@@ -211,12 +309,32 @@ def write_coloring(c: TotalColoring, path) -> None:
 
 def _write_lines(fh, tag, *columns) -> None:
     """Write one line per row of the text columns, tag and then the row's
-    texts joined by spaces, as one join of the lines; nothing for no rows."""
-    text = ("\n" + tag).join(map(" ".join, zip(*columns)))
-    if text:
+    texts joined by spaces, one join per CHUNK_LINES lines, so the line
+    texts held at once stay few; nothing for no rows."""
+    lines = map(" ".join, zip(*columns))
+    while chunk := list(itertools.islice(lines, CHUNK_LINES)):
         fh.write(tag)
-        fh.write(text)
+        fh.write(("\n" + tag).join(chunk))
         fh.write("\n")
+
+
+def _vertex_names(n: int) -> list:
+    """The texts of the vertex numbers 0..n-1, by one format and one split."""
+    return ("%d\n" * n % tuple(range(n))).split()
+
+
+def _edge_ends(names: list, conn: list, bands: list) -> tuple:
+    """Two iterators over the endpoint texts of the edges of C_n(S), S given
+    ascending as conn, names being _vertex_names(n) and bands
+    circulant_bands(n, conn), in the order of the bands: the lower ends and
+    the upper ends.  Over a band of k generators, u comes k times.  The
+    upper ends are the rows of the columns names[s:], less the None that
+    zip_longest pads a short one with."""
+    flat = itertools.chain.from_iterable
+    heads = flat(flat(zip(*[names[lo:hi]] * k)) for lo, hi, k in bands)
+    tails = filter(None, flat(itertools.zip_longest(
+        *[itertools.islice(names, s, None) for s in conn])))
+    return heads, tails
 
 
 class _NumberTexts(dict):
@@ -318,44 +436,30 @@ class _Declined(Exception):
     """The text is not the listing that verify_circulant_listing takes."""
 
 
-def verify_circulant_listing(G: Graph, path) -> VerificationReport | None:
-    """The clean report of the `.tc` file at path if its text is exactly
-    write_coloring's listing of a proper total coloring of the circulant G;
-    None for any other G or file, whose report read_coloring and
-    verify_total must make.  This route names no fault: it declines, and
-    the line route names every one.
+def verify_circulant_listing(G: Graph, path) -> ColumnColoring | None:
+    """The ColumnColoring of the `.tc` file at
+    path if its text is exactly write_coloring's listing of a total
+    coloring of the circulant G; None for any other G or file, which
+    read_coloring must read.  It checks nothing past the text: verify_total
+    checks what it returns by columns, and names every fault by its dicts.
 
     The listing is a `t n k` line with n = G.n and k >= 0, the vertex lines
     of 0..n-1, then the edge lines of G in the order of circulant_bands.
     The body is read in runs of CHUNK_LINES lines (read_in_chunks), each of
     which must fullmatch the line grammar.  A run's vertex and endpoint
     texts are compared with slices of one table of vertex-number texts, or
-    with the next texts of two streams made from it, and only the colors
-    are kept, as ints.
-
-    Then the checks run by columns: column s, for s in S, holds the colors
-    of the edges {u, u + s} with u + s < n, u ascending.  Adjacent
-    vertices differ when the vertex colors rotated by s differ from them,
-    for each s of the half set.  The star of w is its vertex color and, for
-    each s in S, the color of {w, w + s mod n}: column s for w < n - s, then
-    column n - s.  Zipped, each star must hold Delta + 1 distinct colors.
-    No Python step runs per edge or per vertex, and what is kept is O(n + m)
+    with the next texts of two streams made from it (_edge_ends), and only
+    the colors are kept, as ints, then put in generator columns.  No Python
+    step runs per edge or per vertex, and what is kept is O(n + m)
     references beside one run's tokens.  A file that is not a regular
-    file, such as a pipe, is declined before it is read, so that the line
-    route reads all of it."""
+    file, such as a pipe, is declined before it is read, so that
+    read_coloring reads all of it."""
     spec = G.circulant
     if spec is None or not os.path.isfile(path):
         return None
     n, conn = G.n, sorted(spec.connection)
-    flat = itertools.chain.from_iterable
-    names = ("%d\n" * n % tuple(range(n))).split()
-    bands = circulant_bands(n, conn)
-    # The endpoint texts of G's edge lines, in order.  Over a band of k
-    # generators, u comes k times.  The other ends are the rows of the
-    # columns names[s:], less the None that zip_longest pads a short one with.
-    heads = flat(flat(zip(*[names[lo:hi]] * k)) for lo, hi, k in bands)
-    tails = filter(None, flat(itertools.zip_longest(
-        *[itertools.islice(names, s, None) for s in conn])))
+    names, bands = _vertex_names(n), circulant_bands(n, conn)
+    heads, tails = _edge_ends(names, conn, bands)
     vcol, colors = [], []
     number = _CellValues().__getitem__
 
@@ -389,9 +493,6 @@ def verify_circulant_listing(G: Graph, path) -> VerificationReport | None:
         return None
     if len(vcol) != n or len(colors) != G.edge_count:
         return None
-    for s in spec.half_set():
-        if any(map(operator.eq, vcol, itertools.chain(vcol[s:], vcol))):
-            return None
     # A band's colors are its rows of k, one per vertex.  A band wider than
     # k + 1 vertices gives generator j every k-th color from the j-th; a
     # narrower one, where k slices would cost a step per edge, is transposed
@@ -405,11 +506,7 @@ def verify_circulant_listing(G: Graph, path) -> VerificationReport | None:
         else:
             any(map(list.extend, cols, zip(*zip(*[iter(colors[base:end])] * k))))
         base = end
-    # S is symmetric, so n - s is S's j-th generator from the top
-    stars = zip(vcol, *map(itertools.chain, cols, reversed(cols)))
-    if any(map((len(conn) + 1).__ne__, map(len, map(set, stars)))):
-        return None
-    return VerificationReport([], [], len(set(vcol).union(colors)))
+    return ColumnColoring(n, conn, vcol, cols)
 
 
 def matrix_to_csv(grid, path) -> None:

@@ -33,7 +33,7 @@ from .graphs import (
     two_factors,
     units,
 )
-from .coloring import TotalColoring, ekey, verify_total
+from .coloring import ColumnColoring, TotalColoring, ekey, verify_total
 from .oracles import (
     OracleError,
     SearchBudget,
@@ -171,20 +171,32 @@ def fill_diagonals(n: int, q: int, starts: dict[int, int]) -> TotalColoring:
 
     starts maps each half-set generator s (1 <= s < n/2) to its start value
     in 1..q.  The colors of a generator repeat with period q along i, so
-    each generator is one dict update (_fill_diagonal) of the cycled
-    pattern, with the keys and insertion order of an edge-by-edge fill.
-    This function does not check that the coloring is proper: when q
-    divides n, _star_conflicts decides that on the star of vertex 0 in
-    O(Delta), and every coloring a construction returns goes through
-    verify_total.
+    each generator is 1..q cycled from its start (islice of cycle) over
+    i = 0..n-1, cut at n - s into its two generator columns: s holds
+    i < n - s, and n - s the edges {i + s - n, i} for the rest.  The
+    coloring returned is a ColumnColoring of those columns (S = the
+    generators of starts and their negatives), with no dicts: verify_total
+    checks it and write_coloring writes it by columns.  Its vertex_color
+    and edge_color are built on their first read, with the keys and
+    insertion order of an edge-by-edge fill, and from then on they are the
+    coloring (a caller that adds the remainder's edges, as _layered does,
+    edits them).  This function does not check
+    that the coloring is proper: when q divides n, _star_conflicts decides
+    that on the star of vertex 0 in O(Delta), and every coloring a
+    construction returns goes through verify_total.
     """
-    c = TotalColoring(n, dict(enumerate(itertools.islice(itertools.cycle(range(1, q + 1)), n))))
-    for s in sorted(starts):
+    half = sorted(starts)
+    for s in half:
         if not 1 <= s or 2 * s >= n:
             raise ConstructionError("generator %d is not a proper half-set rep" % s)
-        a = starts[s]
-        _fill_diagonal(c.edge_color, n, s, [(a - 1 + i) % q + 1 for i in range(q)])
-    return c
+    cols = [None] * (2 * len(half))
+    for j, s in enumerate(half):
+        # ((start - 1 + i) mod q) + 1 for i = 0, 1, ...: 1..q cycled from the start
+        colors = itertools.islice(itertools.cycle(range(1, q + 1)), (starts[s] - 1) % q, None)
+        cols[j] = list(itertools.islice(colors, n - s))
+        cols[-1 - j] = list(itertools.islice(colors, s))
+    vcol = list(itertools.islice(itertools.cycle(range(1, q + 1)), n))
+    return ColumnColoring(n, half + [n - s for s in reversed(half)], vcol, cols)
 
 
 def _fill_diagonal(edge_color: dict[tuple, int], n: int, s: int, pattern) -> None:

@@ -1141,16 +1141,18 @@ def _recolor_edge_0_1(path):
     coloring.write_coloring(c, path)
 
 
-@pytest.mark.parametrize("gen, edit, code, calls", [
+# reads: read_coloring calls.  A listing with a conflict is read once, by
+# columns, and verify_total names the conflict from it.
+@pytest.mark.parametrize("gen, edit, code, reads", [
     (["circulant", 21, 1, 3, 4, 17, 18, 20], None, 0, 0),
     (["unitary", 24], None, 0, 0),
     (["circulant", 105, 1, 3, 4, 101, 102, 104], None, 0, 0),
     (["cayley", "z9.grp", 1, 2, 4, 5, 7, 8], None, 0, 1),
     (["circulant", 21, 1, 3, 4, 17, 18, 20], _swap_two_edge_lines, 0, 1),
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], _recolor_edge_0_1, 1, 1),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], _recolor_edge_0_1, 1, 0),
 ], ids=["C_21", "U_24", "C_105", "Z_9-table", "C_21-swapped", "C_21-conflict"])
 def test_verify_reads_a_circulants_listing_by_columns(tmp_path, monkeypatch, gen, edit,
-                                                       code, calls):
+                                                       code, reads):
     (tmp_path / "z9.grp").write_text(_Z9)
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1162,7 +1164,7 @@ def test_verify_reads_a_circulants_listing_by_columns(tmp_path, monkeypatch, gen
         _count_calls(monkeypatch, cli, name, counts)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == code
-    assert counts == ({"read_coloring": calls, "verify_total": calls} if calls else {})
+    assert counts == dict({"verify_total": 1}, **({"read_coloring": reads} if reads else {}))
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -1180,3 +1182,45 @@ def test_verify_reads_a_listing_from_a_pipe_by_its_lines(tmp_path, monkeypatch, 
     finally:
         os.close(r)
     assert capsys.readouterr().out == "colors used: 7\nverification: clean\n"
+
+
+def _no_edge_dicts(*args):
+    raise AssertionError("a column coloring built its dicts")
+
+
+@pytest.mark.parametrize("gen", [
+    ["circulant", 21, 1, 2, 3, 18, 19, 20],
+    ["circulant", 21, 1, 3, 4, 17, 18, 20],
+    ["circulant", 2009, 684, 807, 843, 1166, 1202, 1325],
+], ids=["C_21-literal", "C_21-starter", "C_2009"])
+def test_thm23_colors_classifies_and_verifies_with_no_edge_dict(tmp_path, monkeypatch, gen):
+    # thm2.3's coloring is filled, checked and written by columns, and its
+    # listing is read back and checked by columns: no dict is built for it
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    monkeypatch.setattr(coloring, "_column_dicts", _no_edge_dicts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["color", "g.col", "-o", "color.tc"], tmp_path, monkeypatch) == 0
+        assert run(["classify", "g.col", "-o", "cert.tc"], tmp_path, monkeypatch) == 0
+        for tc in ("color.tc", "cert.tc"):
+            assert run(["verify", "g.col", tc], tmp_path, monkeypatch) == 0
+    assert (tmp_path / "color.tc").read_bytes() == (tmp_path / "cert.tc").read_bytes()
+
+
+# sha256 of each output as the dict path wrote it before thm2.3 kept columns
+@pytest.mark.parametrize("gen, argv, digest", [
+    (["unitary", 30], ["--method", "thm2.2"],
+     "8f1d2c291a097f064dbe2c1da31d3944faba6e197c1232930f9630a619826335"),
+    (["circulant", 21, 1, 2, 3, 18, 19, 20], ["--format", "csv-matrix"],
+     "fdae3fd598703904e39cc387e327d6d7db0595d393e6ad7117d1ca648bb9e31f"),
+], ids=["U_30-thm2.2", "C_21-csv-matrix"])
+def test_thm22_and_the_csv_matrix_still_build_the_edge_dict(tmp_path, monkeypatch, gen,
+                                                              argv, digest):
+    import hashlib
+
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    counts = {}
+    _count_calls(monkeypatch, coloring, "_column_dicts", counts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["color", "g.col", "-o", "out"] + argv, tmp_path, monkeypatch) == 0
+    assert counts == {"_column_dicts": 1}
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest

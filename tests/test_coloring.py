@@ -6,6 +6,7 @@ import pytest
 from totcol import graphs
 from totcol.coloring import (
     ColoringError,
+    ColumnColoring,
     TotalColoring,
     VerificationReport,
     ekey,
@@ -447,3 +448,108 @@ def test_matrix_csv_error_names_the_line(tmp_path):
     with pytest.raises(ColoringError) as info:
         matrix_from_csv(path)
     assert str(info.value) == "line 3: invalid literal for int() with base 10: 'x'"
+
+
+def _thm23_half_sets(max_n, every_up_to, per_group, seed):
+    """(n, half set) of the odd circulants with n <= max_n that thm2.3 takes:
+    every one with n <= every_up_to, and above it a seeded sample of
+    per_group for each n, Delta + 1 and strategy (literal or starter)."""
+    from totcol.constructions import _star_conflicts, patterned_starts
+
+    rng = random.Random(seed)
+    out = []
+    for n in range(3, max_n + 1, 2):
+        for q in range(3, n + 1, 2):
+            if n % q:
+                continue
+            taken = [half for half in itertools.combinations(range(1, (n + 1) // 2), (q - 1) // 2)
+                     if all(s % q for s in half) and len({s % q for s in half}) == len(half)]
+            if n > every_up_to:
+                rng.shuffle(taken)
+                groups = ([], [])
+                for half in taken:
+                    group = groups[_star_conflicts(q, patterned_starts(q, half)) == 0]
+                    if len(group) < per_group:
+                        group.append(half)
+                    if min(map(len, groups)) == per_group:
+                        break
+                taken = groups[0] + groups[1]
+            out += [(n, half) for half in taken]
+    return out
+
+
+def _handed_over(c):
+    """A copy of the column coloring c that has handed itself over to dicts."""
+    d = ColumnColoring(c.n, c.conn, c.vcol, c.cols)
+    assert d.edge_color is not None and type(d) is TotalColoring
+    return d
+
+
+def _recolored(c, which, i, color):
+    """c with one entry of its columns recolored: vertex i if which is None,
+    else entry i of column which."""
+    vcol, cols = list(c.vcol), list(c.cols)
+    if which is None:
+        vcol[i] = color
+    else:
+        cols[which] = cols[which][:i] + [color] + cols[which][i + 1:]
+    return ColumnColoring(c.n, c.conn, vcol, cols)
+
+
+def test_column_and_dict_paths_agree_on_thm23_colorings(tmp_path):
+    # Every odd circulant with n <= 31 that thm2.3 takes (473), and a sample
+    # of each (n, Delta + 1, strategy) up to n = 45: all 62 970 would take
+    # minutes.  The column coloring and its dict hand-over are written to
+    # the same bytes and verified to equal reports, clean and after one
+    # recoloring of the vertex list and of each column.
+    from totcol.constructions import color_odd_circulant
+
+    rng = random.Random(31)
+    strategies = set()
+    cases = _thm23_half_sets(45, 31, 3, seed=31)
+    assert len(cases) > 473
+    for n, half in cases:
+        G = build_circulant(CirculantSpec(n, list(half) + [n - s for s in half]))
+        res = color_odd_circulant(G)
+        strategies.add(res.strategy)
+        c = res.coloring
+        assert type(c) is ColumnColoring
+        d = _handed_over(c)
+        write_coloring(c, tmp_path / "columns.tc")
+        write_coloring(d, tmp_path / "dicts.tc")
+        assert (tmp_path / "columns.tc").read_bytes() == (tmp_path / "dicts.tc").read_bytes()
+        q = 2 * len(half) + 1
+        assert verify_total(G, c) == verify_total(G, d) == VerificationReport([], [], q)
+        assert type(c) is ColumnColoring  # a clean check keeps the columns
+        for which in [None] + list(range(len(c.cols))):
+            size = n if which is None else len(c.cols[which])
+            i = rng.randrange(size)
+            old = c.vcol[i] if which is None else c.cols[which][i]
+            recolored = _recolored(c, which, i, rng.choice([k for k in range(1, q + 2) if k != old]))
+            expected = verify_total(G, _handed_over(recolored))
+            assert verify_total(G, recolored) == expected
+    assert strategies == {"literal", "starter"}
+
+
+def test_a_column_coloring_of_another_graph_takes_the_dict_path():
+    # the columns are read only against the circulant they color: any other
+    # graph, even one with the same edges, gets the dict path's report
+    from totcol.constructions import fill_diagonals, patterned_starts
+
+    def filled():
+        return fill_diagonals(21, 7, patterned_starts(7, [1, 2, 3]))
+
+    same = build_circulant(CirculantSpec(21, [1, 2, 3, 18, 19, 20]))
+    for G in (subgraph_of_edges(21, same.edges()),
+              build_circulant(CirculantSpec(21, [1, 2, 4, 17, 19, 20])),
+              build_circulant(CirculantSpec(22, [1, 2, 3, 19, 20, 21]))):
+        c = filled()
+        d = filled()
+        d.vertex_color  # hands d over to its dicts
+        assert verify_total(G, c) == verify_total(G, d)
+        assert type(c) is TotalColoring
+    c = filled()
+    assert verify_total(same, c).ok and type(c) is ColumnColoring
+    # == hands a column coloring over, so it compares equal to its dicts
+    assert c == d and filled() == c
+    assert not verify_total(subgraph_of_edges(21, same.edges()[1:]), filled()).ok
