@@ -2,10 +2,11 @@
 exact oracles, classify, and reproduce the bundled golden tables.
 
 `color` checks each method's preconditions once, runs the method once and
-verifies its coloring once, inside the method.  `verify` reads a
-circulant's `.tc` that is exactly write_coloring's listing by generator
-columns (coloring.verify_circulant_listing), and every other file line by
-line; verify_total checks either, and names every fault.
+verifies its coloring once, inside the method.  `verify` reads a `.tc`
+once, with coloring.read_coloring given the graph: a circulant's file that
+is write_coloring's listing is read by generator columns, and any other
+text line by line from the first line that departs from the listing;
+verify_total checks either, and names every fault.
 
 Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
 construction whose coloring fails verification) or golden-table mismatch;
@@ -35,7 +36,6 @@ from .coloring import (
     matrix_to_csv,
     read_coloring,
     render_matrix,
-    verify_circulant_listing,
     verify_total,
     write_coloring,
 )
@@ -121,21 +121,17 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     G = graphs.read_dimacs(args.graph)
-    csv_file = args.coloring.endswith(".csv")
-    # None unless a circulant's `.tc` is write_coloring's listing, which is
-    # then read once, by columns; every other file is read line by line
-    c = None if csv_file else verify_circulant_listing(G, args.coloring)
-    if c is None:
-        if csv_file:
-            from .coloring import matrix_from_csv, parse_matrix
+    if args.coloring.endswith(".csv"):
+        from .coloring import matrix_from_csv, parse_matrix
 
-            c = parse_matrix(matrix_from_csv(args.coloring))
-        else:
-            c = read_coloring(args.coloring)
-        if c.n != G.n:
-            # checked up front: the verifier would report every vertex as missing
-            raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
-                                         % (c.n, G.n))
+        c = parse_matrix(matrix_from_csv(args.coloring))
+    else:
+        # read once: a circulant's listing by columns, any other text line by line
+        c = read_coloring(args.coloring, G)
+    if c.n != G.n:
+        # checked up front: the verifier would report every vertex as missing
+        raise coloring.ColoringError("the coloring has %d vertices, the graph %d"
+                                     % (c.n, G.n))
     report = verify_total(G, c)
     for err in report.coverage_errors:
         print("coverage: %r" % (err,))

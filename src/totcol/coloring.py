@@ -4,8 +4,9 @@ Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
 (u, v) tuples with u < v.  A coloring holds its edge colors as a dict on
 those keys, except a coloring of a circulant held by generator columns
-(ColumnColoring: thm2.3's fill and a `.tc` listing read by columns), whose
-dicts are built only when a caller reads them.
+(ColumnColoring: thm2.3's fill, and a `.tc` listing that read_coloring,
+the one `.tc` reader, reads by columns), whose dicts are built only when a
+caller reads them.
 
 The csv module is imported inside matrix_to_csv, which writes every CSV
 table, and matrix_from_csv, so a command that reads or writes no CSV file
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 
 from .graphs import CHUNK_LINES, Graph, Record, circulant_bands, read_in_chunks
 
@@ -70,9 +70,11 @@ class ColumnColoring(TotalColoring):
         # Python calls this only for an attribute it did not find
         if name not in ("vertex_color", "edge_color"):
             raise AttributeError(name)
-        dicts = _column_dicts(self)
-        del self.conn, self.vcol, self.cols
-        self.vertex_color, self.edge_color = dicts
+        # the lists come off the object, and _column_dicts consumes a copy
+        # of the column list, so no list another coloring shares is written
+        pop = self.__dict__.pop
+        self.vertex_color, self.edge_color = _column_dicts(
+            self.n, pop("conn"), pop("vcol"), [*pop("cols")])
         self.__class__ = TotalColoring
         return self.__dict__[name]
 
@@ -84,18 +86,19 @@ class ColumnColoring(TotalColoring):
         return len(set(self.vcol).union(*self.cols))
 
 
-def _column_dicts(c: ColumnColoring) -> tuple:
-    """(vertex_color, edge_color) of a column coloring, each column one dict
-    update.  The vertices come in order, and the edges in the order in
-    which fill_diagonals once set them one at a time: for each s of the
-    half set ascending, the edges {u, u + s}, then those of n - s."""
-    conn, cols = c.conn, c.cols
-    verts = list(range(c.n))  # one int per vertex, shared by all of its keys
+def _column_dicts(n: int, conn: list, vcol: list, cols: list) -> tuple:
+    """(vertex_color, edge_color) of the column coloring (n, conn, vcol,
+    cols), each column one dict update, after which cols lets go of it.  The
+    vertices come in order, and the edges in the order in which
+    fill_diagonals once set them one at a time: for each s of the half set
+    ascending, the edges {u, u + s}, then those of n - s."""
+    verts = list(range(n))  # one int per vertex, shared by all of its keys
     edge_color: dict = {}
     for j in range((len(conn) + 1) // 2):
         for k in dict.fromkeys((j, len(conn) - 1 - j)):  # once when s = n/2
             edge_color.update(zip(zip(verts, itertools.islice(verts, conn[k], None)), cols[k]))
-    return dict(zip(verts, c.vcol)), edge_color
+            cols[k] = None
+    return dict(zip(verts, vcol)), edge_color
 
 
 class VerificationReport(Record):
@@ -324,12 +327,12 @@ def _vertex_names(n: int) -> list:
 
 
 def _edge_ends(names: list, conn: list, bands: list) -> tuple:
-    """Two iterators over the endpoint texts of the edges of C_n(S), S given
-    ascending as conn, names being _vertex_names(n) and bands
-    circulant_bands(n, conn), in the order of the bands: the lower ends and
-    the upper ends.  Over a band of k generators, u comes k times.  The
-    upper ends are the rows of the columns names[s:], less the None that
-    zip_longest pads a short one with."""
+    """Two iterators over the endpoints of the edges of C_n(S), S given
+    ascending as conn, names being the n vertex texts (_vertex_names) or
+    ints and bands circulant_bands(n, conn), in the order of the bands: the
+    lower ends and the upper ends.  Over a band of k generators, u comes k
+    times.  The upper ends are the rows of the columns names[s:], less the
+    None that zip_longest pads a short one with; vertex 0 is never one."""
     flat = itertools.chain.from_iterable
     heads = flat(flat(zip(*[names[lo:hi]] * k)) for lo, hi, k in bands)
     tails = filter(None, flat(itertools.zip_longest(
@@ -359,19 +362,50 @@ def _color(text) -> int:
     return color
 
 
-def read_coloring(path) -> TotalColoring:
+def read_coloring(path, G: Graph | None = None) -> TotalColoring:
     """Inverse of write_coloring; errors name the offending line.  A second
     `t` header, or a vertex or an edge (in either orientation) given twice,
     is an error, as a repeated edge is in `read_dimacs`, and so is a color
     below 1 or a header color count that is no integer >= 0.  The count is
     not compared with the colors used.  Text that is not UTF-8 raises
-    ColoringError."""
+    ColoringError.
+
+    The file is read once, CHUNK_LINES lines at a time (read_in_chunks).
+    Given a circulant G, a file whose first line is the header alone, `t
+    <G.n> <k>`, is read in listing mode: while each run of lines continues
+    write_coloring's listing of G (the vertex lines of 0..n-1, then the
+    edge lines in the order of circulant_bands), its vertex and endpoint
+    texts are compared with one table of vertex-number texts and the
+    _edge_ends streams of it, and only the colors are kept.  A complete
+    listing is returned as a ColumnColoring, unchecked, with no Python step
+    per edge or per vertex.  The first run that departs from the listing (a
+    text mismatch, a run for walk, a second header) ends listing mode: the
+    colors kept become the dicts, and that run and the rest are read as
+    with no G, so every error and every coloring is the read's with no G."""
     c = None
     number = _CellValues().__getitem__
+    spec = None if G is None else G.circulant
+    if spec is not None:
+        conn = sorted(spec.connection)
+        bands = circulant_bands(spec.n, conn)
+    listing = None  # in listing mode: the vertex-number texts and _edge_ends streams
+    vcol, colors = [], []  # the colors of the listing so far
+
+    def leave():
+        """End listing mode: the colors kept go into c's dicts, keyed by
+        the ints of the number table, one per vertex."""
+        nonlocal listing
+        verts = list(map(number, listing[0]))
+        listing = None
+        c.vertex_color.update(zip(verts, vcol))
+        c.edge_color.update(zip(zip(*_edge_ends(verts, conn, bands)), colors))
+        del vcol[:], colors[:]
 
     def walk(first, lines):
         """Read lines one at a time: the grammar and its error texts."""
-        nonlocal c
+        nonlocal c, listing
+        if listing is not None:
+            leave()
         for lineno, raw in enumerate(lines, first):
             tok = raw.split()
             if not tok:
@@ -387,6 +421,10 @@ def read_coloring(path) -> TotalColoring:
                     if count < 0:
                         raise ColoringError("color count %d below 0" % count)
                     c = TotalColoring(n)
+                    if (spec is not None and first == 1 and len(lines) == 1
+                            and raw == "t %d %d\n" % (spec.n, count)):
+                        names = _vertex_names(n)
+                        listing = (names, *_edge_ends(names, conn, bands))
                 elif c is None:
                     raise ColoringError("%r line before the `t` header" % tag)
                 elif tag == "v":
@@ -402,6 +440,22 @@ def read_coloring(path) -> TotalColoring:
             except ValueError as exc:
                 raise ColoringError("line %d: %s: %r" % (lineno, exc, raw.strip())) from None
 
+    def listed(tok, cut):
+        """Keep the colors of a run (its tokens, the first cut of them in
+        vertex lines) that continues the listing; False, with nothing kept,
+        for any other run."""
+        names, heads, tails = listing
+        v0 = len(vcol)
+        if cut and (colors or tok[1:cut:3] != names[v0:v0 + cut // 3]):
+            return False
+        us, ws = tok[cut + 1::4], tok[cut + 2::4]
+        if us and (v0 + cut // 3 != len(names) or us != list(itertools.islice(heads, len(us)))
+                   or ws != list(itertools.islice(tails, len(ws)))):
+            return False
+        vcol.extend(map(number, tok[2:cut:3]))
+        colors.extend(map(number, tok[cut + 3::4]))
+        return True
+
     def bulk(text):
         """Read a chunk of vertex and edge lines at once, unless an edge
         comes as v u with v > u, or a vertex or an edge comes twice, in the
@@ -410,6 +464,10 @@ def read_coloring(path) -> TotalColoring:
             return False
         tok = text.split()
         cut = 3 * text.count("v")
+        if listing is not None:
+            if listed(tok, cut):
+                return True
+            leave()
         vertices = dict(zip(map(number, tok[1:cut:3]), map(number, tok[2:cut:3])))
         us = list(map(number, tok[cut + 1::4]))
         ws = list(map(number, tok[cut + 2::4]))
@@ -429,70 +487,12 @@ def read_coloring(path) -> TotalColoring:
         raise ColoringError("not UTF-8 text: %s" % exc) from None
     if c is None:
         raise ColoringError("missing header line")
-    return c
-
-
-class _Declined(Exception):
-    """The text is not the listing that verify_circulant_listing takes."""
-
-
-def verify_circulant_listing(G: Graph, path) -> ColumnColoring | None:
-    """The ColumnColoring of the `.tc` file at
-    path if its text is exactly write_coloring's listing of a total
-    coloring of the circulant G; None for any other G or file, which
-    read_coloring must read.  It checks nothing past the text: verify_total
-    checks what it returns by columns, and names every fault by its dicts.
-
-    The listing is a `t n k` line with n = G.n and k >= 0, the vertex lines
-    of 0..n-1, then the edge lines of G in the order of circulant_bands.
-    The body is read in runs of CHUNK_LINES lines (read_in_chunks), each of
-    which must fullmatch the line grammar.  A run's vertex and endpoint
-    texts are compared with slices of one table of vertex-number texts, or
-    with the next texts of two streams made from it (_edge_ends), and only
-    the colors are kept, as ints, then put in generator columns.  No Python
-    step runs per edge or per vertex, and what is kept is O(n + m)
-    references beside one run's tokens.  A file that is not a regular
-    file, such as a pipe, is declined before it is read, so that
-    read_coloring reads all of it."""
-    spec = G.circulant
-    if spec is None or not os.path.isfile(path):
-        return None
-    n, conn = G.n, sorted(spec.connection)
-    names, bands = _vertex_names(n), circulant_bands(n, conn)
-    heads, tails = _edge_ends(names, conn, bands)
-    vcol, colors = [], []
-    number = _CellValues().__getitem__
-
-    def header(first, lines):
-        """The header line alone, as the writer writes it; any other call
-        declines.  int takes every decimal text that isdecimal passes."""
-        tok = lines[0].split() if len(lines) == 1 else []
-        if not (first == 1 and len(tok) == 3 and tok[2].isdecimal()
-                and lines[0] == "t %d %d\n" % (n, int(tok[2]))):
-            raise _Declined
-
-    def body(text):
-        tok = text.split()
-        cut = 3 * text.count("v")
-        if cut:
-            v0 = len(vcol)
-            if colors or tok[1:cut:3] != names[v0:v0 + cut // 3]:
-                raise _Declined
-            vcol.extend(map(number, tok[2:cut:3]))
-        if cut < len(tok):
-            us, ws = tok[cut + 1::4], tok[cut + 2::4]
-            if (len(vcol) != n or us != list(itertools.islice(heads, len(us)))
-                    or ws != list(itertools.islice(tails, len(ws)))):
-                raise _Declined
-            colors.extend(map(number, tok[cut + 3::4]))
-        return True
-
-    try:
-        read_in_chunks(path, _COLORING_LINES, body, header)
-    except (_Declined, OSError, UnicodeDecodeError):
-        return None
-    if len(vcol) != n or len(colors) != G.edge_count:
-        return None
+    if listing is None:
+        return c
+    if len(vcol) != c.n or len(colors) != G.edge_count:
+        leave()
+        return c
+    listing = None  # the name table and the streams go before the columns come
     # A band's colors are its rows of k, one per vertex.  A band wider than
     # k + 1 vertices gives generator j every k-th color from the j-th; a
     # narrower one, where k slices would cost a step per edge, is transposed
@@ -506,7 +506,7 @@ def verify_circulant_listing(G: Graph, path) -> ColumnColoring | None:
         else:
             any(map(list.extend, cols, zip(*zip(*[iter(colors[base:end])] * k))))
         base = end
-    return ColumnColoring(n, conn, vcol, cols)
+    return ColumnColoring(c.n, conn, vcol, cols)
 
 
 def matrix_to_csv(grid, path) -> None:

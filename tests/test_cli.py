@@ -1011,12 +1011,12 @@ def test_oracle_and_classify_survive_mangled_files(graph_edits, argv):
 
 def _verify(g, c, decline=False):
     """verify's exit code, stdout and stderr on (g, c); with decline, the
-    column route of a circulant's `.tc` declines every file."""
+    `.tc` reader is not given the graph, so it reads no file by columns."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         if decline:
-            mp.setattr(cli, "verify_circulant_listing", lambda G, path: None)
+            mp.setattr(cli, "read_coloring", lambda path, G=None: read_coloring(path))
         code = main(["verify", g, c])
     return code, out.getvalue(), err.getvalue()
 
@@ -1105,6 +1105,39 @@ def test_both_verify_routes_answer_alike_on_edited_circulant_files(tmp_path):
     assert clean >= 20
 
 
+def _read_or_error(path, *G):
+    try:
+        return read_coloring(path, *G)
+    except coloring.ColoringError as exc:
+        return str(exc)
+
+
+def test_reading_with_the_graph_leaves_the_listing_as_the_read_without_it(tmp_path,
+                                                                           monkeypatch):
+    # Given a circulant, read_coloring reads its listing by columns until a
+    # run departs from it, at any run length; the coloring read, or the
+    # error, is that of the read with no graph.  A column coloring hands
+    # over to its dicts on ==, so the comparison is between dicts.
+    rnd = random.Random(2032)
+    kinds = set()
+    for spec in (CirculantSpec(21, {1, 3, 4, 17, 18, 20}), CirculantSpec(10, {1, 5, 9}),
+                 CirculantSpec(30, set(range(1, 11)) | set(range(20, 30))),
+                 build_unitary(24).circulant):
+        G = graphs.build_circulant(spec)
+        coloring.write_coloring(_coloring_of(G, rnd), tmp_path / "c.tc")
+        lines = (tmp_path / "c.tc").read_text().splitlines()
+        for name, variant in _variants(lines, rnd).items():
+            path = tmp_path / ("%s.tc" % name)
+            path.write_text("\n".join(variant) + "\n")
+            for size in (1, 2, 3, 1024):
+                monkeypatch.setattr(graphs, "CHUNK_LINES", size)
+                got = _read_or_error(path, G)
+                kinds.add((name, type(got)))
+                assert got == _read_or_error(path), (spec, name, size)
+    assert ("canonical", coloring.ColumnColoring) in kinds
+    assert ("swapped", coloring.TotalColoring) in kinds
+
+
 # The classify ladder of the benchmark and U_24: each canonical file is clean
 # by both routes.
 @pytest.mark.parametrize("gen, command", [
@@ -1141,39 +1174,52 @@ def _recolor_edge_0_1(path):
     coloring.write_coloring(c, path)
 
 
-# reads: read_coloring calls.  A listing with a conflict is read once, by
-# columns, and verify_total names the conflict from it.
-@pytest.mark.parametrize("gen, edit, code, reads", [
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], None, 0, 0),
-    (["unitary", 24], None, 0, 0),
-    (["circulant", 105, 1, 3, 4, 101, 102, 104], None, 0, 0),
-    (["cayley", "z9.grp", 1, 2, 4, 5, 7, 8], None, 0, 1),
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], _swap_two_edge_lines, 0, 1),
-    (["circulant", 21, 1, 3, 4, 17, 18, 20], _recolor_edge_0_1, 1, 0),
+# Every `.tc` is read once, by one read_in_chunks pass; kind is the class
+# of the coloring verify_total is given.  A listing with a conflict is read
+# by columns, and verify_total names the conflict from it.
+@pytest.mark.parametrize("gen, edit, code, kind", [
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], None, 0, coloring.ColumnColoring),
+    (["unitary", 24], None, 0, coloring.ColumnColoring),
+    (["circulant", 105, 1, 3, 4, 101, 102, 104], None, 0, coloring.ColumnColoring),
+    (["cayley", "z9.grp", 1, 2, 4, 5, 7, 8], None, 0, coloring.TotalColoring),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], _swap_two_edge_lines, 0, coloring.TotalColoring),
+    (["circulant", 21, 1, 3, 4, 17, 18, 20], _recolor_edge_0_1, 1, coloring.ColumnColoring),
 ], ids=["C_21", "U_24", "C_105", "Z_9-table", "C_21-swapped", "C_21-conflict"])
 def test_verify_reads_a_circulants_listing_by_columns(tmp_path, monkeypatch, gen, edit,
-                                                       code, reads):
+                                                       code, kind):
     (tmp_path / "z9.grp").write_text(_Z9)
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch) == 0
     if edit:
         edit(tmp_path / "g.tc")
-    counts = {}
-    for name in ("read_coloring", "verify_total"):
-        _count_calls(monkeypatch, cli, name, counts)
+    counts, given = {}, _types_verified(monkeypatch)
+    _count_calls(monkeypatch, coloring, "read_in_chunks", counts)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["verify", "g.col", "g.tc"], tmp_path, monkeypatch) == code
-    assert counts == dict({"verify_total": 1}, **({"read_coloring": reads} if reads else {}))
+    assert (counts, given) == ({"read_in_chunks": 1}, [kind])
+
+
+def _types_verified(monkeypatch):
+    """The list to which each call of cli.verify_total from now on adds the
+    class of the coloring it is given, on entry."""
+    given, original = [], cli.verify_total
+
+    def recorded(G, c):
+        given.append(type(c))
+        return original(G, c)
+
+    monkeypatch.setattr(cli, "verify_total", recorded)
+    return given
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-def test_verify_reads_a_listing_from_a_pipe_by_its_lines(tmp_path, monkeypatch, capsys):
-    # the column route declines a pipe before it reads it, so the line
-    # route sees all of it
+def test_verify_reads_a_listing_from_a_pipe_by_columns(tmp_path, monkeypatch, capsys):
+    # a pipe is read once, as a file is, so its listing is read by columns
     run(["gen", "circulant", 21, 1, 3, 4, 17, 18, 20, "-o", "g.col"], tmp_path, monkeypatch)
     run(["color", "g.col", "-o", "g.tc"], tmp_path, monkeypatch)
     capsys.readouterr()
+    given = _types_verified(monkeypatch)
     r, w = os.pipe()
     try:
         os.write(w, (tmp_path / "g.tc").read_bytes())
@@ -1182,6 +1228,7 @@ def test_verify_reads_a_listing_from_a_pipe_by_its_lines(tmp_path, monkeypatch, 
     finally:
         os.close(r)
     assert capsys.readouterr().out == "colors used: 7\nverification: clean\n"
+    assert given == [coloring.ColumnColoring]
 
 
 def _no_edge_dicts(*args):
