@@ -96,6 +96,10 @@ def cmd_color(args) -> int:
     from . import constructions
 
     G = graphs.read_dimacs(args.graph)
+    if args.format == "csv-matrix" and G.n > coloring.MAX_MATRIX_VERTICES:
+        # refused before any coloring is built: the matrix has n^2 cells
+        raise coloring.ColoringError("--format csv-matrix takes at most %d vertices, not %d"
+                                     % (coloring.MAX_MATRIX_VERTICES, G.n))
     if args.method == "auto":
         method, result_coloring, notes, rejected = constructions.color_auto(G)
         for name, reason in rejected:

@@ -4,9 +4,10 @@ Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
 (u, v) tuples with u < v.  A coloring holds its edge colors as a dict on
 those keys, except a coloring of a circulant held by generator columns
-(ColumnColoring: thm2.3's fill, and a `.tc` listing that read_coloring,
-the one `.tc` reader, reads by columns), whose dicts are built only when a
-caller reads them.
+(ColumnColoring: the layered fill of thm2.2, thm2.3 and thm2.5, and a
+`.tc` listing that read_coloring, the one `.tc` reader, reads by
+columns), whose dicts are built only when a caller reads them;
+verify_total, write_coloring and render_matrix read the columns.
 
 The csv module is imported inside matrix_to_csv, which writes every CSV
 table, and matrix_from_csv, so a command that reads or writes no CSV file
@@ -15,9 +16,10 @@ does not load it.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
-from .graphs import CHUNK_LINES, Graph, Record, circulant_bands, read_in_chunks
+from .graphs import CHUNK_LINES, MAX_EDGES, Graph, Record, circulant_bands, read_in_chunks
 
 
 def ekey(u: int, v: int) -> tuple:
@@ -233,12 +235,46 @@ def _columns_proper(G: Graph, c: TotalColoring) -> bool:
 # Total color matrix
 
 
+# The most vertices of a rendered or read color matrix: n^2 <= MAX_EDGES
+# cells, 128 MB of row pointers on a 64-bit build
+MAX_MATRIX_VERTICES = math.isqrt(MAX_EDGES)
+# render_matrix fills the cells of a column coloring in bands of rows this
+# large (2 MB of pointers): fewer cost a slice per column per band, more
+# are held beside the grid
+_BAND_CELLS = 1 << 18
+
+
 def render_matrix(G: Graph, c: TotalColoring) -> list:
     """Render a coloring as the symmetric n x n color matrix, a list of rows:
     the diagonal holds the vertex colors, cell (i, j) the color of edge
     {i, j}, and None marks a blank.  It checks nothing; every caller renders
-    a coloring (or a part of one) that has been verified."""
-    grid = [[None] * G.n for _ in range(G.n)]
+    a coloring (or a part of one) that has been verified.
+
+    A ColumnColoring of n vertices is rendered from its columns, with no
+    dicts and no Python step per cell, in bands of rows of about
+    _BAND_CELLS cells.  In the cells of the rows lo.. row by row, the cell
+    (u, u + s) is (u - lo)(n + 1) + lo + s and (u + s, u) is
+    (u + s - lo)(n + 1) + lo - s, so column s fills two slices of stride
+    n + 1, and the vertex colors a third."""
+    n = G.n
+    if isinstance(c, ColumnColoring) and c.n == n:
+        step, rows = n + 1, max(1, _BAND_CELLS // n)
+
+        def put(start, colors):  # into every (n + 1)-th cell from start
+            cells[start:start + len(colors) * step:step] = colors
+
+        grid = []
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            cells = [None] * ((hi - lo) * n)
+            put(lo, c.vcol[lo:hi])
+            for s, col in zip(c.conn, c.cols):
+                put(lo + s, col[lo:hi])  # (u, u + s) for the rows u = lo..hi-1
+                first = max(0, lo - s)  # (u + s, u) for the rows u + s = lo..hi-1
+                put((first + s - lo) * step + lo - s, col[first:max(0, hi - s)])
+            grid += [cells[i:i + n] for i in range(0, len(cells), n)]
+        return grid
+    grid = [[None] * n for _ in range(n)]
     for v, col in c.vertex_color.items():
         grid[v][v] = col
     for (u, v), col in c.edge_color.items():
@@ -532,17 +568,24 @@ class _CellValues(dict):
 
 def matrix_from_csv(path) -> list:
     """Inverse of matrix_to_csv: the grid of rows, blanks as None.  A cell
-    that is no integer, or a color below 1, is an error naming its line."""
+    that is no integer, or a color below 1, is an error naming its line.  A
+    header row of more than MAX_MATRIX_VERTICES labels is refused before
+    any other row is read."""
     import csv
 
     with open(path, newline="") as fh:
         try:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ColoringError("empty CSV")
+            n = len(header) - 1
+            if n > MAX_MATRIX_VERTICES:
+                raise ColoringError("matrix of %d vertices, above %d, the most a color "
+                                    "matrix holds" % (n, MAX_MATRIX_VERTICES))
+            rows = [header, *reader]
         except UnicodeDecodeError as exc:
             raise ColoringError("not UTF-8 text: %s" % exc) from None
-    if not rows:
-        raise ColoringError("empty CSV")
-    n = len(rows[0]) - 1
     if len(rows) != n + 1:
         raise ColoringError("CSV not square")
     cells = _CellValues({"": None})

@@ -172,40 +172,45 @@ def fill_diagonals(n: int, q: int, starts: dict[int, int]) -> TotalColoring:
     starts maps each half-set generator s (1 <= s < n/2) to its start value
     in 1..q.  The colors of a generator repeat with period q along i, so
     each generator is 1..q cycled from its start (islice of cycle) over
-    i = 0..n-1, cut at n - s into its two generator columns: s holds
-    i < n - s, and n - s the edges {i + s - n, i} for the rest.  The
+    i = 0..n-1, cut by _generator_columns into its two columns.  The
     coloring returned is a ColumnColoring of those columns (S = the
     generators of starts and their negatives), with no dicts: verify_total
-    checks it and write_coloring writes it by columns.  Its vertex_color
-    and edge_color are built on their first read, with the keys and
-    insertion order of an edge-by-edge fill, and from then on they are the
-    coloring (a caller that adds the remainder's edges, as _layered does,
-    edits them).  This function does not check
-    that the coloring is proper: when q divides n, _star_conflicts decides
-    that on the star of vertex 0 in O(Delta), and every coloring a
-    construction returns goes through verify_total.
+    checks it, write_coloring writes it and render_matrix renders it by
+    columns.  Its vertex_color and edge_color are built on their first
+    read, with the keys and insertion order of an edge-by-edge fill.  This
+    function does not check that the coloring is proper: when q divides n,
+    _star_conflicts decides that on the star of vertex 0 in O(Delta), and
+    every coloring a construction returns goes through verify_total.
     """
     half = sorted(starts)
     for s in half:
         if not 1 <= s or 2 * s >= n:
             raise ConstructionError("generator %d is not a proper half-set rep" % s)
-    cols = [None] * (2 * len(half))
-    for j, s in enumerate(half):
+    cols: dict = {}
+    for s in half:
         # ((start - 1 + i) mod q) + 1 for i = 0, 1, ...: 1..q cycled from the start
-        colors = itertools.islice(itertools.cycle(range(1, q + 1)), (starts[s] - 1) % q, None)
-        cols[j] = list(itertools.islice(colors, n - s))
-        cols[-1 - j] = list(itertools.islice(colors, s))
-    vcol = list(itertools.islice(itertools.cycle(range(1, q + 1)), n))
-    return ColumnColoring(n, half + [n - s for s in reversed(half)], vcol, cols)
+        cols.update(_generator_columns(n, s, itertools.islice(
+            itertools.cycle(range(1, q + 1)), (starts[s] - 1) % q, None)))
+    return _column_coloring(n, list(itertools.islice(itertools.cycle(range(1, q + 1)), n)), cols)
 
 
-def _fill_diagonal(edge_color: dict[tuple, int], n: int, s: int, pattern) -> None:
-    """Give the edge {i, i+s mod n} of generator s (1 <= s < n/2) the color
-    pattern[i mod len(pattern)], in one update, in the order of i = 0..n-1:
-    the keys are (i, i+s) for i < n-s, then (i+s-n, i)."""
-    edge_color.update(zip(itertools.chain(zip(range(n - s), range(s, n)),
-                                          zip(range(s), range(n - s, n))),
-                          itertools.islice(itertools.cycle(pattern), n)))
+def _generator_columns(n: int, s: int, colors) -> dict:
+    """{s: ..., n - s: ...}, the columns of generator s (1 <= s <= n/2)
+    from the colors of the edges {i, i+s mod n} for i = 0, 1, ...: s holds
+    those with i < n - s, and n - s the edges {i + s - n, i} of the next s.
+    Generator n/2 has one column, of n/2 edges."""
+    colors = iter(colors)
+    cols = {s: list(itertools.islice(colors, n - s))}
+    if 2 * s < n:
+        cols[n - s] = list(itertools.islice(colors, s))
+    return cols
+
+
+def _column_coloring(n: int, vcol: list, cols: dict) -> ColumnColoring:
+    """The ColumnColoring of C_n(S) with the vertex colors vcol and the
+    column cols[s] of each s in S."""
+    conn = sorted(cols)
+    return ColumnColoring(n, conn, vcol, [cols[s] for s in conn])
 
 
 def _star_conflicts(q: int, starts: dict[int, int]) -> int:
@@ -249,19 +254,21 @@ def _diagonal_starts(q: int, gens) -> tuple[dict[int, int] | None, int]:
     return starts, conflicts
 
 
-def _layered(G: Graph, q: int, starts: dict[int, int], rest, what: str):
+def _layered(G: Graph, q: int, starts: dict[int, int], rest, what: str) -> ColumnColoring:
     """The Delta+1 fill of thm2.2, thm2.3 and thm2.5 on a circulant G with
-    q | n, verified: (coloring, remainder).  fill_diagonals colors the
-    vertices and the generators of starts with 1..q; edge_color_vizing
-    colors the remainder, the circulant on the half-set generators rest,
-    from q+1 on (None when rest is empty)."""
+    q | n, verified.  fill_diagonals colors the vertices and the generators
+    of starts with 1..q.  The remainder, the circulant on the half-set
+    generators rest, is empty (thm2.3) or has an odd generator (thm2.2 and
+    thm2.5 make sure of it), and _parity_columns colors it from q+1 on.  Its
+    columns join the fill's, so the coloring is checked, written and
+    rendered by columns, with no edge dict."""
     n = G.n
     c = fill_diagonals(n, q, starts)
-    rem = None
     if rest:
-        rem = edge_color_vizing(build_circulant(CirculantSpec(n, rest + [n - s for s in rest])), q)
-        c.edge_color |= rem.edge_color
-    return _checked(G, c, what), rem
+        cols = dict(zip(c.conn, c.cols))
+        cols.update(_parity_columns(n, rest, q))
+        c = _column_coloring(n, c.vcol, cols)
+    return _checked(G, c, what)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +310,12 @@ def color_unitary_even(G: Graph) -> ConstructionResult:
 
     H is the odd generators below r, with patterned_starts: they are odd
     and below r, so no two of them sum to r, and they are units.  The
-    remainder has only odd generators, so edge_color_even_circulant gives
-    each remaining generator two fresh colors, alternating on the parity of
-    the edge's base endpoint.  The vertex colors are exactly 1..r, so the
-    colors up to r are the paper's part 1 and the rest its part 2.
+    remainder has only odd generators, so the parity-layer construction
+    (_parity_columns) gives each remaining generator two fresh colors,
+    alternating on the parity of the edge's base endpoint.  The coloring is
+    one ColumnColoring of the fill's columns and the remainder's.  The
+    vertex colors are exactly 1..r, so the colors up to r are the paper's
+    part 1 and the rest its part 2.
     """
     _require_unitary_even(G)
     n = G.n
@@ -316,8 +325,8 @@ def color_unitary_even(G: Graph) -> ConstructionResult:
     r = least_prime_factor(m)
     part1_gens = [s for s in range(1, r, 2)]
     part2_gens = [s for s in G.circulant.half_set() if s not in part1_gens]
-    c, _ = _layered(G, r, patterned_starts(r, part1_gens), part2_gens,
-                    "color_unitary_even(%d)" % n)
+    c = _layered(G, r, patterned_starts(r, part1_gens), part2_gens,
+                 "color_unitary_even(%d)" % n)
     notes = ["part-1 generators %s, part-2 generators %s" % (part1_gens, part2_gens)]
     return ConstructionResult(c, notes)
 
@@ -350,7 +359,7 @@ def color_odd_circulant(G: Graph) -> OddCirculantResult:
     if starts is None:
         raise ConstructionError("both strategies failed for %r: %s; no starter "
                                 "pairing exists" % (spec, failed))
-    c, _ = _layered(G, q, starts, [], "color_odd_circulant")
+    c = _layered(G, q, starts, [], "color_odd_circulant")
     if not conflicts:
         return OddCirculantResult(c, ["strategy used: literal"], "literal")
     return OddCirculantResult(
@@ -370,12 +379,11 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
     Vertices get the repeating pattern mod 2k+1 (antipodal pairs share a
     color).  k half-set generators H, with starts from _diagonal_starts, are
     colored diagonally with 2k+1 colors; the remainder G - E(H), the
-    circulant on the other generators, takes fresh colors from
-    edge_color_vizing.  The remainder must have an odd generator: then
-    edge_color_vizing colors it by the parity-layer construction, with its
-    degree Delta-2k in colors and never by search.  A remainder may be
-    disconnected and still qualify (C_18{2,3,4,6,8} with H = [2, 4, 6, 8]
-    leaves three 6-cycles).  The first H with a starter and an odd
+    circulant on the other generators, takes fresh colors by columns from
+    the parity-layer construction (_parity_columns), so it must have an
+    odd generator: then it takes its degree Delta-2k in colors and never a
+    search.  A remainder may be disconnected and still qualify
+    (C_18{2,3,4,6,8} with H = [2, 4, 6, 8] leaves three 6-cycles).  The first H with a starter and an odd
     generator in its remainder gives a proper coloring, as in thm2.3.
     """
     spec = G.circulant
@@ -396,9 +404,9 @@ def color_even_dense_circulant(G: Graph) -> EvenDenseResult:
         if not any(s % 2 for s in rest):
             notes.append("%s: remainder has no odd generator" % label)
             continue
-        c, rem = _layered(G, q, starts, rest, "color_even_dense_circulant")
-        notes.append("%s: accepted, starter %s, remainder edge-colored by %s"
-                     % (label, "search" if conflicts else "patterned", rem.route))
+        c = _layered(G, q, starts, rest, "color_even_dense_circulant")
+        notes.append("%s: accepted, starter %s, remainder edge-colored by construction"
+                     % (label, "search" if conflicts else "patterned"))
         return EvenDenseResult(c, ["chosen generators H = %s" % (list(H),)] + notes, H)
     raise ConstructionError(
         "no admissible generator subset for %r: %s" % (spec, "; ".join(notes))
@@ -486,8 +494,8 @@ def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
     each color class is a matching of at most floor(n/2) edges, so no
     Delta-edge-coloring exists.  route names the step that produced the
     coloring; delta_achieved reports whether it uses only Delta colors.
-    An offset shifts every color, so a layer on top of colors 1..offset
-    merges by one dict union.
+    An offset shifts every color, so the result is a layer on top of the
+    colors 1..offset (color_perfect_cayley's remainder).
     """
     delta = G.max_degree
     if delta == 0:
@@ -541,37 +549,63 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> dict[tupl
     The count is |E| + |O| = Delta colors (O the odd generators), which a
     Delta-regular graph cannot beat.  Apart from Misra-Gries on L, this is
     O(n + m) with no search.
+
+    _parity_columns builds these steps as generator columns; the dict is
+    their hand-over, keyed and ordered as _column_dicts keys a column
+    coloring.
     """
-    n = spec.n
-    odd = [s for s in spec.half_set() if s % 2]
-    if n % 2 or not odd:
+    n, half = spec.n, spec.half_set()
+    if n % 2 or not any(s % 2 for s in half):
         return None
+    # no vertex colors: only the edge dict of the hand-over is kept
+    return _column_coloring(n, [], _parity_columns(n, half, offset)).edge_color
+
+
+def _parity_columns(n: int, half: list, offset: int) -> dict:
+    """{s: column s} for each s in S of the circulant C_n(S) with the half
+    set half, n even and an odd generator: edge_color_even_circulant's
+    parity-layer construction in the colors offset+1 on, as the columns of
+    _generator_columns.  Step 1 colors L by Misra-Gries, one L-edge at a
+    time, into the colors of the even generators' edges; no L is built
+    when there is no even generator.  Steps 2 and 3 give generator a the
+    missing color mu on even bases and one fresh color on odd ones, and
+    step 4 cycles each other odd b's fresh pair, one color for b = n/2."""
+    odd = [s for s in half if s % 2]
+    even = [s for s in half if s % 2 == 0]
     a, m = odd[0], n // 2
-    layer = build_circulant(CirculantSpec(m, {s // 2 for s in spec.connection if s % 2 == 0}))
-    palette = layer.max_degree + 1
+    rows = {s: [0] * n for s in even}  # s -> colors of {w, w+s mod n}, w = 0..n-1
+    palette, layer_colors = 1, {}
+    if even:
+        layer = build_circulant(CirculantSpec(m, {t for s in even for t in (s // 2, m - s // 2)}))
+        palette, layer_colors = layer.max_degree + 1, _misra_gries(layer, offset)
     missing = [palette * (2 * offset + palette + 1) // 2] * m  # palette sum minus colors met
-    color: dict[tuple, int] = {}
-    for (i, j), c in _misra_gries(layer, offset).items():
+    for (i, j), c in layer_colors.items():
         missing[i] -= c
         missing[j] -= c
-        color[(2 * i, 2 * j)] = c
-        color[ekey((2 * i + a) % n, (2 * j + a) % n)] = c
-    for i in range(m):
-        color[ekey(2 * i, (2 * i + a) % n)] = missing[i]
+        # the L-edge {i, j} is {u, u + t mod m} of generator 2t, for base u =
+        # i when j - i = t and u = j when j - i = m - t (both when 2t = m);
+        # the edge {2u, 2u+2t} and its translate by a take its color
+        d = j - i
+        for u in (i,) if 2 * d < m else (j,) if 2 * d > m else (i, j):
+            row = rows[2 * min(d, m - d)]
+            row[2 * u] = row[(2 * u + a) % n] = c
+    cols: dict = {}
+    for s, row in rows.items():
+        cols.update(_generator_columns(n, s, row))
     fresh = offset + palette + 1
-    if 2 * a != n:
-        for w in range(1, n, 2):
-            color[ekey(w, (w + a) % n)] = fresh
+    if 2 * a == n:
+        # the edge {2i, 2i+a} takes missing[i]; its base is 2i below m, else 2i - m
+        row = [0] * m
+        row[::2], row[1::2] = missing[:(m + 1) // 2], missing[(m + 1) // 2:]
+    else:
+        row = itertools.chain.from_iterable(zip(missing, itertools.repeat(fresh)))
         fresh += 1
+    cols.update(_generator_columns(n, a, row))
     for b in odd[1:]:
-        if 2 * b == n:
-            for i in range(m):
-                color[(i, i + b)] = fresh
-            fresh += 1
-        else:
-            _fill_diagonal(color, n, b, (fresh, fresh + 1))
-            fresh += 2
-    return color
+        pattern = (fresh,) if 2 * b == n else (fresh, fresh + 1)
+        cols.update(_generator_columns(n, b, itertools.cycle(pattern)))
+        fresh += len(pattern)
+    return cols
 
 
 def _misra_gries(G: Graph, offset: int = 0) -> dict[tuple, int]:

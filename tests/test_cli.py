@@ -140,7 +140,7 @@ def test_color_exits_1_when_a_construction_emits_conflicts(tmp_path, monkeypatch
 
     def broken_fill(n, q, starts):
         c = fill(n, q, starts)
-        c.vertex_color[1] = c.vertex_color[0]  # 0 ~ 1 in U_24
+        c.vcol[1] = c.vcol[0]  # 0 ~ 1 in U_24
         return c
 
     monkeypatch.setattr(constructions, "fill_diagonals", broken_fill)
@@ -164,15 +164,14 @@ def _spy_on_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("gen, method, builds", [
-    # the remainder of H = [1], then its even layer, which has no edges
-    (["unitary", 30], "thm2.2",
-     [("build_circulant", CirculantSpec(30, {7, 11, 13, 17, 19, 23})),
-      ("build_circulant", CirculantSpec(15, set()))]),
+    # the remainder of H = [1] is colored by columns, and it has no even
+    # generator, so no even layer is built either
+    (["unitary", 30], "thm2.2", []),
     (["circulant", 21, 1, 2, 3, 18, 19, 20], "thm2.3", []),
-    # the remainder of the accepted H = (1..7), then its even layer
+    # only the even layer of the accepted H = (1..7)'s remainder, for
+    # Misra-Gries
     (["circulant", 30, *range(1, 11), *range(20, 30)], "thm2.5",
-     [("build_circulant", CirculantSpec(30, {8, 9, 10, 20, 21, 22})),
-      ("build_circulant", CirculantSpec(15, {4, 5, 10, 11}))]),
+     [("build_circulant", CirculantSpec(15, {4, 5, 10, 11}))]),
 ], ids=["U_30", "C_21", "C_30"])
 def test_color_builds_nothing_for_the_input_graph(tmp_path, monkeypatch, capsys,
                                                   gen, method, builds):
@@ -291,6 +290,23 @@ def test_verify_corrupted_csv_exits_1(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "vertex-edge" in out
+
+
+def test_color_refuses_a_csv_matrix_above_the_cap_before_coloring(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 5000^2 cells would be 200 MB of row pointers; thm2.3 colors C_5000{±1}
+    # in any other format, so the refusal comes before the coloring
+    def no_coloring(G):
+        raise AssertionError("a coloring was built")
+
+    run(["gen", "circulant", 5000, 1, 4999, "-o", "g.col"], tmp_path, monkeypatch)
+    monkeypatch.setattr(constructions, "color_auto", no_coloring)
+    capsys.readouterr()
+    assert run(["color", "g.col", "--format", "csv-matrix", "-o", "g.csv"],
+               tmp_path, monkeypatch) == 4
+    assert capsys.readouterr() == (
+        "", "input error: --format csv-matrix takes at most 4096 vertices, not 5000\n")
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_color_precondition_exit_2(tmp_path, monkeypatch):
@@ -1253,15 +1269,15 @@ def test_thm23_colors_classifies_and_verifies_with_no_edge_dict(tmp_path, monkey
     assert (tmp_path / "color.tc").read_bytes() == (tmp_path / "cert.tc").read_bytes()
 
 
-# sha256 of each output as the dict path wrote it before thm2.3 kept columns
+# sha256 of each output as the dict path wrote it before thm2.2 kept columns
 @pytest.mark.parametrize("gen, argv, digest", [
     (["unitary", 30], ["--method", "thm2.2"],
      "8f1d2c291a097f064dbe2c1da31d3944faba6e197c1232930f9630a619826335"),
     (["circulant", 21, 1, 2, 3, 18, 19, 20], ["--format", "csv-matrix"],
      "fdae3fd598703904e39cc387e327d6d7db0595d393e6ad7117d1ca648bb9e31f"),
 ], ids=["U_30-thm2.2", "C_21-csv-matrix"])
-def test_thm22_and_the_csv_matrix_still_build_the_edge_dict(tmp_path, monkeypatch, gen,
-                                                              argv, digest):
+def test_thm22_and_the_csv_matrix_build_no_edge_dict(tmp_path, monkeypatch, gen, argv,
+                                                     digest):
     import hashlib
 
     run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
@@ -1269,5 +1285,5 @@ def test_thm22_and_the_csv_matrix_still_build_the_edge_dict(tmp_path, monkeypatc
     _count_calls(monkeypatch, coloring, "_column_dicts", counts)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["color", "g.col", "-o", "out"] + argv, tmp_path, monkeypatch) == 0
-    assert counts == {"_column_dicts": 1}
+    assert counts == {}
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest

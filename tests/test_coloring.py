@@ -450,6 +450,17 @@ def test_matrix_csv_error_names_the_line(tmp_path):
     assert str(info.value) == "line 3: invalid literal for int() with base 10: 'x'"
 
 
+def test_matrix_csv_refuses_a_header_above_the_cap_before_the_rows(tmp_path):
+    # the rows after the header end in a byte that is not UTF-8, which a
+    # read of the whole file would report first
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"," + b",".join(b"%d" % v for v in range(5000)) + b"\n"
+                     + b"0,1\n" * 20000 + b"\xff\n")
+    with pytest.raises(ColoringError) as info:
+        matrix_from_csv(path)
+    assert str(info.value) == "matrix of 5000 vertices, above 4096, the most a color matrix holds"
+
+
 def _thm23_half_sets(max_n, every_up_to, per_group, seed):
     """(n, half set) of the odd circulants with n <= max_n that thm2.3 takes:
     every one with n <= every_up_to, and above it a seeded sample of
@@ -496,12 +507,33 @@ def _recolored(c, which, i, color):
     return ColumnColoring(c.n, c.conn, vcol, cols)
 
 
+def _assert_paths_agree(G, c, rng, tmp_path):
+    """The column coloring c of G, which verify_total accepts, and its dict
+    hand-over are written to the same bytes, rendered to the same grid and
+    verified to equal reports, clean and after one seeded recoloring of the
+    vertex list and of each column."""
+    assert type(c) is ColumnColoring
+    d = _handed_over(c)
+    write_coloring(c, tmp_path / "columns.tc")
+    write_coloring(d, tmp_path / "dicts.tc")
+    assert (tmp_path / "columns.tc").read_bytes() == (tmp_path / "dicts.tc").read_bytes()
+    assert render_matrix(G, c) == render_matrix(G, d)
+    k = c.colors_used()
+    assert verify_total(G, c) == verify_total(G, d) == VerificationReport([], [], k)
+    assert type(c) is ColumnColoring  # rendering and a clean check keep the columns
+    for which in [None] + list(range(len(c.cols))):
+        size = c.n if which is None else len(c.cols[which])
+        i = rng.randrange(size)
+        old = c.vcol[i] if which is None else c.cols[which][i]
+        recolored = _recolored(c, which, i, rng.choice([x for x in range(1, k + 2) if x != old]))
+        expected = verify_total(G, _handed_over(recolored))
+        assert verify_total(G, recolored) == expected
+
+
 def test_column_and_dict_paths_agree_on_thm23_colorings(tmp_path):
     # Every odd circulant with n <= 31 that thm2.3 takes (473), and a sample
     # of each (n, Delta + 1, strategy) up to n = 45: all 62 970 would take
-    # minutes.  The column coloring and its dict hand-over are written to
-    # the same bytes and verified to equal reports, clean and after one
-    # recoloring of the vertex list and of each column.
+    # minutes.
     from totcol.constructions import color_odd_circulant
 
     rng = random.Random(31)
@@ -512,23 +544,37 @@ def test_column_and_dict_paths_agree_on_thm23_colorings(tmp_path):
         G = build_circulant(CirculantSpec(n, list(half) + [n - s for s in half]))
         res = color_odd_circulant(G)
         strategies.add(res.strategy)
-        c = res.coloring
-        assert type(c) is ColumnColoring
-        d = _handed_over(c)
-        write_coloring(c, tmp_path / "columns.tc")
-        write_coloring(d, tmp_path / "dicts.tc")
-        assert (tmp_path / "columns.tc").read_bytes() == (tmp_path / "dicts.tc").read_bytes()
-        q = 2 * len(half) + 1
-        assert verify_total(G, c) == verify_total(G, d) == VerificationReport([], [], q)
-        assert type(c) is ColumnColoring  # a clean check keeps the columns
-        for which in [None] + list(range(len(c.cols))):
-            size = n if which is None else len(c.cols[which])
-            i = rng.randrange(size)
-            old = c.vcol[i] if which is None else c.cols[which][i]
-            recolored = _recolored(c, which, i, rng.choice([k for k in range(1, q + 2) if k != old]))
-            expected = verify_total(G, _handed_over(recolored))
-            assert verify_total(G, recolored) == expected
+        assert res.coloring.colors_used() == 2 * len(half) + 1
+        _assert_paths_agree(G, res.coloring, rng, tmp_path)
     assert strategies == {"literal", "starter"}
+
+
+def _layered_cases(method):
+    """The graphs of the agreement test of the layered fill with a
+    parity-layer remainder: for thm2.2 every U_n with n <= 120 even and not
+    a power of two, for thm2.5 every circulant with n <= 22 that it takes
+    (507), and C_30{±1..±10}."""
+    if method == "thm2.2":
+        return [build_unitary(n) for n in range(6, 121, 2) if n & (n - 1)]
+    dense = [(30, range(1, 11))]
+    for n in (6, 10, 14, 18, 22):
+        for size in range((n + 2) // 4, n // 2):
+            dense += [(n, half) for half in itertools.combinations(range(1, n // 2), size)]
+    assert len(dense) == 508
+    return [build_circulant(CirculantSpec(n, list(half) + [n - s for s in half]))
+            for n, half in dense]
+
+
+@pytest.mark.parametrize("method", ["thm2.2", "thm2.5"])
+def test_column_and_dict_paths_agree_on_layered_colorings(tmp_path, method):
+    # the fill's columns and the parity-layer remainder's, as in thm2.3's test
+    from totcol.constructions import METHODS
+
+    rng = random.Random(33)
+    for G in _layered_cases(method):
+        c = METHODS[method](G).coloring
+        assert c.colors_used() == G.max_degree + 1
+        _assert_paths_agree(G, c, rng, tmp_path)
 
 
 def test_a_column_coloring_of_another_graph_takes_the_dict_path():
