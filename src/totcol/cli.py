@@ -2,10 +2,13 @@
 exact oracles, classify, and reproduce the bundled golden tables.
 
 `color` checks each method's preconditions once, runs the method once and
-verifies its coloring once, inside the method.  `verify` reads a `.tc`
-once, with coloring.read_coloring given the graph: a circulant's file that
-is write_coloring's listing is read by generator columns, and any other
-text line by line from the first line that departs from the listing;
+verifies its coloring once, inside the method.  `verify` reads its file
+once, given the graph: a `.tc` with coloring.read_coloring, which reads a
+circulant's file that is write_coloring's listing by generator columns,
+and any other text line by line from the first line that departs from the
+listing; a `.csv` color matrix with coloring.read_matrix, which reads a
+circulant's matrix whose filled cells are its diagonal and its edges, in
+symmetric pairs, by generator columns, and any other cell by cell.
 verify_total checks either, and names every fault.
 
 Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
@@ -35,6 +38,7 @@ from .coloring import (
     adjacency_matrix_csv,
     matrix_to_csv,
     read_coloring,
+    read_matrix,
     render_matrix,
     verify_total,
     write_coloring,
@@ -125,13 +129,10 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     G = graphs.read_dimacs(args.graph)
-    if args.coloring.endswith(".csv"):
-        from .coloring import matrix_from_csv, parse_matrix
-
-        c = parse_matrix(matrix_from_csv(args.coloring))
-    else:
-        # read once: a circulant's listing by columns, any other text line by line
-        c = read_coloring(args.coloring, G)
+    # read once: a circulant's listing or matrix by columns, any other
+    # text line by line, any other matrix cell by cell
+    read = read_matrix if args.coloring.endswith(".csv") else read_coloring
+    c = read(args.coloring, G)
     if c.n != G.n:
         # checked up front: the verifier would report every vertex as missing
         raise coloring.ColoringError("the coloring has %d vertices, the graph %d"

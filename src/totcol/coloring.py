@@ -4,8 +4,9 @@ Color ids are 1-based positive integers; 0 never appears as a color and is
 reserved for "blank" when a matrix is rendered.  Edge keys are normalized
 (u, v) tuples with u < v.  A coloring holds its edge colors as a dict on
 those keys, except a coloring of a circulant held by generator columns
-(ColumnColoring: the layered fill of thm2.2, thm2.3 and thm2.5, and a
-`.tc` listing that read_coloring, the one `.tc` reader, reads by
+(ColumnColoring: the layered fill of thm2.2, thm2.3 and thm2.5, a `.tc`
+listing that read_coloring, the one `.tc` reader, reads by columns, and a
+color matrix that read_matrix, the one CSV coloring reader, reads by
 columns), whose dicts are built only when a caller reads them;
 verify_total, write_coloring and render_matrix read the columns.
 
@@ -567,12 +568,17 @@ class _CellValues(dict):
 
 
 def matrix_from_csv(path) -> list:
-    """Inverse of matrix_to_csv: the grid of rows, blanks as None.  A cell
-    that is no integer, or a color below 1, is an error naming its line.  A
-    header row of more than MAX_MATRIX_VERTICES labels is refused before
-    any other row is read."""
+    """Inverse of matrix_to_csv: the grid of rows, blanks as None.  A row
+    whose field count is not the header's, or a cell that is no integer, is
+    an error naming its line as the row is read; a color below 1 too, once
+    every row is read.  A header row of more than MAX_MATRIX_VERTICES labels
+    is refused before any other row is read, and a file with a row past the
+    header's count is refused at that row.  Each row is converted as it is
+    read, so no row of texts is held beside the grid."""
     import csv
 
+    cells = _CellValues({"": None})
+    grid = []
     with open(path, newline="") as fh:
         try:
             reader = csv.reader(fh)
@@ -583,25 +589,54 @@ def matrix_from_csv(path) -> list:
             if n > MAX_MATRIX_VERTICES:
                 raise ColoringError("matrix of %d vertices, above %d, the most a color "
                                     "matrix holds" % (n, MAX_MATRIX_VERTICES))
-            rows = [header, *reader]
+            # an empty header line has n = -1: no rows, and not square
+            for lineno, raw in enumerate(itertools.islice(reader, max(n, 0)), 2):
+                if len(raw) != n + 1:
+                    raise ColoringError("line %d: %d fields, expected %d"
+                                        % (lineno, len(raw), n + 1))
+                try:
+                    grid.append(list(map(cells.__getitem__, raw[1:])))
+                except ValueError as exc:
+                    raise ColoringError("line %d: %s" % (lineno, exc)) from None
+            if len(grid) != n or next(reader, None) is not None:
+                raise ColoringError("CSV not square")
         except UnicodeDecodeError as exc:
             raise ColoringError("not UTF-8 text: %s" % exc) from None
-    if len(rows) != n + 1:
-        raise ColoringError("CSV not square")
-    cells = _CellValues({"": None})
-    grid = []
-    for lineno, raw in enumerate(rows[1:], 2):
-        try:
-            grid.append(list(map(cells.__getitem__, raw[1:])))
-        except ValueError as exc:
-            raise ColoringError("line %d: %s" % (lineno, exc)) from None
-    # each distinct cell text is checked once; only a bad one is looked for
-    bad = {text for text, color in cells.items() if color is not None and color < 1}
-    if bad:
-        lineno, text = next((k, text) for k, raw in enumerate(rows[1:], 2)
-                            for text in raw[1:] if text in bad)
-        raise ColoringError("line %d: color %d below 1" % (lineno, cells[text]))
+    # each distinct cell text is checked once; only a bad color is looked for
+    if any(color is not None and color < 1 for color in cells.values()):
+        lineno, color = next((k, color) for k, row in enumerate(grid, 2)
+                             for color in row if color is not None and color < 1)
+        raise ColoringError("line %d: color %d below 1" % (lineno, color))
     return grid
+
+
+def read_matrix(path, G: Graph | None = None) -> TotalColoring:
+    """The one CSV coloring reader, as read_coloring is the one `.tc`
+    reader.  The grid is matrix_from_csv's, whose errors are every error of
+    the read but an asymmetric pair, which parse_matrix names.
+
+    Given a circulant G of the grid's n, the grid is flattened once and
+    read by generator columns, the inverse of render_matrix's: the cell
+    (u, u + s) is at u(n + 1) + s and (u + s, u) at sn + u(n + 1), so
+    column s is two slices of stride n + 1, and the diagonal a third.  When
+    each column's two slices are equal and hold no blank, the diagonal holds
+    none, and no other cell is filled (n + 2m cells in all), the grid is
+    returned as a ColumnColoring, unchecked, with no Python step per cell;
+    its dicts, once read, are parse_matrix's.  Any other grid is read by
+    parse_matrix into dicts, as with no G."""
+    grid = matrix_from_csv(path)
+    n = len(grid)
+    spec = None if G is None else G.circulant
+    if spec is not None and spec.n == n:
+        conn, step = sorted(spec.connection), n + 1
+        flat = list(itertools.chain.from_iterable(grid))
+        vcol = flat[::step]
+        cols = [flat[s:(n - s) * step:step] for s in conn]
+        if (None not in vcol
+                and all(None not in col and col == flat[s * n::step] for s, col in zip(conn, cols))
+                and n * n - flat.count(None) == n + 2 * G.edge_count):
+            return ColumnColoring(n, conn, vcol, cols)
+    return parse_matrix(grid)
 
 
 def adjacency_matrix_csv(G: Graph, path) -> None:

@@ -502,6 +502,10 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
      ["verify", "k3.col", "bad.tc"], "line 1: color count -3 below 0: 't 3 -3'"),
     ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,x,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
      "line 3: "),
+    ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,1\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
+     "line 3: 3 fields, expected 4\n"),
+    ("bad.csv", ",0,1,2\n0,1,2,3\n1,2,3,1\n2,3,1,2\n2,3,1,2\n", ["verify", "k3.col", "bad.csv"],
+     "CSV not square\n"),
     ("bad.grp", "2 0 0 1 1 x\n", ["gen", "cayley", "bad.grp", "1"], "group table: "),
     # a generator is an element index: 99 and -1 are none of Z_9's
     ("z9.grp", _Z9, ["gen", "cayley", "z9.grp", "99"], "generator 99 outside 0..8\n"),
@@ -537,7 +541,8 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
      ["verify", "k3.col", "bad.tc"], "line 10300: repeated edge"),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
         "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
-        "tc-repeated-header", "tc-count-token", "tc-count-negative", "csv-token", "grp-token", "grp-generator-above",
+        "tc-repeated-header", "tc-count-token", "tc-count-negative", "csv-token",
+        "csv-ragged-row", "csv-extra-row", "grp-token", "grp-generator-above",
         "grp-generator-negative",
         "col-deep-token", "col-deep-range-chunk-end", "col-deep-zero-chunk-start",
         "col-deep-self-loop-chunk-start", "col-deep-repeat-across-chunks",
@@ -1287,3 +1292,30 @@ def test_thm22_and_the_csv_matrix_build_no_edge_dict(tmp_path, monkeypatch, gen,
         assert run(["color", "g.col", "-o", "out"] + argv, tmp_path, monkeypatch) == 0
     assert counts == {}
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("gen", [["unitary", 30], ["circulant", 21, 1, 2, 3, 18, 19, 20]],
+                         ids=["U_30", "C_21"])
+def test_verify_reads_a_circulants_csv_matrix_by_columns(tmp_path, monkeypatch, capsys, gen):
+    # a clean matrix is read and checked by columns, with no edge dict; one
+    # with a conflict hands over once and prints the dict route's lines
+    run(["gen"] + gen + ["-o", "g.col"], tmp_path, monkeypatch)
+    run(["color", "g.col", "--format", "csv-matrix", "-o", "g.csv"], tmp_path, monkeypatch)
+    grid = matrix_from_csv(tmp_path / "g.csv")
+    grid[0][1] = grid[1][0] = grid[0][0]  # edge {0,1} takes vertex 0's color
+    matrix_to_csv(grid, tmp_path / "bad.csv")
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "read_matrix",
+                  lambda path, G: coloring.parse_matrix(matrix_from_csv(path)))
+        assert run(["verify", "g.col", "bad.csv"], tmp_path, monkeypatch) == 1
+    by_dicts = capsys.readouterr().out
+    assert "conflict: ('vertex-edge', 0, (0, 1))\n" in by_dicts
+    counts = {}
+    _count_calls(monkeypatch, coloring, "_column_dicts", counts)
+    assert run(["verify", "g.col", "g.csv"], tmp_path, monkeypatch) == 0
+    assert counts == {}
+    assert capsys.readouterr().out.endswith("verification: clean\n")
+    assert run(["verify", "g.col", "bad.csv"], tmp_path, monkeypatch) == 1
+    assert counts == {"_column_dicts": 1}
+    assert capsys.readouterr().out == by_dicts

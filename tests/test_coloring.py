@@ -1,7 +1,11 @@
+import functools
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totcol import graphs
 from totcol.coloring import (
@@ -14,6 +18,7 @@ from totcol.coloring import (
     matrix_to_csv,
     parse_matrix,
     read_coloring,
+    read_matrix,
     render_matrix,
     verify_total,
     write_coloring,
@@ -459,6 +464,108 @@ def test_matrix_csv_refuses_a_header_above_the_cap_before_the_rows(tmp_path):
     with pytest.raises(ColoringError) as info:
         matrix_from_csv(path)
     assert str(info.value) == "matrix of 5000 vertices, above 4096, the most a color matrix holds"
+
+
+@functools.lru_cache(maxsize=None)
+def _colored_circulants():
+    """(G, its rendered coloring) for every circulant C_n(S) with n <= 24
+    that color_auto colors."""
+    from totcol.constructions import ConstructionError, color_auto
+
+    out = []
+    for n in range(1, 25):
+        for size in range(n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), size):
+                G = build_circulant(CirculantSpec(n, sorted({*half, *(n - s for s in half)})))
+                try:
+                    _, c, _, _ = color_auto(G)
+                except ConstructionError:
+                    continue
+                out.append((G, render_matrix(G, c)))
+    return out
+
+
+def test_read_matrix_reads_every_clean_circulant_matrix_by_columns(tmp_path):
+    # the column coloring is clean with no hand-over, and its dicts are
+    # parse_matrix's
+    path = tmp_path / "m.csv"
+    assert len(_colored_circulants()) == 723
+    for G, grid in _colored_circulants():
+        matrix_to_csv(grid, path)
+        c = read_matrix(path, G)
+        assert type(c) is ColumnColoring
+        assert verify_total(G, c).ok and type(c) is ColumnColoring
+        assert c == parse_matrix(matrix_from_csv(path))
+        assert type(read_matrix(path)) is TotalColoring
+
+
+_MATRIX_EDITS = st.lists(st.tuples(
+    st.sampled_from(["recolor-pair", "recolor-cell", "blank-pair", "fill-non-edge",
+                     "blank-diagonal", "recolor-diagonal"]),
+    st.integers(0, 1 << 16), st.integers(0, 1 << 16)), min_size=1, max_size=3)
+
+
+def _edited(G, grid, edits):
+    """A copy of the rendered grid of G with the edits applied: each picks
+    an edge, a non-edge or a vertex by `at`, and a color of 1..k+1 (k the
+    largest in the grid) or, for recolor-cell, one cell of the pair, by x."""
+    grid = [list(row) for row in grid]
+    n, edges = G.n, G.edges()
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not G.has_edge(u, v)]
+    k = max(filter(None, itertools.chain.from_iterable(grid)))
+    for kind, at, x in edits:
+        color = 1 + x // 2 % (k + 1)
+        if kind.endswith("diagonal"):
+            grid[at % n][at % n] = None if kind == "blank-diagonal" else color
+            continue
+        pairs = non_edges if kind == "fill-non-edge" else edges
+        if not pairs:
+            continue
+        u, v = pairs[at % len(pairs)]
+        if kind == "recolor-cell":
+            (u, v) = (u, v) if x % 2 else (v, u)
+            grid[u][v] = color
+        else:
+            grid[u][v] = grid[v][u] = None if kind == "blank-pair" else color
+    return grid
+
+
+def _csv_outcome(G, read):
+    """verify_total's report of what read() returns, or the text of the
+    ColoringError it raises."""
+    try:
+        c = read()
+    except ColoringError as exc:
+        return str(exc)
+    return verify_total(G, c)
+
+
+def test_read_matrix_checks_the_diagonal_beside_the_cell_count(tmp_path):
+    # two blank vertices and one filled non-edge pair leave n + 2m cells
+    # filled, as a clean matrix has
+    G, grid = next((G, grid) for G, grid in _colored_circulants()
+                   if G.circulant == CirculantSpec(21, [1, 2, 3, 18, 19, 20]))
+    path = tmp_path / "m.csv"
+    matrix_to_csv(_edited(G, grid, [("blank-diagonal", 0, 0), ("blank-diagonal", 1, 0),
+                                    ("fill-non-edge", 0, 0)]), path)
+    assert type(read_matrix(path, G)) is TotalColoring
+    report = _csv_outcome(G, lambda: read_matrix(path, G))
+    assert report == _csv_outcome(G, lambda: parse_matrix(matrix_from_csv(path)))
+    assert report.coverage_errors == [("missing-vertex", 0), ("missing-vertex", 1),
+                                      ("non-edge", (0, 4))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 1 << 16), edits=_MATRIX_EDITS)
+def test_csv_column_and_dict_routes_agree_on_edited_matrices(which, edits):
+    # recolored, half-recolored and blanked edge pairs, filled non-edge
+    # pairs, blanked and recolored vertices: the same report or error text
+    G, grid = _colored_circulants()[which % len(_colored_circulants())]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.csv")
+        matrix_to_csv(_edited(G, grid, edits), path)
+        assert (_csv_outcome(G, lambda: read_matrix(path, G))
+                == _csv_outcome(G, lambda: parse_matrix(matrix_from_csv(path))))
 
 
 def _thm23_half_sets(max_n, every_up_to, per_group, seed):
