@@ -473,8 +473,8 @@ def complete_type_two(G: Graph) -> tuple[str, TotalColoring] | None:
 
 
 class EdgeColoringResult(Record):
-    """edge_color_vizing's coloring; route is "construction", "search" or
-    "misra-gries"."""
+    """edge_color_vizing's coloring; route is "search" or "misra-gries", or
+    "construction" for the empty coloring of a graph with no edges."""
 
     _fields = ("edge_color", "colors_used", "delta", "delta_achieved", "route")
 
@@ -485,9 +485,8 @@ _EXACT_EDGE_NODES = 200_000
 def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
     """Proper edge coloring with at most Delta+1 colors, offset+1 on.
 
-    A circulant of even order with an odd generator is Delta-edge-colored by
-    construction (edge_color_even_circulant).  Any other graph first gets an
-    exact Delta-coloring by list coloring of the line graph within
+    A graph with no edges gets the empty coloring.  Any other graph first
+    gets an exact Delta-coloring by list coloring of the line graph within
     _EXACT_EDGE_NODES search nodes; when none exists or the search runs out,
     Misra-Gries fan recoloring with the Delta+1 palette finishes.  An
     overfull graph (more than Delta * floor(n/2) edges) skips the search:
@@ -500,10 +499,6 @@ def edge_color_vizing(G: Graph, offset: int = 0) -> EdgeColoringResult:
     delta = G.max_degree
     if delta == 0:
         return _edge_result({}, 0, "construction")
-    if G.circulant is not None:
-        colors = edge_color_even_circulant(G.circulant, offset)
-        if colors is not None:
-            return _edge_result(colors, delta, "construction")
     if G.edge_count <= delta * (G.n // 2):
         status, exact = exact_edge_coloring(G, SearchBudget(node_limit=_EXACT_EDGE_NODES))
         if status == "sat":
@@ -516,10 +511,11 @@ def _edge_result(colors: dict[tuple, int], delta: int, route: str) -> EdgeColori
     return EdgeColoringResult(colors, used, delta, used <= delta, route)
 
 
-def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> dict[tuple, int] | None:
-    """Delta-edge-coloring of a circulant of even order n with an odd
-    generator, built from its parity layers, in the colors offset+1 ..
-    offset+Delta; None for any other circulant.
+def _parity_columns(n: int, half: list, offset: int) -> dict:
+    """{s: column s} for each s in S of the circulant C_n(S) with the half
+    set half, n even and an odd generator: a Delta-edge-coloring built from
+    its parity layers, in the colors offset+1 .. offset+Delta, as the
+    columns of _generator_columns.
 
     Parity-layer lemma.  Such a circulant is class 1 (the case of R. A.
     Stong, "On 1-factorizability of Cayley graphs", J. Combin. Theory Ser. B
@@ -550,26 +546,12 @@ def edge_color_even_circulant(spec: CirculantSpec, offset: int = 0) -> dict[tupl
     Delta-regular graph cannot beat.  Apart from Misra-Gries on L, this is
     O(n + m) with no search.
 
-    _parity_columns builds these steps as generator columns; the dict is
-    their hand-over, keyed and ordered as _column_dicts keys a column
-    coloring.
+    Step 1 colors L by Misra-Gries, one L-edge at a time, into the colors
+    of the even generators' edges; no L is built when there is no even
+    generator.  Steps 2 and 3 give generator a the missing color mu on even
+    bases and one fresh color on odd ones, and step 4 cycles each other odd
+    b's fresh pair, one color for b = n/2.
     """
-    n, half = spec.n, spec.half_set()
-    if n % 2 or not any(s % 2 for s in half):
-        return None
-    # no vertex colors: only the edge dict of the hand-over is kept
-    return _column_coloring(n, [], _parity_columns(n, half, offset)).edge_color
-
-
-def _parity_columns(n: int, half: list, offset: int) -> dict:
-    """{s: column s} for each s in S of the circulant C_n(S) with the half
-    set half, n even and an odd generator: edge_color_even_circulant's
-    parity-layer construction in the colors offset+1 on, as the columns of
-    _generator_columns.  Step 1 colors L by Misra-Gries, one L-edge at a
-    time, into the colors of the even generators' edges; no L is built
-    when there is no even generator.  Steps 2 and 3 give generator a the
-    missing color mu on even bases and one fresh color on odd ones, and
-    step 4 cycles each other odd b's fresh pair, one color for b = n/2."""
     odd = [s for s in half if s % 2]
     even = [s for s in half if s % 2 == 0]
     a, m = odd[0], n // 2

@@ -534,8 +534,8 @@ def _circulant_text(spec: CirculantSpec):
 
 def read_dimacs(path) -> Graph:
     """Inverse of write_dimacs.  The `e` lines must list each of the m edges
-    of the `p edge n m` line exactly once, with n <= MAX_VERTICES and m at
-    most n(n-1)/2 and MAX_EDGES; errors name the offending line.  A
+    of the `p edge n m` line exactly once, with 1 <= n <= MAX_VERTICES and
+    m at most n(n-1)/2 and MAX_EDGES; errors name the offending line.  A
     `c circulant` comment must describe the same graph.
 
     The file is opened once, and its text takes one of two routes.  A file
@@ -624,8 +624,8 @@ def _read_edge_list(fh) -> Graph:
                 if len(tok) != 4 or tok[1] != "edge" or n is not None:
                     raise GraphError("malformed or repeated problem line")
                 n, m, p_line = int(tok[2]), int(tok[3]), lineno
-                if not 0 <= n <= MAX_VERTICES:
-                    raise GraphError("vertex count %d outside 0..%d" % (n, MAX_VERTICES))
+                if not 1 <= n <= MAX_VERTICES:
+                    raise GraphError("vertex count %d outside 1..%d" % (n, MAX_VERTICES))
                 if not 0 <= m <= n * (n - 1) // 2:
                     raise GraphError("edge count %d outside 0..n(n-1)/2 = %d"
                                      % (m, n * (n - 1) // 2))

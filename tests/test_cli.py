@@ -486,6 +486,9 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
     ("bad.col", "p edge 3 1\ne 1 x\n", ["color", "bad.col"], "line 2: "),
     ("bad.col", "p edge 3 5\ne 1 2\n", ["color", "bad.col"], "line 1: "),
     ("bad.col", "c x\np edge 3 2\ne 1 2\ne 2 1\n", ["color", "bad.col"], "line 4: "),
+    # no vertices: the empty graph has no total coloring to certify
+    ("bad.col", "p edge 0 0\n", ["oracle", "bad.col"],
+     "line 1: vertex count 0 outside 1..1048576: 'p edge 0 0'\n"),
     ("bad.tc", "t 3 2\nv 0 x\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
     ("bad.tc", "t 3 2\ne 0 1\n", ["verify", "k3.col", "bad.tc"], "line 2: "),
     ("bad.tc", "t 3 3\nv 0 1\nv 1 2\nv 0 3\n", ["verify", "k3.col", "bad.tc"],
@@ -540,6 +543,7 @@ _Z9 = "9 0\n%s\n" % "\n".join(" ".join(str((i + j) % 9) for j in range(9)) for i
     ("bad.tc", _u420(".tc", {10300: _again(10299), 10400: _again(10100, reverse=True)}),
      ["verify", "k3.col", "bad.tc"], "line 10300: repeated edge"),
 ], ids=["col-one-endpoint", "col-token", "col-edge-count", "col-repeated-edge",
+        "col-no-vertices",
         "tc-token", "tc-field-count", "tc-repeated-vertex", "tc-repeated-edge",
         "tc-repeated-header", "tc-count-token", "tc-count-negative", "csv-token",
         "csv-ragged-row", "csv-extra-row", "grp-token", "grp-generator-above",
@@ -582,8 +586,9 @@ def test_verify_refuses_a_color_below_1(tmp_path, monkeypatch, capsys, name, tex
     assert capsys.readouterr().err.startswith("input error: " + message)
 
 
-@pytest.mark.parametrize("header", ["p edge 5000000 0", "p edge 4 7", "p edge -1 0"],
-                         ids=["too-many-vertices", "too-many-edges", "negative"])
+@pytest.mark.parametrize("header", ["p edge 5000000 0", "p edge 4 7", "p edge -1 0",
+                                    "p edge 0 0"],
+                         ids=["too-many-vertices", "too-many-edges", "negative", "no-vertices"])
 def test_verify_rejects_an_oversized_problem_line_quickly(tmp_path, header):
     # a 17-byte header once made `verify` allocate 5 M rows and print 5 M lines
     (tmp_path / "big.col").write_text(header + "\n")

@@ -527,18 +527,9 @@ def test_edge_color_vizing_deep_search():
     assert res.route == "search"
 
 
-def test_edge_color_vizing_constructs_even_circulants(monkeypatch):
-    calls = spy_on_search(monkeypatch)
-    G = build_circulant(CirculantSpec(700, {1, 2, 698, 699}))
-    res = edge_color_vizing(G)
-    assert_proper_edge_coloring(G, res.edge_color, 4)
-    assert res.delta_achieved and res.route == "construction"
-    assert calls == []
-
-
 @pytest.mark.parametrize("make, route", [
-    (lambda: build_circulant(symmetric(12, [1, 2, 3, 4])), "construction"),
-    (lambda: build_circulant(symmetric(10, [2, 5])), "construction"),  # 2a = n
+    (lambda: build_circulant(symmetric(12, [1, 2, 3, 4])), "search"),
+    (lambda: build_circulant(symmetric(10, [2, 5])), "search"),  # 2a = n
     (lambda: subgraph_of_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
      "search"),
     (lambda: subgraph_of_edges(700, build_circulant(symmetric(700, [1, 2])).edges()),
@@ -557,13 +548,17 @@ def test_edge_color_vizing_offset_shifts_the_default_coloring(make, route):
         assert (res.colors_used, res.delta_achieved) == (base.colors_used, base.delta_achieved)
 
 
+def parity_edge_colors(spec):
+    """_parity_columns's coloring of spec, read as an edge dict."""
+    cols = constructions._parity_columns(spec.n, spec.half_set(), 0)
+    return constructions._column_coloring(spec.n, [], cols).edge_color
+
+
 def assert_constructed(spec):
-    colors = constructions.edge_color_even_circulant(spec)
-    G = build_circulant(spec)
-    assert_proper_edge_coloring(G, colors, spec.degree)
+    assert_proper_edge_coloring(build_circulant(spec), parity_edge_colors(spec), spec.degree)
 
 
-def test_edge_color_even_circulant_every_small_connection_set():
+def test_parity_columns_every_small_connection_set():
     count = 0
     for n in range(2, 17, 2):
         for r in range(1, n // 2 + 1):
@@ -574,7 +569,7 @@ def test_edge_color_even_circulant_every_small_connection_set():
     assert count == 465
 
 
-def test_edge_color_even_circulant_random():
+def test_parity_columns_random():
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randrange(2, 81, 2)
@@ -583,9 +578,23 @@ def test_edge_color_even_circulant_random():
         assert_constructed(symmetric(n, half))
 
 
-def test_edge_color_even_circulant_needs_even_order_and_an_odd_generator():
-    assert constructions.edge_color_even_circulant(symmetric(9, [1, 2])) is None
-    assert constructions.edge_color_even_circulant(symmetric(12, [2, 4, 6])) is None
+def test_parity_columns_color_c700_with_no_search(monkeypatch):
+    calls = spy_on_search(monkeypatch)
+    spec = CirculantSpec(700, {1, 2, 698, 699})
+    assert_proper_edge_coloring(build_circulant(spec), parity_edge_colors(spec), 4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, half", [(12, [1, 2, 3, 4]), (10, [2, 5])],  # 2a = n
+                         ids=["C_12", "C_10-antipodal"])
+def test_parity_columns_offset_shifts_every_color(n, half):
+    spec = symmetric(n, half)
+    base = constructions._parity_columns(n, spec.half_set(), 0)
+    assert sorted(base) == sorted(spec.connection)
+    assert {c for col in base.values() for c in col} == set(range(1, spec.degree + 1))
+    for offset in (1, 3, 20):
+        shifted = constructions._parity_columns(n, spec.half_set(), offset)
+        assert shifted == {s: [offset + c for c in col] for s, col in base.items()}
 
 
 def spy_on_starter_search(monkeypatch):

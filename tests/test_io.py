@@ -265,13 +265,16 @@ def test_gen_output_never_reaches_the_slow_reread(n, unitary, data):
      "line 2: problem line declares 1048576 edges, the file lists 2"),
     # the writer's text for an edgeless circulant, one vertex too many
     ("c circulant 1048577 \np edge 1048577 0\n", "line 2: vertex count 1048577 outside"),
+    # no vertices: χ″ of the empty graph is 0, not the 1 a coloring would claim
+    ("p edge 0 0\n", "line 1: vertex count 0 outside 1..1048576"),
     # one edge more than a reader takes, by the `p` line alone
     ("p edge 1048576 16777217\ne 1 2\n", "line 1: edge count 16777217 above 16777216"),
     # the header of the writer's text for a circulant of 33 * 2^19 edges
     ("c circulant 1048576 %s\np edge 1048576 17301504\n" % " ".join(map(str, sorted(
         {s for d in range(1, 17) for s in (d, 1048576 - d)} | {524288}))),
      "line 2: edge count 17301504 above 16777216"),
-], ids=["edges-claimed", "too-many-vertices", "too-many-edges", "circulant-too-many-edges"])
+], ids=["edges-claimed", "too-many-vertices", "no-vertices", "too-many-edges",
+        "circulant-too-many-edges"])
 def test_a_short_file_claiming_a_large_circulant_is_refused_in_little_memory(
         tmp_path, text, error):
     path = tmp_path / "big.col"
