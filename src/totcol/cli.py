@@ -7,8 +7,8 @@ once, given the graph: a `.tc` with coloring.read_coloring, which reads a
 circulant's file that is write_coloring's listing by generator columns,
 and any other text line by line from the first line that departs from the
 listing; a `.csv` color matrix with coloring.read_matrix, which reads a
-circulant's matrix whose filled cells are its diagonal and its edges, in
-symmetric pairs, by generator columns, and any other cell by cell.
+circulant's matrix that is write_matrix's text by generator columns, as
+text, and any other with the csv module, cell by cell.
 verify_total checks either, and names every fault.
 
 Exit codes: 0 success; 1 verification conflicts (from `verify`, or a
@@ -22,9 +22,11 @@ Each command imports only the modules it runs: `gen` and `verify` load
 `graphs` and `coloring`; `oracle` loads `oracles` too, and `color`,
 `classify` and `tables` load `constructions` and `oracles`, when they start.
 Every record is a `graphs.Record`, so no command loads `dataclasses`, which
-loads `inspect`, or `typing`; `coloring` imports `csv` only when a CSV file
-is read or written, so `gen` and `verify` of a `.tc` start without any of
-the four.
+loads `inspect`, or `typing`; `coloring` imports `csv` only to write a
+CSV table of a coloring that is not held by generator columns, or to read
+a CSV file that is not such a matrix as write_matrix writes it, so `gen`
+and `verify` of a `.tc` or of `color`'s matrix of a circulant start
+without any of the four.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from .coloring import (
     render_matrix,
     verify_total,
     write_coloring,
+    write_matrix,
 )
 from .graphs import CirculantSpec, GroupTable, build_cayley, build_circulant, build_unitary
 
@@ -120,7 +123,7 @@ def cmd_color(args) -> int:
     print("verification: clean")
     out = args.output or "coloring.tc"
     if args.format == "csv-matrix":
-        matrix_to_csv(render_matrix(G, result_coloring), out)
+        write_matrix(G, result_coloring, out)
     else:
         write_coloring(result_coloring, out)
     print("wrote %s" % out)

@@ -8,14 +8,17 @@ those keys, except a coloring of a circulant held by generator columns
 listing that read_coloring, the one `.tc` reader, reads by columns, and a
 color matrix that read_matrix, the one CSV coloring reader, reads by
 columns), whose dicts are built only when a caller reads them;
-verify_total, write_coloring and render_matrix read the columns.
+verify_total, write_coloring and write_matrix read the columns.
 
-The csv module is imported inside matrix_to_csv, which writes every CSV
-table, and matrix_from_csv, so a command that reads or writes no CSV file
-does not load it.
+A column coloring's color matrix is written and read as cell texts, by
+write_matrix and read_matrix's text route.  The csv module is imported
+only inside matrix_to_csv, which writes every other CSV table, and the
+grid route of matrix_from_csv, which reads every other CSV file, so a
+command that writes or reads no such file does not load it.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
@@ -239,9 +242,10 @@ def _columns_proper(G: Graph, c: TotalColoring) -> bool:
 # The most vertices of a rendered or read color matrix: n^2 <= MAX_EDGES
 # cells, 128 MB of row pointers on a 64-bit build
 MAX_MATRIX_VERTICES = math.isqrt(MAX_EDGES)
-# render_matrix fills the cells of a column coloring in bands of rows this
-# large (2 MB of pointers): fewer cost a slice per column per band, more
-# are held beside the grid
+# write_matrix builds the cells of a column coloring's matrix in bands of
+# rows this large (2 MB of pointers), and read_matrix reads a quarter as
+# many at a time: fewer cost a slice per column per band, more are held
+# at once
 _BAND_CELLS = 1 << 18
 
 
@@ -249,32 +253,8 @@ def render_matrix(G: Graph, c: TotalColoring) -> list:
     """Render a coloring as the symmetric n x n color matrix, a list of rows:
     the diagonal holds the vertex colors, cell (i, j) the color of edge
     {i, j}, and None marks a blank.  It checks nothing; every caller renders
-    a coloring (or a part of one) that has been verified.
-
-    A ColumnColoring of n vertices is rendered from its columns, with no
-    dicts and no Python step per cell, in bands of rows of about
-    _BAND_CELLS cells.  In the cells of the rows lo.. row by row, the cell
-    (u, u + s) is (u - lo)(n + 1) + lo + s and (u + s, u) is
-    (u + s - lo)(n + 1) + lo - s, so column s fills two slices of stride
-    n + 1, and the vertex colors a third."""
+    a coloring (or a part of one) that has been verified."""
     n = G.n
-    if isinstance(c, ColumnColoring) and c.n == n:
-        step, rows = n + 1, max(1, _BAND_CELLS // n)
-
-        def put(start, colors):  # into every (n + 1)-th cell from start
-            cells[start:start + len(colors) * step:step] = colors
-
-        grid = []
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            cells = [None] * ((hi - lo) * n)
-            put(lo, c.vcol[lo:hi])
-            for s, col in zip(c.conn, c.cols):
-                put(lo + s, col[lo:hi])  # (u, u + s) for the rows u = lo..hi-1
-                first = max(0, lo - s)  # (u + s, u) for the rows u + s = lo..hi-1
-                put((first + s - lo) * step + lo - s, col[first:max(0, hi - s)])
-            grid += [cells[i:i + n] for i in range(0, len(cells), n)]
-        return grid
     grid = [[None] * n for _ in range(n)]
     for v, col in c.vertex_color.items():
         grid[v][v] = col
@@ -558,10 +538,69 @@ def matrix_to_csv(grid, path) -> None:
         writer.writerows([i] + row for i, row in enumerate(grid))
 
 
+def _band_slices(n: int, conn: list, lo: int, hi: int) -> tuple:
+    """Where the CSV rows lo..hi-1 of a column coloring's matrix of C_n(S),
+    S ascending as conn, hold its lists, in the list of the rows' fields
+    (each row its label, then its n cells): (diagonal, columns), each place
+    a pair of slices (at, entries), fields[at] holding list[entries].
+    columns[j] places cols[j] twice: at (u, u + s) in the rows u, and at
+    (u + s, u) in the rows u + s, s = conn[j].  Cell (v, w) is field
+    (v - lo)(n + 1) + 1 + w, so each place has stride n + 2."""
+    step = n + 2
+
+    def place(start, a, b):  # entries a..b-1 into every step-th field from start
+        b = max(a, b)
+        return slice(start, start + (b - a) * step, step), slice(a, b)
+
+    columns = []
+    for s in conn:
+        first = max(0, lo - s)
+        columns.append((place(lo + 1 + s, lo, min(hi, n - s)),
+                        place((first + s - lo) * step + lo + 1 - s, first, hi - s)))
+    return place(lo + 1, lo, hi), columns
+
+
+def write_matrix(G: Graph, c: TotalColoring, path) -> None:
+    """Write the coloring c of G as its CSV color matrix: the bytes of
+    matrix_to_csv(render_matrix(G, c), path).
+
+    A ColumnColoring of G's n is written from its columns, with no dicts,
+    no grid of ints and no csv module.  Each vertex color and each column
+    entry is formatted once (_NumberTexts).  A band of rows of about
+    _BAND_CELLS cells is one list of field texts, each row's label and then
+    its cells, "" for a blank, into which each list of the coloring goes by
+    the slices of _band_slices, a column into both triangles.  Each row is
+    one join, and a band is written before the next one is built."""
+    n = G.n
+    if not (isinstance(c, ColumnColoring) and c.n == n):
+        matrix_to_csv(render_matrix(G, c), path)
+        return
+    name = _NumberTexts().__getitem__
+    names = _vertex_names(n)
+    vtexts = list(map(name, c.vcol))
+    texts = [list(map(name, col)) for col in c.cols]
+    rows = max(1, _BAND_CELLS // n)
+    with open(path, "w", newline="") as fh:
+        fh.write(",%s\r\n" % ",".join(names))
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            fields = [""] * ((hi - lo) * (n + 1))
+            fields[::n + 1] = names[lo:hi]
+            (at, entries), columns = _band_slices(n, c.conn, lo, hi)
+            fields[at] = vtexts[entries]
+            for col, places in zip(texts, columns):
+                for at, entries in places:
+                    fields[at] = col[entries]
+            fh.write("\r\n".join([",".join(fields[i:i + n + 1])
+                                    for i in range(0, len(fields), n + 1)]))
+            fh.write("\r\n")
+
+
 class _CellValues(dict):
     """Number text -> its int, converted once per distinct text, so a file
     with n vertices and k colors makes at most about n + k conversions.
-    matrix_from_csv seeds it with the blank cell, "" -> None."""
+    matrix_from_csv seeds it with the blank cell, "" -> None; in
+    read_matrix's text route a blank raises ValueError, as any non-number."""
 
     def __missing__(self, text):
         return self.setdefault(text, int(text))
@@ -575,33 +614,39 @@ def matrix_from_csv(path) -> list:
     is refused before any other row is read, and a file with a row past the
     header's count is refused at that row.  Each row is converted as it is
     read, so no row of texts is held beside the grid."""
+    with open(path, newline="") as fh:
+        return _grid_from_csv(fh)
+
+
+def _grid_from_csv(fh) -> list:
+    """matrix_from_csv of the text file fh, open with newline="" at its
+    start."""
     import csv
 
     cells = _CellValues({"": None})
     grid = []
-    with open(path, newline="") as fh:
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ColoringError("empty CSV")
-            n = len(header) - 1
-            if n > MAX_MATRIX_VERTICES:
-                raise ColoringError("matrix of %d vertices, above %d, the most a color "
-                                    "matrix holds" % (n, MAX_MATRIX_VERTICES))
-            # an empty header line has n = -1: no rows, and not square
-            for lineno, raw in enumerate(itertools.islice(reader, max(n, 0)), 2):
-                if len(raw) != n + 1:
-                    raise ColoringError("line %d: %d fields, expected %d"
-                                        % (lineno, len(raw), n + 1))
-                try:
-                    grid.append(list(map(cells.__getitem__, raw[1:])))
-                except ValueError as exc:
-                    raise ColoringError("line %d: %s" % (lineno, exc)) from None
-            if len(grid) != n or next(reader, None) is not None:
-                raise ColoringError("CSV not square")
-        except UnicodeDecodeError as exc:
-            raise ColoringError("not UTF-8 text: %s" % exc) from None
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ColoringError("empty CSV")
+        n = len(header) - 1
+        if n > MAX_MATRIX_VERTICES:
+            raise ColoringError("matrix of %d vertices, above %d, the most a color "
+                                "matrix holds" % (n, MAX_MATRIX_VERTICES))
+        # an empty header line has n = -1: no rows, and not square
+        for lineno, raw in enumerate(itertools.islice(reader, max(n, 0)), 2):
+            if len(raw) != n + 1:
+                raise ColoringError("line %d: %d fields, expected %d"
+                                    % (lineno, len(raw), n + 1))
+            try:
+                grid.append(list(map(cells.__getitem__, raw[1:])))
+            except ValueError as exc:
+                raise ColoringError("line %d: %s" % (lineno, exc)) from None
+        if len(grid) != n or next(reader, None) is not None:
+            raise ColoringError("CSV not square")
+    except UnicodeDecodeError as exc:
+        raise ColoringError("not UTF-8 text: %s" % exc) from None
     # each distinct cell text is checked once; only a bad color is looked for
     if any(color is not None and color < 1 for color in cells.values()):
         lineno, color = next((k, color) for k, row in enumerate(grid, 2)
@@ -612,31 +657,88 @@ def matrix_from_csv(path) -> list:
 
 def read_matrix(path, G: Graph | None = None) -> TotalColoring:
     """The one CSV coloring reader, as read_coloring is the one `.tc`
-    reader.  The grid is matrix_from_csv's, whose errors are every error of
-    the read but an asymmetric pair, which parse_matrix names.
+    reader: parse_matrix of matrix_from_csv's grid, whose errors are every
+    error of the read but an asymmetric pair, which parse_matrix names.
 
-    Given a circulant G of the grid's n, the grid is flattened once and
-    read by generator columns, the inverse of render_matrix's: the cell
-    (u, u + s) is at u(n + 1) + s and (u + s, u) at sn + u(n + 1), so
-    column s is two slices of stride n + 1, and the diagonal a third.  When
-    each column's two slices are equal and hold no blank, the diagonal holds
-    none, and no other cell is filled (n + 2m cells in all), the grid is
-    returned as a ColumnColoring, unchecked, with no Python step per cell;
-    its dicts, once read, are parse_matrix's.  Any other grid is read by
-    parse_matrix into dicts, as with no G."""
-    grid = matrix_from_csv(path)
-    n = len(grid)
+    Given a circulant G of at most MAX_MATRIX_VERTICES vertices, the file is
+    first read as write_matrix's text for a column coloring of G
+    (_matrix_columns), with no grid and no csv module, and such a text is
+    returned as a ColumnColoring, unchecked, whose dicts, once read, are
+    parse_matrix's.  At its first departure from that text the file is read
+    again from its start by the grid route, so every error text and every
+    coloring is that route's.  Input that cannot seek, such as a pipe, is
+    read into memory first, so that both routes see all of it."""
     spec = None if G is None else G.circulant
-    if spec is not None and spec.n == n:
-        conn, step = sorted(spec.connection), n + 1
-        flat = list(itertools.chain.from_iterable(grid))
-        vcol = flat[::step]
-        cols = [flat[s:(n - s) * step:step] for s in conn]
-        if (None not in vcol
-                and all(None not in col and col == flat[s * n::step] for s, col in zip(conn, cols))
-                and n * n - flat.count(None) == n + 2 * G.edge_count):
-            return ColumnColoring(n, conn, vcol, cols)
-    return parse_matrix(grid)
+    with open(path, newline="") as fh:
+        if spec is not None and spec.n <= MAX_MATRIX_VERTICES:
+            if not fh.seekable():
+                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, newline="")
+            c = _matrix_columns(fh, spec.n, sorted(spec.connection), G.edge_count)
+            if c is not None:
+                return c
+            fh.seek(0)
+        return parse_matrix(_grid_from_csv(fh))
+
+
+def _matrix_columns(fh, n: int, conn: list, m: int) -> ColumnColoring | None:
+    """The ColumnColoring of C_n(S), S ascending as conn and m edges, whose
+    matrix is write_matrix's text, read from the text file fh (open with
+    newline="" at its start), or None at the first departure from that
+    text, fh read up to it.
+
+    The header must be the labels 0..n-1.  Then each band of rows of about
+    _BAND_CELLS / 4 cells is read: each line must end in CR LF and hold its
+    row's label and n cells, and the band's fields are one split.  The
+    texts of the diagonal and of the upper slice (u, u + s) of each column
+    (_band_slices) are converted, each distinct text once, and must each be
+    "%d" of a color of at least 1.  The lower slices are joined and
+    compared with the upper ones as texts once the file is read, the file
+    must end after row n - 1, and the cells filled must be n + 2m, so every
+    other cell is blank.  Every field is then a label, a color's "%d" or
+    blank, with no quote character: a text that passes is one that
+    matrix_from_csv reads with no error to the grid of the coloring
+    returned."""
+    names = _vertex_names(n)
+    header = ",%s\r\n" % ",".join(names)
+    number = _CellValues()
+    vcol, cols = [], [[] for _ in conn]
+    # the joined texts of each column's upper and lower slices, band by band
+    upper, lower = [[] for _ in conn], [[] for _ in conn]
+    # a band also holds a text object, about 50 bytes, for each filled cell
+    filled, rows = 0, max(1, (_BAND_CELLS >> 2) // n)
+    try:
+        if fh.readline(len(header) + 1) != header:
+            return None
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            lines = list(itertools.islice(fh, hi - lo))
+            # a line ends at its first CR or LF, so one that ends in CR LF
+            # holds no other; a missing line fails the label check
+            if (not all(map(str.endswith, lines, itertools.repeat("\r\n")))
+                    or any(map(n.__ne__, map(str.count, lines, itertools.repeat(","))))):
+                return None
+            fields = ",".join(map(str.rstrip, lines, itertools.repeat("\r\n"))).split(",")
+            if fields[::n + 1] != names[lo:hi]:
+                return None
+            filled += len(fields) - fields.count("") - (hi - lo)
+            (at, _), columns = _band_slices(n, conn, lo, hi)
+            vcol += map(number.__getitem__, fields[at])
+            for col, ups, lows, ((up, _), (low, _)) in zip(cols, upper, lower, columns):
+                texts = fields[up]
+                col += map(number.__getitem__, texts)
+                ups.append(",".join(texts))
+                lows.append(",".join(fields[low]))
+            del fields  # before the next band's split
+        if fh.read(1) or filled != n + 2 * m:
+            return None
+    except ValueError:  # a text that is no integer, or not UTF-8
+        return None
+    # the empty joins of empty slices drop out; no upper text is blank
+    joined = [",".join(filter(None, pieces)) for pieces in upper + lower]
+    if (any(color < 1 or "%d" % color != text for text, color in number.items())
+            or joined[:len(conn)] != joined[len(conn):]):
+        return None
+    return ColumnColoring(n, conn, vcol, cols)
 
 
 def adjacency_matrix_csv(G: Graph, path) -> None:

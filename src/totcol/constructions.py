@@ -175,9 +175,9 @@ def fill_diagonals(n: int, q: int, starts: dict[int, int]) -> TotalColoring:
     i = 0..n-1, cut by _generator_columns into its two columns.  The
     coloring returned is a ColumnColoring of those columns (S = the
     generators of starts and their negatives), with no dicts: verify_total
-    checks it, write_coloring writes it and render_matrix renders it by
-    columns.  Its vertex_color and edge_color are built on their first
-    read, with the keys and insertion order of an edge-by-edge fill.  This
+    checks it, and write_coloring and write_matrix write it, by columns.
+    Its vertex_color and edge_color are built on their first read, with
+    the keys and insertion order of an edge-by-edge fill.  This
     function does not check that the coloring is proper: when q divides n,
     _star_conflicts decides that on the star of vertex 0 in O(Delta), and
     every coloring a construction returns goes through verify_total.

@@ -221,6 +221,14 @@ class TotalChromaticResult(Record):
                "conformability_steps", "lower_evidence")
 
 
+def _refuse_empty(G: Graph) -> None:
+    """Refuse a graph with no vertices, as the file reader does: its chi
+    and chi'' are 0, below the clique of one that each search counts up
+    from."""
+    if not G.n:
+        raise OracleError("the graph has no vertices")
+
+
 def exact_total_chromatic(G: Graph, budget: SearchBudget | None = None,
                           ceiling: int | None = None) -> TotalChromaticResult:
     """Least c admitting a proper total coloring, by exhaustive backtracking
@@ -250,8 +258,9 @@ def exact_total_chromatic(G: Graph, budget: SearchBudget | None = None,
     the check (its time limit) gives an inconclusive result.
     `lower_evidence` names what proves chi'' >= value: "clique",
     "conformability", or "search" when the value lies above the certified
-    lower bound.
+    lower bound.  A graph with no vertices is refused (OracleError).
     """
+    _refuse_empty(G)
     budget = budget or SearchBudget()
     delta = G.max_degree
     tracker = _Budget(budget)
@@ -288,20 +297,20 @@ def exact_chromatic(G: Graph, budget: SearchBudget | None = None):
     """Exact chromatic number with a proper-coloring certificate, counting
     colors up from a greedy clique.  The loop ends by Delta+1 colors at the
     latest, which a greedy coloring never exceeds, unless the node or time
-    budget runs out first (BudgetExhausted)."""
+    budget runs out first (BudgetExhausted).  A graph with no vertices is
+    refused (OracleError)."""
+    _refuse_empty(G)
     budget = budget or SearchBudget()
     adj = [G.neighbors(v) for v in range(G.n)]
     # greedy clique from a max-degree vertex, for the lower bound + precolor
-    clique: list = []
-    if G.n:
-        v0 = max(range(G.n), key=lambda u: (G.degree(u), -u))
-        clique = [v0]
-        for u in range(G.n):
-            if u != v0 and all(G.has_edge(u, w) for w in clique):
-                clique.append(u)
+    v0 = max(range(G.n), key=lambda u: (G.degree(u), -u))
+    clique = [v0]
+    for u in range(G.n):
+        if u != v0 and all(G.has_edge(u, w) for w in clique):
+            clique.append(u)
     tracker = _Budget(budget)
     pre = {v: i + 1 for i, v in enumerate(clique)}
-    for k in itertools.count(max(1, len(clique))):
+    for k in itertools.count(len(clique)):
         status, colors = _solve_list_coloring(adj, k, pre, tracker)
         if status == "sat":
             assignment = {v: colors[v] for v in range(G.n)}
@@ -536,7 +545,9 @@ def classify_type(G: Graph, budget: SearchBudget | None = None) -> Classificatio
     conformable), and from an exhausted Delta+1 search otherwise.
     Irregular graphs always take the search.  `lower_evidence`,
     `upper_evidence` and `detail` say which evidence closed each bound.
+    A graph with no vertices is refused (OracleError).
     """
+    _refuse_empty(G)
     # constructions imports this module at module level, so a module-level
     # import of it here would be circular
     from . import constructions

@@ -22,6 +22,7 @@ from totcol.coloring import (
     render_matrix,
     verify_total,
     write_coloring,
+    write_matrix,
 )
 from totcol.constructions import (
     ConstructionResult,
@@ -568,6 +569,139 @@ def test_csv_column_and_dict_routes_agree_on_edited_matrices(which, edits):
                 == _csv_outcome(G, lambda: parse_matrix(matrix_from_csv(path))))
 
 
+def _as_columns(G, c):
+    """The lists (conn, vcol, cols) of the coloring c of the circulant G by
+    generator columns, read off its dicts if it has them."""
+    if isinstance(c, ColumnColoring):
+        return c.conn, c.vcol, c.cols
+    conn = sorted(G.circulant.connection)
+    return (conn, [c.vertex_color[v] for v in range(G.n)],
+            [[c.edge_color[(u, u + s)] for u in range(G.n - s)] for s in conn])
+
+
+@functools.lru_cache(maxsize=None)
+def _method_colorings():
+    """(G, the column lists of a coloring of G) for every coloring that
+    thm2.1, thm2.2, thm2.3 or thm2.5 makes of a circulant C_n(S) with n <=
+    24.  thm2.1's K_{m,m} colorings have dicts, and are taken as columns:
+    with m odd, S holds n/2, which no other of the four takes."""
+    from totcol.constructions import METHODS, ConstructionError
+
+    out = []
+    for n in range(1, 25):
+        for size in range(n // 2 + 1):
+            for half in itertools.combinations(range(1, n // 2 + 1), size):
+                G = build_circulant(CirculantSpec(n, sorted({*half, *(n - s for s in half)})))
+                for method in ("thm2.1", "thm2.2", "thm2.3", "thm2.5"):
+                    try:
+                        c = METHODS[method](G).coloring
+                    except ConstructionError:
+                        continue
+                    out.append((G, _as_columns(G, c)))
+    return out
+
+
+def test_write_matrix_and_the_text_route_match_the_grid_route(tmp_path):
+    # the bytes of write_matrix are the grid route's, and the text route
+    # reads them back to the same lists and to parse_matrix's dicts
+    cases = _method_colorings()
+    assert len(cases) == 621
+    assert any(G.n % 2 for G, _ in cases)
+    assert any(G.n % 2 == 0 and G.n // 2 in lists[0] for G, lists in cases)
+    columns, grid = tmp_path / "columns.csv", tmp_path / "grid.csv"
+    for G, lists in cases:
+        c = ColumnColoring(G.n, *lists)
+        write_matrix(G, c, columns)
+        assert type(c) is ColumnColoring  # written with no dicts
+        matrix_to_csv(render_matrix(G, ColumnColoring(G.n, *lists)), grid)
+        assert columns.read_bytes() == grid.read_bytes()
+        back = read_matrix(columns, G)
+        assert type(back) is ColumnColoring
+        assert (back.conn, back.vcol, back.cols) == lists
+        assert back == parse_matrix(matrix_from_csv(columns))
+
+
+def _mutated(text, n, conn, kind):
+    """write_matrix's text of a coloring of C_n(conn) with one departure
+    from it, of the kind named; s = conn[0] and (0, s), (s, 0) an edge."""
+    lines = [line.split(",") for line in text.split("\r\n")[:-1]]
+    s = conn[0]
+    upper, lower = (1, 1 + s), (1 + s, 1)  # (line, field) of cells (0, s) and (s, 0)
+    cell = lines[1][1 + s]
+    other = "%d" % (int(cell) % max(int(x) for x in lines[1][1:] if x) + 1)
+
+    def pair(texts):
+        for (i, j), t in zip((upper, lower), texts):
+            lines[i][j] = t
+
+    if kind == "lf":
+        return "".join(",".join(line) + "\n" for line in lines)
+    if kind in ("quoted", "zero", "leading-zero", "blank", "pair"):
+        t = {"quoted": '"%s"' % cell, "zero": "0", "leading-zero": "0" + cell,
+             "blank": "", "pair": other}[kind]
+        pair([t, t])
+    elif kind == "upper-only":
+        pair([other, cell])
+    elif kind == "extra-row":
+        lines.append(list(lines[-1]))
+    elif kind == "short-row":
+        del lines[2][-1]
+    elif kind == "header-n":
+        del lines[0][-1]
+    return "".join(",".join(line) + "\r\n" for line in lines)
+
+
+_MUTATIONS = ["lf", "quoted", "zero", "leading-zero", "blank", "upper-only", "pair",
+              "extra-row", "short-row", "header-n"]
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+@pytest.mark.parametrize("n, half", [(30, None), (21, [1, 2, 3]), (10, [1, 2, 3, 4, 5])],
+                         ids=["U_30", "C_21", "K_10"])
+def test_read_matrix_falls_back_on_each_departure_from_the_writers_text(
+        tmp_path, n, half, kind):
+    # K_10 is C_10{±1..±4, 5}, with the generator n/2.  Only a changed pair
+    # is still the writer's text: it is read by columns and verified with
+    # the conflicts of the grid route.  Every other departure gives the
+    # grid route's coloring or its error text.
+    from totcol.constructions import color_auto
+
+    G = build_unitary(n) if half is None else build_circulant(
+        CirculantSpec(n, sorted({*half, *(n - s for s in half)})))
+    path = tmp_path / "m.csv"
+    write_matrix(G, color_auto(G)[1], path)
+    text = _mutated(path.read_bytes().decode(), n, sorted(G.circulant.connection), kind)
+    path.write_bytes(text.encode())
+    outcome = _csv_outcome(G, lambda: read_matrix(path, G))
+    assert outcome == _csv_outcome(G, lambda: parse_matrix(matrix_from_csv(path)))
+    if kind == "pair":
+        assert type(read_matrix(path, G)) is ColumnColoring and not outcome.ok
+    elif not isinstance(outcome, str):
+        assert type(read_matrix(path, G)) is TotalColoring
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("kind", [None, "lf"], ids=["clean", "lf"])
+def test_read_matrix_reads_a_pipe(tmp_path, kind):
+    # what the text route has read of a pipe cannot be read again: the
+    # fallback must still see all of it
+    G = build_unitary(30)
+    path = tmp_path / "m.csv"
+    write_matrix(G, color_unitary_even(G).coloring, path)
+    if kind:
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    from_disk = read_matrix(path, G)
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())  # under the pipe's buffer
+        os.close(w)
+        c = read_matrix("/dev/fd/%d" % r, G)
+    finally:
+        os.close(r)
+    assert type(c) is type(from_disk) is (TotalColoring if kind else ColumnColoring)
+    assert c == from_disk
+
+
 def _thm23_half_sets(max_n, every_up_to, per_group, seed):
     """(n, half set) of the odd circulants with n <= max_n that thm2.3 takes:
     every one with n <= every_up_to, and above it a seeded sample of
@@ -616,18 +750,19 @@ def _recolored(c, which, i, color):
 
 def _assert_paths_agree(G, c, rng, tmp_path):
     """The column coloring c of G, which verify_total accepts, and its dict
-    hand-over are written to the same bytes, rendered to the same grid and
-    verified to equal reports, clean and after one seeded recoloring of the
-    vertex list and of each column."""
+    hand-over are written to the same `.tc` and CSV bytes and verified to
+    equal reports, clean and after one seeded recoloring of the vertex list
+    and of each column."""
     assert type(c) is ColumnColoring
     d = _handed_over(c)
-    write_coloring(c, tmp_path / "columns.tc")
-    write_coloring(d, tmp_path / "dicts.tc")
-    assert (tmp_path / "columns.tc").read_bytes() == (tmp_path / "dicts.tc").read_bytes()
-    assert render_matrix(G, c) == render_matrix(G, d)
+    for suffix, write in ((".tc", write_coloring), (".csv", functools.partial(write_matrix, G))):
+        write(c, tmp_path / ("columns" + suffix))
+        write(d, tmp_path / ("dicts" + suffix))
+        assert (tmp_path / ("columns" + suffix)).read_bytes() == (
+            tmp_path / ("dicts" + suffix)).read_bytes()
     k = c.colors_used()
     assert verify_total(G, c) == verify_total(G, d) == VerificationReport([], [], k)
-    assert type(c) is ColumnColoring  # rendering and a clean check keep the columns
+    assert type(c) is ColumnColoring  # writing and a clean check keep the columns
     for which in [None] + list(range(len(c.cols))):
         size = c.n if which is None else len(c.cols[which])
         i = rng.randrange(size)

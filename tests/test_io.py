@@ -19,13 +19,16 @@ from hypothesis import example, given, settings, strategies as st
 from totcol import graphs
 from totcol.cli import main, unitary_even_parts
 from totcol.coloring import (
+    ColumnColoring,
     TotalColoring,
     matrix_to_csv,
     read_coloring,
+    read_matrix,
     render_matrix,
     write_coloring,
+    write_matrix,
 )
-from totcol.constructions import color_auto, color_unitary_even
+from totcol.constructions import color_auto, color_odd_circulant, color_unitary_even
 from totcol.graphs import (
     CirculantSpec,
     GraphError,
@@ -379,6 +382,32 @@ def test_read_coloring_holds_one_chunk_beyond_what_it_returns(tmp_path):
     assert peak - returned < 1 << 20
 
 
+def test_the_csv_matrix_writer_and_text_route_hold_no_grid(tmp_path):
+    # at n = 1005 a grid of n^2 cells is 8 n^2 bytes of pointers alone; the
+    # writer and the text route hold a band of rows at a time, the grid
+    # route a whole grid
+    G = build_circulant(CirculantSpec(1005, [1, 3, 1002, 1004]))
+    c = color_odd_circulant(G).coloring
+    path = tmp_path / "m.csv"
+    bound = 8 * G.n ** 2
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: write_matrix(G, c, path))[0] < bound
+    assert type(c) is ColumnColoring
+    used, back = peak(lambda: read_matrix(path, G))
+    assert used < bound
+    assert type(back) is ColumnColoring and (back.vcol, back.cols) == (c.vcol, c.cols)
+    assert peak(lambda: matrix_to_csv(render_matrix(G, c), tmp_path / "grid.csv"))[0] > bound
+    assert (tmp_path / "grid.csv").read_bytes() == path.read_bytes()
+
+
 # sha256 of the .col, .tc and csv-matrix bytes that `totcol gen` and
 # `totcol color` wrote before the writers built their lines in bulk
 WRITTEN = [
@@ -408,9 +437,12 @@ def test_writers_bytes_are_pinned(tmp_path, build, digests):
     _, c, _, _ = color_auto(G)
     write_dimacs(G, tmp_path / "g.col")
     write_coloring(c, tmp_path / "g.tc")
-    matrix_to_csv(render_matrix(G, c), tmp_path / "g.csv")
+    write_matrix(G, c, tmp_path / "g.csv")
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("g.col", "g.tc", "g.csv")) == digests
+    # the grid route writes the same matrix
+    matrix_to_csv(render_matrix(G, c), tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
 
 
 def reference_write_coloring(c, path):

@@ -659,6 +659,10 @@ def test_total_items_matches_the_tagged_reference():
         assert all(len(a) == len(set(a)) for a in adj), name
         ref_pre = _tagged_star_clique(G, index)
         assert oracles._star_clique(G, stars) == ref_pre, name
+        if not n:  # the search refuses a graph with no vertices
+            with pytest.raises(OracleError):
+                exact_total_chromatic(G)
+            continue
 
         res = exact_total_chromatic(G, SearchBudget(node_limit=limit))
         # the search's share of the budget, which the check has not spent
@@ -734,3 +738,11 @@ def test_certificates_reverify_after_file_round_trip(tmp_path):
     back = read_coloring(path)
     report = verify_total(G, back)
     assert report.ok and report.colors_used == 7
+
+
+@pytest.mark.parametrize("oracle", [exact_total_chromatic, exact_chromatic, classify_type],
+                         ids=["total-chromatic", "chromatic", "classify"])
+def test_a_graph_with_no_vertices_is_refused(oracle):
+    # its chi and chi'' are 0; each search counted up from 1 and answered 1
+    with pytest.raises(OracleError, match="^the graph has no vertices$"):
+        oracle(subgraph_of_edges(0, []))
