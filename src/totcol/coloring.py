@@ -143,14 +143,16 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     read only its connection set, so checking one builds no n-bit rows;
     any other graph shifts a row for each edge.
 
-    A ColumnColoring of the circulant G itself (same n, same S) is first
-    checked by _columns_proper, with no dict and no Python step per edge or
-    per vertex; a proper one gets the clean report at once.  On any fault
-    the dicts are built (the hand-over) and the check above runs, so every
-    conflict and coverage list is the dict path's.
+    A ColumnColoring of the circulant G itself (same n, same S, each list
+    of its length) is first checked by _columns_proper, with no dict and no
+    Python step per edge or per vertex, as one-hot bytes when Delta + 1 <= 8
+    and every color is in 1..8; a proper one gets the clean report at once.
+    On any fault the dicts are built (the hand-over) and the check above
+    runs, so every conflict and coverage list is the dict path's.
     """
-    if _columns_proper(G, c):
-        return VerificationReport([], [], c.colors_used())
+    colors = _columns_proper(G, c)
+    if colors is not None:
+        return VerificationReport([], [], colors)
     n, vertex_color = G.n, c.vertex_color
     conn = rows = None
     if G.circulant is not None:
@@ -216,23 +218,70 @@ def verify_total(G: Graph, c: TotalColoring) -> VerificationReport:
     return VerificationReport(conflicts, coverage, c.colors_used())
 
 
-def _columns_proper(G: Graph, c: TotalColoring) -> bool:
-    """True when c is a ColumnColoring that has not handed over, and a
-    proper total coloring of the circulant G, of the same n and S.  Adjacent vertices
-    differ when the vertex colors rotated by s differ from them, for each s
-    of the half set.  The star of w is its vertex color and, for each s in
-    S, the color of {w, w + s mod n}: column s for w < n - s, then column
-    n - s.  Zipped, each star must hold Delta + 1 distinct colors."""
+def _columns_proper(G: Graph, c: TotalColoring) -> int | None:
+    """The color count of c if c is a ColumnColoring that has not handed
+    over, of the circulant G (same n and S), with vcol of length n and
+    column s of length n - s (a zip would cut a longer or shorter list), and
+    proper; else None.  The star of w is its vertex color and, for each s
+    in S, the color of {w, w + s mod n}: column s for w < n - s, then
+    column n - s.  _stars_by_bytes checks Delta + 1 <= 8 colors in 1..8;
+    any other coloring is checked by sets: adjacent vertices differ when
+    the vertex colors rotated by s differ from them, for each s of the half
+    set, and each star, zipped, must hold Delta + 1 distinct colors."""
     spec = G.circulant
     if (not isinstance(c, ColumnColoring) or spec is None or c.n != G.n
             or spec.connection != set(c.conn)):
-        return False
-    vcol, cols = c.vcol, c.cols
-    for s in c.conn[:(len(cols) + 1) // 2]:  # the half set: S ascending is symmetric
+        return None
+    n, vcol, cols = c.n, c.vcol, c.cols
+    if len(vcol) != n or list(map(len, cols)) != [n - s for s in c.conn]:
+        return None
+    half = c.conn[:(len(cols) + 1) // 2]  # the half set: S ascending is symmetric
+    try:
+        colors = _stars_by_bytes(n, half, vcol, cols) if len(cols) < 8 else None
+    except (TypeError, ValueError):  # a color that is no int in 0..255
+        colors = None
+    if colors is not None:
+        return colors
+    for s in half:
         if any(map(operator.eq, vcol, itertools.chain(vcol[s:], vcol))):
-            return False
+            return None
     stars = zip(vcol, *map(itertools.chain, cols, reversed(cols)))
-    return not any(map((len(cols) + 1).__ne__, map(len, map(set, stars))))
+    if any(map((len(cols) + 1).__ne__, map(len, map(set, stars)))):
+        return None
+    return c.colors_used()
+
+
+# color c in 1..8 -> bit c - 1, any other byte -> 0
+_ONE_HOT = bytes([0, 1, 2, 4, 8, 16, 32, 64, 128]) + bytes(247)
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+_BYTES = bytes(range(256))
+
+
+def _stars_by_bytes(n: int, half: list, vcol: list, cols: list) -> int | None:
+    """_columns_proper's color count for a proper coloring whose Delta + 1
+    <= 8 colors are in 1..8, else None; a color outside 0..255 raises.
+    Adjacent vertices differ when the vertex colors XOR their rotation by
+    s (bytes read as ints) hold no zero byte.  The one-hot bytes of the
+    vertex colors and of each generator's colors of {w, w + s mod n}, one
+    at a time, are ORed into star bytes, each of which must have Delta + 1
+    bits; a color outside 1..8 has none."""
+    v = bytes(bytearray(vcol))  # bytearray reads a list faster than bytes does
+    whole = int.from_bytes(v, "little")
+    for s in half:
+        if b"\0" in (whole ^ int.from_bytes(v[s:] + v[:s], "little")).to_bytes(n, "little"):
+            return None
+    stars = int.from_bytes(v.translate(_ONE_HOT), "little")
+    del v, whole  # from here on, one n-byte sequence at a time
+    for col, back in zip(cols, reversed(cols)):
+        hot = bytes(bytearray(col) + bytearray(back)).translate(_ONE_HOT)
+        stars |= int.from_bytes(hot, "little")
+    stars = stars.to_bytes(n, "little")
+    if stars.translate(_POPCOUNT).count(len(cols) + 1) != n:
+        return None
+    union = 0
+    for star in _BYTES.translate(None, _BYTES.translate(None, stars)):  # each value once
+        union |= star
+    return union.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,9 +234,28 @@ def corrupted_coloring(rng, G):
     return c
 
 
+def random_column_coloring(rng, G):
+    """A ColumnColoring of the circulant G: its greedy total coloring (at
+    most 2 Delta + 1 colors) by generator columns, or half the time random
+    colors in 1..8, and in about a tenth of the calls one color set to 0, 9
+    or 256, which the byte check passes over to the set check."""
+    n, conn = G.n, sorted(G.circulant.connection)
+    c = greedy_total_coloring(G)
+    vcol = [c.vertex_color[v] for v in range(n)]
+    cols = [[c.edge_color[(u, u + s)] for u in range(n - s)] for s in conn]
+    if rng.random() < 0.5:
+        vcol = [rng.randint(1, 8) for _ in vcol]
+        cols = [[rng.randint(1, 8) for _ in col] for col in cols]
+    if rng.random() < 0.1:
+        target = rng.choice([vcol, *cols])
+        target[rng.randrange(len(target))] = rng.choice([0, 9, 256])
+    return ColumnColoring(n, conn, vcol, cols)
+
+
 def test_star_check_matches_pairwise_reference():
     rng = random.Random(41)
-    flagged = odd_keys = 0
+    columns_rng = random.Random(43)  # keeps rng's trials as they were
+    flagged = odd_keys = clean_columns = faulty_columns = 0
     for trial in range(600):
         n = rng.randint(2, 39)
         if trial % 2:
@@ -251,8 +271,18 @@ def test_star_check_matches_pairwise_reference():
         odd_keys += any(x[0] == "non-edge" and (len(x[1]) != 2
                                                 or not 0 <= x[1][0] < x[1][1] < G.n)
                         for x in report.coverage_errors)
+        if G.circulant is not None and G.max_degree <= 7:
+            c = random_column_coloring(columns_rng, G)
+            report = verify_total(G, c)
+            # a clean check keeps the columns, a fault hands them over
+            assert report.ok == (type(c) is ColumnColoring)
+            clean_columns += report.ok
+            faulty_columns += not report.ok
+            assert (report.conflicts, report.coverage_errors, report.colors_used) == \
+                pairwise_verify_total(G, c)
     assert flagged >= 50  # the damage does reach the star check
     assert odd_keys >= 50  # and keys that are not (u, v) with u < v < n
+    assert clean_columns >= 50 and faulty_columns >= 50
 
 
 def test_star_check_reports_every_pair_of_a_repeated_color():
@@ -752,7 +782,8 @@ def _assert_paths_agree(G, c, rng, tmp_path):
     """The column coloring c of G, which verify_total accepts, and its dict
     hand-over are written to the same `.tc` and CSV bytes and verified to
     equal reports, clean and after one seeded recoloring of the vertex list
-    and of each column."""
+    and of each column, to a color up to k + 1 or to 9 or 256, which the
+    byte check passes over to the set check."""
     assert type(c) is ColumnColoring
     d = _handed_over(c)
     for suffix, write in ((".tc", write_coloring), (".csv", functools.partial(write_matrix, G))):
@@ -767,7 +798,8 @@ def _assert_paths_agree(G, c, rng, tmp_path):
         size = c.n if which is None else len(c.cols[which])
         i = rng.randrange(size)
         old = c.vcol[i] if which is None else c.cols[which][i]
-        recolored = _recolored(c, which, i, rng.choice([x for x in range(1, k + 2) if x != old]))
+        recolored = _recolored(c, which, i, rng.choice(
+            [x for x in (*range(1, k + 2), 9, 256) if x != old]))
         expected = verify_total(G, _handed_over(recolored))
         assert verify_total(G, recolored) == expected
 
@@ -841,3 +873,55 @@ def test_a_column_coloring_of_another_graph_takes_the_dict_path():
     # == hands a column coloring over, so it compares equal to its dicts
     assert c == d and filled() == c
     assert not verify_total(subgraph_of_edges(21, same.edges()[1:]), filled()).ok
+
+
+@pytest.mark.parametrize("method, n, half", [("thm2.3", 21, [1, 2, 3]),
+                                             ("thm2.5", 30, range(1, 11))])
+@pytest.mark.parametrize("which, edit", [
+    ("vcol", "append"), ("vcol", "pop"), ("first", "append"), ("first", "pop"),
+    ("last", "append"), ("last", "pop"), ("vcol", "negative"), ("last", "negative")])
+def test_a_malformed_column_coloring_gets_the_dict_paths_report(method, n, half, which, edit):
+    # a list one entry long or short, or a negative color, at Delta + 1 = 7
+    # (the byte check) and 21 (the set check): no exception, and the report
+    # of the coloring's own dicts.  A vertex list one entry short once got
+    # the clean report, as the zip of the stars stopped before the last
+    # vertex; a long one made the byte check's to_bytes(n) overflow.
+    from totcol.constructions import METHODS
+
+    G = build_circulant(CirculantSpec(n, list(half) + [n - s for s in half]))
+    c = METHODS[method](G).coloring
+    vcol, cols = list(c.vcol), [list(col) for col in c.cols]
+    target = {"vcol": vcol, "first": cols[0], "last": cols[-1]}[which]
+    if edit == "append":
+        target.append(target[0])
+    elif edit == "pop":
+        target.pop()
+    else:
+        target[0] = -1
+    expected = verify_total(G, _handed_over(ColumnColoring(n, c.conn, vcol, cols)))
+    assert verify_total(G, ColumnColoring(n, c.conn, vcol, cols)) == expected
+    # only a missing entry is a fault: the dicts drop an extra one, and any
+    # int is a color
+    assert expected.ok == (edit != "pop")
+    if (which, edit) == ("vcol", "pop"):
+        assert expected.coverage_errors == [("missing-vertex", n - 1)]
+
+
+def test_the_byte_check_holds_one_sequence_at_a_time():
+    # thm2.3's Delta + 1 = 7 coloring of C_100009{±1,±3,±4} (7 divides n):
+    # the byte check streams one generator's sequence at a time, about 4.2
+    # bytes per vertex at its peak; the set check peaked at 8, and holding
+    # all Delta + 1 sequences at once would take about 11.7
+    from totcol.constructions import color_odd_circulant
+
+    n = 100009
+    G = build_circulant(CirculantSpec(n, [1, 3, 4, n - 4, n - 3, n - 1]))
+    c = color_odd_circulant(G).coloring
+    tracemalloc.start()
+    try:
+        report = verify_total(G, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == VerificationReport([], [], 7) and type(c) is ColumnColoring
+    assert peak < 6 * n
